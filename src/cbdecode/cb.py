@@ -684,8 +684,6 @@ def run_schedule(
             )
             if cluster.matches(syndrome):
                 return cluster.error.copy()
-        if cluster.matches(syndrome):
-            return cluster.error.copy()
     return zeros_vec(m.cols)
 
 

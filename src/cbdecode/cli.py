@@ -95,11 +95,8 @@ def cmd_build_noise(args) -> int:
     return 0
 
 
-def _config_from_file(path: str, args) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh) or {}
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: experiment config must be a mapping")
+def _build_config(data: dict) -> ExperimentConfig:
+    """An ExperimentConfig from a run file or sweep entry, flags merged in."""
     noise = data.get("noise", DATA_QUBIT)
     code_spec = None
     dem_path = None
@@ -111,20 +108,13 @@ def _config_from_file(path: str, args) -> ExperimentConfig:
         if "code" not in data:
             raise ValueError("config needs a 'code' entry")
         code_spec = _resolve_code(data["code"])
-    p = float(args.p if args.p is not None else data.get("p", 0.0))
     rounds = int(data.get("rounds", 1))
     if noise == PHENOMENOLOGICAL and "rounds" not in data and code_spec and code_spec.distance:
         rounds = code_spec.distance
-    seed = args.seed if args.seed is not None else data.get("seed", _env_seed())
-    max_shots = int(args.shots if args.shots is not None else data.get("max_shots", 10_000))
     max_failures = data.get("max_failures", 100)
-    if args.failures is not None:
-        max_failures = args.failures
-    if max_failures is not None:
-        max_failures = int(max_failures)
     return ExperimentConfig(
         noise=noise,
-        p=p,
+        p=float(data.get("p", 0.0)),
         q=float(data["q"]) if "q" in data else None,
         rounds=rounds,
         code_spec=code_spec,
@@ -134,19 +124,31 @@ def _config_from_file(path: str, args) -> ExperimentConfig:
             max_br=int(data.get("max_br", 10)),
             max_tcts=int(data.get("max_tcts", 3)),
         ),
-        decoder=args.decoder or data.get("decoder", "bp+cb"),
+        decoder=data.get("decoder", "bp+cb"),
         sector=data.get("sector", "x"),
-        max_shots=max_shots,
-        max_failures=max_failures,
-        seed=int(seed),
+        max_shots=int(data.get("max_shots", 10_000)),
+        max_failures=None if max_failures is None else int(max_failures),
+        seed=int(data.get("seed", _env_seed())),
         bp_iters=int(data.get("bp_iters", 30)),
         name=str(data.get("name", "")),
     )
 
 
+def _load_mapping(path: str, what: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        data = yaml.safe_load(fh) or {}
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: {what} must be a mapping")
+    return data
+
+
 def cmd_run(args) -> int:
     try:
-        config = _config_from_file(args.config, args)
+        data = _load_mapping(args.config, "experiment config")
+        flags = {"p": args.p, "seed": args.seed, "max_shots": args.shots,
+                 "max_failures": args.failures, "decoder": args.decoder}
+        data.update((key, value) for key, value in flags.items() if value is not None)
+        config = _build_config(data)
         result = run_experiment(config, threads=args.threads)
     except (OSError, ValueError, yaml.YAMLError) as exc:
         print(f"run: {exc}", file=sys.stderr)
@@ -164,10 +166,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     try:
-        with open(args.sweep, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh) or {}
-        if not isinstance(data, dict):
-            raise ValueError("sweep spec must be a mapping")
+        data = _load_mapping(args.sweep, "sweep spec")
         probabilities = [float(p) for p in data.get("probabilities", [])]
         if not probabilities:
             raise ValueError("sweep needs a non-empty 'probabilities' list")
@@ -183,6 +182,10 @@ def cmd_sweep(args) -> int:
         print(f"sweep: {exc}", file=sys.stderr)
         return 2
 
+    # an entry's own values beat the sweep defaults and --seed
+    defaults = {"max_shots": 100_000}
+    if args.seed is not None:
+        defaults["seed"] = args.seed
     partial = False
     for entry in entries:
         label = entry.get("name", "")
@@ -190,30 +193,7 @@ def cmd_sweep(args) -> int:
         series_rows: list[str] = []
         for p in probabilities:
             try:
-                noise = entry.get("noise", DATA_QUBIT)
-                code_spec = _resolve_code(entry["code"]) if noise != CIRCUIT_FILE else None
-                rounds = int(entry.get("rounds", 1))
-                if noise == PHENOMENOLOGICAL and "rounds" not in entry and code_spec and code_spec.distance:
-                    rounds = code_spec.distance
-                config = ExperimentConfig(
-                    noise=noise,
-                    p=p,
-                    q=float(entry["q"]) if "q" in entry else None,
-                    rounds=rounds,
-                    code_spec=code_spec,
-                    dem_path=entry.get("dem"),
-                    params=CBParams(
-                        max_gr=int(entry.get("max_gr", 6)),
-                        max_br=int(entry.get("max_br", 10)),
-                        max_tcts=int(entry.get("max_tcts", 3)),
-                    ),
-                    decoder=entry.get("decoder", "bp+cb"),
-                    sector=entry.get("sector", "x"),
-                    max_shots=int(entry.get("max_shots", 100_000)),
-                    max_failures=entry.get("max_failures", 100),
-                    seed=int(entry.get("seed", args.seed if args.seed is not None else _env_seed())),
-                    name=label,
-                )
+                config = _build_config({**defaults, **entry, "p": p})
                 result = run_experiment(config, threads=args.threads)
             except (OSError, ValueError, yaml.YAMLError) as exc:
                 print(f"sweep point {label} p={p}: {exc}", file=sys.stderr)

@@ -1,10 +1,14 @@
 """Monte Carlo estimation of logical error rates.
 
 Shots are sampled, decoded and scored independently; per-shot RNG streams
-derive from (seed, shot_index) so results are reproducible and independent
-of execution order.  Experiments stop at a shot budget or once a target
-number of logical failures has accumulated, and report the total logical
-error rate together with its per-cycle normalization.
+derive from (seed, shot_index), and outcomes are consumed in shot order
+whether one process or a pool runs them.  An experiment stops at its shot
+budget or at the exact shot where the failure target is reached, so counts
+do not depend on the number of processes.  Every noise model is scored
+alike: a zero output for a nonzero syndrome is a declared failure, and any
+other output must reproduce its syndrome (else ValueError) and is a failure
+when the residual flips a logical observable.  Results report the total
+logical error rate together with its per-cycle normalization.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +39,9 @@ from .noise import (
 DATA_QUBIT = "data-qubit"
 PHENOMENOLOGICAL = "phenomenological"
 CIRCUIT_FILE = "circuit-file"
+
+# shots per pool task: few enough that a failure target stops the pool soon
+_CHUNK_SHOTS = 100
 
 CSV_COLUMNS = [
     "code",
@@ -88,6 +96,8 @@ class ExperimentConfig:
             raise ValueError("sector must be x, z or both")
         if self.max_shots < 1:
             raise ValueError("max_shots must be >= 1")
+        if self.max_failures is not None and self.max_failures < 1:
+            raise ValueError("max_failures must be >= 1")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
 
@@ -129,8 +139,8 @@ def logical_failure(
 ) -> bool:
     """True iff the residual actual + recovered flips any logical observable.
 
-    With verify_residual (data-qubit mode) a residual outside the check
-    kernel raises, since the decoder should never emit such an estimate.
+    With verify_residual a residual outside the check kernel raises, since
+    the decoder should never emit such an estimate.
     """
     residual = (np.asarray(actual, dtype=np.uint8) ^ np.asarray(recovered, dtype=np.uint8))
     if verify_residual and mat_vec_mod2(model.noise_matrix, residual).any():
@@ -190,43 +200,53 @@ class _ShotRunner:
     def run_shot(self, index: int) -> tuple[bool, float]:
         """Returns (logical failure?, decode seconds)."""
         rng = shot_rng(self.config.seed, index)
-        cfg = self.config
-        if cfg.noise == DATA_QUBIT:
-            err = sample_depolarizing(self.code.n, cfg.p, rng)
+        if self.config.noise == DATA_QUBIT:
+            err = sample_depolarizing(self.code.n, self.config.p, rng)
             parts = {"x": err.x_part, "z": err.z_part}
-            failed = False
-            spent = 0.0
-            for model, bp, sector in self.sectors:
-                actual = parts[sector]
-                syndrome = mat_vec_mod2(model.noise_matrix, actual)
-                t0 = time.perf_counter()
-                recovered = self._decode(model, bp, syndrome)
-                spent += time.perf_counter() - t0
-                if not recovered.any() and syndrome.any():
-                    failed = True  # declared failure
-                elif logical_failure(model, actual, recovered, verify_residual=True):
-                    failed = True
-            return failed, spent
-        model, bp, _ = self.sectors[0]
-        shot = sample_shot(model, rng)
-        t0 = time.perf_counter()
-        recovered = self._decode(model, bp, shot.syndrome)
-        spent = time.perf_counter() - t0
-        if not recovered.any() and shot.syndrome.any():
-            return True, spent
-        flips = mat_vec_mod2(model.observables, recovered)
-        return bool((flips != shot.observable_flips).any()), spent
+            samples = [
+                (parts[sector], mat_vec_mod2(model.noise_matrix, parts[sector]))
+                for model, _, sector in self.sectors
+            ]
+        else:
+            shot = sample_shot(self.sectors[0][0], rng)
+            samples = [(shot.mechanisms, shot.syndrome)]
+        failed = False
+        spent = 0.0
+        for (model, bp, _), (actual, syndrome) in zip(self.sectors, samples):
+            t0 = time.perf_counter()
+            recovered = self._decode(model, bp, syndrome)
+            spent += time.perf_counter() - t0
+            if not recovered.any() and syndrome.any():
+                failed = True  # declared failure
+            elif logical_failure(model, actual, recovered, verify_residual=True):
+                failed = True
+        return failed, spent
 
 
-def _run_range(config: ExperimentConfig, lo: int, hi: int) -> tuple[int, list[float]]:
-    runner = _ShotRunner(config)
-    failures = 0
-    times: list[float] = []
-    for i in range(lo, hi):
-        failed, spent = runner.run_shot(i)
-        failures += failed
-        times.append(spent)
-    return failures, times
+_WORKER_RUNNER: _ShotRunner | None = None
+
+
+def _init_worker(config: ExperimentConfig) -> None:
+    global _WORKER_RUNNER
+    _WORKER_RUNNER = _ShotRunner(config)
+
+
+def _worker_shot(index: int) -> tuple[bool, float]:
+    return _WORKER_RUNNER.run_shot(index)
+
+
+def _shot_outcomes(config: ExperimentConfig, threads: int, stats, decode_fn):
+    """Per-shot (failed, decode seconds) in shot-index order.
+
+    Pool workers build their runner once; closing the generator cancels the
+    shots not yet handed to a worker.
+    """
+    if threads <= 1 or decode_fn is not None or stats is not None:
+        runner = _ShotRunner(config, decode_fn=decode_fn, stats=stats)
+        yield from map(runner.run_shot, range(config.max_shots))
+        return
+    with ProcessPoolExecutor(threads, initializer=_init_worker, initargs=(config,)) as pool:
+        yield from pool.map(_worker_shot, range(config.max_shots), chunksize=_CHUNK_SHOTS)
 
 
 def run_experiment(
@@ -240,37 +260,16 @@ def run_experiment(
     t_start = time.perf_counter()
     failures = 0
     times: list[float] = []
-    shots_run = 0
-    if threads <= 1 or decode_fn is not None or stats is not None:
-        runner = _ShotRunner(config, decode_fn=decode_fn, stats=stats)
-        for i in range(config.max_shots):
-            failed, spent = runner.run_shot(i)
+    with closing(_shot_outcomes(config, threads, stats, decode_fn)) as outcomes:
+        for failed, spent in outcomes:
             failures += failed
             times.append(spent)
-            shots_run += 1
             if config.max_failures is not None and failures >= config.max_failures:
                 break
-    else:
-        wave = threads * 250
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            while shots_run < config.max_shots:
-                hi = min(shots_run + wave, config.max_shots)
-                bounds = np.linspace(shots_run, hi, threads + 1, dtype=int)
-                jobs = [
-                    pool.submit(_run_range, config, int(a), int(b))
-                    for a, b in zip(bounds[:-1], bounds[1:])
-                    if b > a
-                ]
-                for job in jobs:
-                    f, ts = job.result()
-                    failures += f
-                    times.extend(ts)
-                shots_run = hi
-                if config.max_failures is not None and failures >= config.max_failures:
-                    break
     wall = time.perf_counter() - t_start
+    shots_run = len(times)
     arr = np.array(times) * 1e6
-    pl_total = failures / shots_run if shots_run else 0.0
+    pl_total = failures / shots_run
     return ExperimentResult(
         shots_run=shots_run,
         logical_failures=failures,
@@ -278,10 +277,10 @@ def run_experiment(
         p_l_per_cycle=pl_total / config.rounds,
         rounds=config.rounds,
         wall_time_s=wall,
-        decode_mean_us=float(arr.mean()) if len(arr) else 0.0,
-        decode_p50_us=float(np.percentile(arr, 50)) if len(arr) else 0.0,
-        decode_p90_us=float(np.percentile(arr, 90)) if len(arr) else 0.0,
-        decode_p99_us=float(np.percentile(arr, 99)) if len(arr) else 0.0,
+        decode_mean_us=float(arr.mean()),
+        decode_p50_us=float(np.percentile(arr, 50)),
+        decode_p90_us=float(np.percentile(arr, 90)),
+        decode_p99_us=float(np.percentile(arr, 99)),
     )
 
 

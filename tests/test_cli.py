@@ -1,6 +1,8 @@
 import numpy as np
 
+from cbdecode import cli
 from cbdecode.cli import main
+from cbdecode.harness import CSV_COLUMNS, ExperimentResult
 from cbdecode.gf2 import load_matrix
 from cbdecode.noise import load_detector_model
 
@@ -145,6 +147,61 @@ def test_sweep_partial_failure(tmp_path, capsys):
     )
     assert main(["sweep", str(sweep)]) == 1
     assert "sweep point" in capsys.readouterr().err
+
+
+def test_sweep_entry_honours_bp_iters(tmp_path, capsys):
+    sweep = tmp_path / "s.yaml"
+    out = tmp_path / "o.csv"
+    sweep.write_text(
+        "probabilities: [0.05]\n"
+        f"output: {out}\n"
+        "codes:\n"
+        "  - {name: it1, code: bb72, bp_iters: 1, max_shots: 100, max_failures: null, seed: 3}\n"
+        "  - {name: it30, code: bb72, bp_iters: 30, max_shots: 100, max_failures: null, seed: 3}\n"
+    )
+    assert main(["sweep", str(sweep)]) == 0
+    capsys.readouterr()
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    failures = CSV_COLUMNS.index("failures")
+    # with one BP iteration CB runs on more shots and decodes differently
+    assert rows[0][failures] != rows[1][failures]
+
+
+def test_sweep_entry_without_code_is_a_point_error(tmp_path, capsys):
+    sweep = tmp_path / "s.yaml"
+    sweep.write_text(
+        "probabilities: [0.05]\n"
+        f"output: {tmp_path / 'o.csv'}\n"
+        "codes:\n"
+        "  - {name: nocode, max_shots: 5}\n"
+    )
+    assert main(["sweep", str(sweep)]) == 1
+    assert "sweep point nocode p=0.05: config needs a 'code' entry" in capsys.readouterr().err
+
+
+def test_sweep_defaults_and_seed_precedence(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def fake_run(config, threads=1):
+        seen.append(config)
+        return ExperimentResult(1, 0, 0.0, 0.0, 1, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run)
+    monkeypatch.setenv("CBDECODE_SEED", "12")
+    sweep = tmp_path / "s.yaml"
+    sweep.write_text(
+        "probabilities: [0.05]\n"
+        f"output: {tmp_path / 'o.csv'}\n"
+        "codes:\n"
+        "  - {name: own, code: bb72, seed: 3}\n"
+        "  - {name: flag, code: bb72}\n"
+    )
+    assert main(["sweep", str(sweep)]) == 0
+    assert main(["sweep", str(sweep), "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert [c.seed for c in seen] == [3, 12, 3, 7]
+    assert {c.max_shots for c in seen} == {100_000}
+    assert {c.p for c in seen} == {0.05}
 
 
 def test_env_var_seed_used_as_default(tmp_path, capsys, monkeypatch):

@@ -14,7 +14,7 @@ from cbdecode.harness import (
     run_experiment,
     CSV_COLUMNS,
 )
-from cbdecode.noise import data_qubit_model
+from cbdecode.noise import data_qubit_model, save_detector_model
 
 
 def test_required_shots():
@@ -96,8 +96,6 @@ def test_reproducible_counts():
     r2 = run_experiment(_config(max_shots=150))
     assert r1.logical_failures == r2.logical_failures
     assert r1.shots_run == r2.shots_run
-    r3 = run_experiment(_config(max_shots=150, seed=6))
-    assert (r3.logical_failures != r1.logical_failures) or True  # different stream
 
 
 def test_early_stop_on_failure_target():
@@ -128,6 +126,9 @@ def test_config_validation():
         _config(decoder="magic")
     with pytest.raises(ValueError):
         _config(max_shots=0)
+    for max_failures in (0, -1):
+        with pytest.raises(ValueError):
+            _config(max_failures=max_failures)
     with pytest.raises(ValueError):
         ExperimentConfig(noise="data-qubit", p=0.1, code_spec=None)
 
@@ -169,9 +170,30 @@ def test_crossing_estimate():
     assert crossing_estimate([(0.02, 0.02), (0.04, 0.1)]) == 0.02
 
 
-def test_threads_reproduce_serial_counts():
-    config = _config(max_shots=80)
+@pytest.mark.parametrize("max_failures", [None, 10])
+def test_threads_reproduce_serial_counts(max_failures):
+    # at p = 0.12 the serial run reaches 10 failures within 16 shots, far
+    # inside the shots one pool task or a 500-shot wave would cover
+    config = _config(p=0.12, max_shots=300, max_failures=max_failures)
     serial = run_experiment(config)
     parallel = run_experiment(config, threads=2)
     assert parallel.logical_failures == serial.logical_failures
     assert parallel.shots_run == serial.shots_run
+    if max_failures is not None:
+        assert serial.logical_failures == max_failures
+        assert serial.shots_run < config.max_shots
+
+
+@pytest.mark.parametrize("noise", ["data-qubit", "phenomenological", "circuit-file"])
+def test_unsound_output_raises_on_every_noise_model(noise, bb72, tmp_path):
+    if noise == "circuit-file":
+        dem = tmp_path / "m.dem"
+        save_detector_model(data_qubit_model(bb72, 0.05)[0], str(dem))
+        config = _config(noise=noise, code_spec=None, dem_path=str(dem))
+    else:
+        config = _config(noise=noise, rounds=2)
+    # a fixed nonzero output reproduces one syndrome at most, so some shot's
+    # residual has a nonzero syndrome
+    stub = lambda model, syndrome: vec_from_support(model.noise_matrix.cols, [0])
+    with pytest.raises(ValueError, match="nonzero syndrome"):
+        run_experiment(config, decode_fn=stub)
