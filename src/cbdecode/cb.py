@@ -22,7 +22,7 @@ by belief-propagation marginals).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,6 +80,8 @@ class Cluster:
     Maintains flipped_checks = noise_matrix . error (mod 2) incrementally;
     each flipped check and each used mechanism is owned by exactly one live
     branch, which is what destructive growth needs to dismantle precisely.
+    Owners are kept in lists indexed by row and by column (None: no owner),
+    and the ids of live non-destructive branches in a set.
     """
 
     def __init__(self, n_rows: int, n_cols: int):
@@ -89,51 +91,55 @@ class Cluster:
         self.error = zeros_vec(n_cols)
         self._next_id = 0
         self._by_id: dict[int, ClosedBranch] = {}
-        self._row_owner: dict[int, int] = {}
-        self._col_owner: dict[int, int] = {}
+        self._row_owner: list[int | None] = [None] * n_rows
+        self._col_owner: list[int | None] = [None] * n_cols
+        self._destructible: set[int] = set()
 
     def add(self, branch: ClosedBranch) -> int:
-        branch.branch_id = self._next_id
+        bid = branch.branch_id = self._next_id
         self._next_id += 1
-        self._by_id[branch.branch_id] = branch
-        target = self.nd_branches if branch.mode == NON_DESTRUCTIVE else self.d_branches
-        target.append(branch)
+        self._by_id[bid] = branch
+        if branch.mode == NON_DESTRUCTIVE:
+            self.nd_branches.append(branch)
+            self._destructible.add(bid)
+        else:
+            self.d_branches.append(branch)
         for r in branch.checks_flipped:
             self.flipped[r] ^= 1
-            self._row_owner[r] = branch.branch_id
+            self._row_owner[r] = bid
         for c in branch.mechanisms:
             self.error[c] ^= 1
-            self._col_owner[c] = branch.branch_id
-        return branch.branch_id
+            self._col_owner[c] = bid
+        return bid
 
     def dismantle(self, branch_id: int) -> ClosedBranch:
         branch = self._by_id.pop(branch_id)
         if branch.mode != NON_DESTRUCTIVE:
             raise ValueError("only non-destructively obtained branches can be dismantled")
         self.nd_branches.remove(branch)
+        self._destructible.discard(branch_id)
         for r in branch.checks_flipped:
             self.flipped[r] ^= 1
-            self._row_owner.pop(r, None)
+            self._row_owner[r] = None
         for c in branch.mechanisms:
             self.error[c] ^= 1
-            self._col_owner.pop(c, None)
+            self._col_owner[c] = None
         return branch
 
     def branches(self) -> list[ClosedBranch]:
         return self.nd_branches + self.d_branches
 
     def row_owner(self, row: int) -> int | None:
-        return self._row_owner.get(row)
+        return self._row_owner[row]
 
     def col_owner(self, col: int) -> int | None:
-        return self._col_owner.get(col)
+        return self._col_owner[col]
 
     def branch_by_id(self, branch_id: int) -> ClosedBranch:
         return self._by_id[branch_id]
 
     def is_destructible(self, branch_id: int) -> bool:
-        b = self._by_id.get(branch_id)
-        return b is not None and b.mode == NON_DESTRUCTIVE
+        return branch_id in self._destructible
 
     def matches(self, syndrome: np.ndarray) -> bool:
         return bool(np.array_equal(self.flipped, syndrome))
@@ -141,7 +147,8 @@ class Cluster:
 
 @dataclass(frozen=True)
 class Branch:
-    """An in-progress growth path.
+    """A growth path, as find_branch_instances returns seeds and grow_branch
+    takes them (the growth engine itself works on a private copy).
 
     satisfied holds the oddly-touched checks currently explained; frontier is
     the trivial check being grown; fcts are deferred trivial checks; destroyed
@@ -178,10 +185,11 @@ def verify_closed_branch(
     return all((cnt & 1) == int(syndrome[r]) for r, cnt in touch.items())
 
 
-def _candidate_columns(eff: np.ndarray, m: BinaryMatrix) -> list[int]:
+def _candidate_columns(eff: list[int], m: BinaryMatrix) -> list[int]:
     cols: set[int] = set()
-    for r in np.flatnonzero(eff):
-        cols.update(m.row_support[int(r)])
+    for r, violated in enumerate(eff):
+        if violated:
+            cols.update(m.row_support[r])
     return sorted(cols)
 
 
@@ -193,9 +201,9 @@ def weight_1_errors(
     stats: DecodeStats | None = None,
 ) -> Cluster:
     """Close every mechanism whose adjacent checks are all effectively violated."""
-    eff = (syndrome ^ cluster.flipped).astype(np.uint8)
+    eff = (syndrome ^ cluster.flipped).tolist()
     for c in _candidate_columns(eff, m):
-        if cluster.col_owner(c) is not None:
+        if cluster._col_owner[c] is not None:
             continue
         rows = m.col_support[c]
         if rows and all(eff[r] for r in rows):
@@ -207,30 +215,26 @@ def weight_1_errors(
     return cluster
 
 
-def _mech_weight(col: int, weights: np.ndarray | None) -> float:
-    return 1.0 if weights is None else float(weights[col])
+def _seed_columns(tcts: int, eff: list[int], cluster: Cluster, m: BinaryMatrix) -> list[int]:
+    """Unowned columns with >= 1 violated and exactly tcts trivial rows."""
+    return [
+        c
+        for c in _candidate_columns(eff, m)  # each touches a violated row
+        if cluster._col_owner[c] is None
+        and [eff[r] for r in m.col_support[c]].count(0) == tcts
+    ]
 
 
-def _make_seed(
-    col: int,
-    tcts: int,
-    eff: np.ndarray,
-    m: BinaryMatrix,
-    weights: np.ndarray | None,
-) -> Branch | None:
-    nontrivial = [r for r in m.col_support[col] if eff[r]]
-    trivial = [r for r in m.col_support[col] if not eff[r]]
-    if len(nontrivial) < 1 or len(trivial) != tcts:
+def _seed(
+    col: int, tcts: int, eff: list[int], m: BinaryMatrix
+) -> tuple[frozenset[int], int, tuple[int, ...]] | None:
+    """(satisfied, frontier, fcts) of the seed at col under eff, or None when
+    col has no violated row or not exactly tcts trivial ones."""
+    rows = m.col_support[col]
+    trivial = [r for r in rows if not eff[r]]
+    if len(trivial) != tcts or len(trivial) == len(rows):
         return None
-    return Branch(
-        mechanisms=frozenset((col,)),
-        satisfied=frozenset(nontrivial),
-        touched_even=frozenset(),
-        frontier=trivial[0],
-        fcts=tuple(trivial[1:]),
-        weight_used=_mech_weight(col, weights),
-        growths=0,
-    )
+    return frozenset(r for r in rows if eff[r]), trivial[0], tuple(trivial[1:])
 
 
 def find_branch_instances(
@@ -244,14 +248,14 @@ def find_branch_instances(
     """Seeds: unused columns with >= 1 violated and exactly tcts trivial rows."""
     if tcts < 1:
         raise ValueError("tcts must be >= 1")
-    eff = (syndrome ^ cluster.flipped).astype(np.uint8)
+    eff = (syndrome ^ cluster.flipped).tolist()
     seeds = []
-    for c in _candidate_columns(eff, m):
-        if cluster.col_owner(c) is not None:
-            continue
-        seed = _make_seed(c, tcts, eff, m, event_weights)
-        if seed is not None:
-            seeds.append(seed)
+    for c in _seed_columns(tcts, eff, cluster, m):
+        satisfied, frontier, fcts = _seed(c, tcts, eff, m)
+        weight = 1.0 if event_weights is None else float(event_weights[c])
+        seeds.append(
+            Branch(frozenset((c,)), satisfied, frozenset(), frontier, fcts, weight, 0)
+        )
     return seeds
 
 
@@ -259,19 +263,38 @@ class _Rejected(Exception):
     """Branch instance exceeded max_br; the whole instance is abandoned."""
 
 
-@dataclass
-class _Move:
-    column: int
-    explains: tuple[int, ...]
-    loop_closed: tuple[int, ...]
-    new_opens: tuple[int, ...]
-    destroy: frozenset[int]
-    auto_satisfied: tuple[int, ...]
-    weight: float
+class _Path:
+    """One branch path of a growing instance; the fields are Branch's.
+
+    A path is owned by one stack level.  Its fields are rebound, never
+    mutated in place, so children may share their parent's sets.
+    """
+
+    __slots__ = (
+        "mechanisms", "satisfied", "touched_even", "frontier", "fcts",
+        "weight_used", "growths", "destroyed",
+    )
+
+    def __init__(
+        self, mechanisms, satisfied, touched_even, frontier, fcts, weight_used, growths, destroyed
+    ):
+        self.mechanisms = mechanisms
+        self.satisfied = satisfied
+        self.touched_even = touched_even
+        self.frontier = frontier
+        self.fcts = fcts
+        self.weight_used = weight_used
+        self.growths = growths
+        self.destroyed = destroyed
 
 
 class _Grower:
-    """Depth-first growth of one branch instance."""
+    """Depth-first growth of branch instances against one cluster.
+
+    The effective syndrome eff (updated in place as branches commit) and the
+    syndrome are int lists, and the mechanism weights one float per column
+    (1.0 in plain mode), so the inner loops index Python lists only.
+    """
 
     def __init__(
         self,
@@ -281,7 +304,7 @@ class _Grower:
         max_growths: int | None,
         cluster: Cluster,
         syndrome: np.ndarray,
-        eff: np.ndarray,
+        eff: list[int],
         m: BinaryMatrix,
         weights: np.ndarray | None,
         stats: DecodeStats | None,
@@ -292,24 +315,15 @@ class _Grower:
         self.max_br = max_br
         self.max_growths = max_growths
         self.cluster = cluster
-        self.syndrome = syndrome
+        self.syndrome = np.asarray(syndrome).tolist()
         self.eff = eff
         self.m = m
-        self.weights = weights
+        if weights is None:
+            self.weights = [1.0] * m.cols
+        else:
+            self.weights = np.asarray(weights, dtype=np.float64).tolist()
         self.stats = stats
         self.spawned = 1
-
-    def _path_eff(self, row: int, destroyed: frozenset[int]) -> int:
-        if self.eff[row]:
-            return 1
-        owner = self.cluster.row_owner(row)
-        if owner is not None and owner in destroyed:
-            return 1
-        return 0
-
-    def _col_free(self, col: int, destroyed: frozenset[int]) -> bool:
-        owner = self.cluster.col_owner(col)
-        return owner is None or owner in destroyed
 
     def _count_spawned(self, alternatives: int) -> None:
         if alternatives <= 1:
@@ -322,188 +336,152 @@ class _Grower:
         if self.stats is not None:
             self.stats.observe_spawned(self.spawned)
 
-    def _activate_frontier(self, st: Branch) -> tuple[str, Branch]:
-        """Pick the next frontier; destructively clear owned ones.
+    def _activate_frontier(self, st: _Path) -> str:
+        """Pick st's next frontier; destructively clear owned ones.
 
-        Returns ("closed", st) when every open check is resolved, ("dead", st)
-        when a destruction contradicts the branch, ("ok", st) otherwise.
+        Returns "closed" when every open check is resolved, "dead" when a
+        destruction contradicts the path, "ok" otherwise.
         """
+        cluster = self.cluster
         while True:
             if st.frontier is None:
                 if not st.fcts:
-                    return "closed", st
-                st = replace(st, frontier=st.fcts[0], fcts=st.fcts[1:])
+                    return "closed"
+                st.frontier, st.fcts = st.fcts[0], st.fcts[1:]
             if not self.destructive:
-                return "ok", st
-            owner = self.cluster.row_owner(st.frontier)
+                return "ok"
+            frontier = st.frontier
+            owner = cluster._row_owner[frontier]
             if (
-                self.eff[st.frontier]
-                or owner is None
+                self.eff[frontier]
                 or owner in st.destroyed
-                or not self.cluster.is_destructible(owner)
+                or owner not in cluster._destructible
             ):
-                return "ok", st
+                return "ok"
             # colliding with a closed branch: dismantle it, the frontier
-            # becomes a violated check this branch explains
+            # becomes a violated check this branch explains, and so does
+            # every deferred check the dismantling re-exposes
             destroyed = st.destroyed | {owner}
             if len(destroyed) > self.max_br:
-                return "dead", st
-            freed = self.cluster.branch_by_id(owner).checks_flipped
-            nxt = self._absorb_freed(
-                replace(
-                    st,
-                    satisfied=st.satisfied | {st.frontier},
-                    frontier=None,
-                    destroyed=destroyed,
-                ),
-                freed,
-                exclude=st.frontier,
-            )
-            if nxt is None:
-                return "dead", st
-            st = nxt
-
-    def _absorb_freed(
-        self, st: Branch, freed_rows: tuple[int, ...], exclude: int | None = None
-    ) -> Branch | None:
-        """Account for checks re-exposed by a dismantled branch."""
-        satisfied = set(st.satisfied)
-        fcts = list(st.fcts)
-        frontier = st.frontier
-        for r in freed_rows:
-            if r == exclude:
-                continue
-            if r in st.touched_even:
-                return None  # evenly-touched check turned violated: dead path
-            if r == frontier:
-                satisfied.add(r)
-                frontier = None
-            elif r in fcts:
-                fcts.remove(r)
-                satisfied.add(r)
-        return replace(
-            st,
-            satisfied=frozenset(satisfied),
-            fcts=tuple(fcts),
-            frontier=frontier,
-        )
-
-    def _evaluate(self, st: Branch, cand: int) -> _Move | None:
-        frontier = st.frontier
-        open_set = set(st.fcts)
-        rows = self.m.col_support[cand]
-        destroy: set[int] = set()
-        if self.destructive:
-            for r in rows:
-                if r == frontier or r in open_set:
+                return "dead"
+            satisfied = set(st.satisfied)
+            satisfied.add(frontier)
+            fcts = list(st.fcts)
+            for r in cluster._by_id[owner].checks_flipped:
+                if r == frontier:
                     continue
-                if self.eff[r] == 0 and self.syndrome[r] == 1:
-                    owner = self.cluster.row_owner(r)
-                    if (
-                        owner is not None
-                        and owner not in st.destroyed
-                        and self.cluster.is_destructible(owner)
-                    ):
-                        destroy.add(owner)
-            if destroy and len(st.destroyed | destroy) > self.max_br:
-                return None
-        all_destroyed = st.destroyed | destroy
-        explains: list[int] = []
-        loop_closed: list[int] = []
-        new_opens: list[int] = []
-        for r in rows:
-            if r == frontier:
-                continue
-            if self._path_eff(r, all_destroyed):
-                if r in st.satisfied or r in open_set:
-                    return None  # second touch on an explained check
-                explains.append(r)
-            elif r in open_set:
-                loop_closed.append(r)
-            else:
-                new_opens.append(r)
-        auto_satisfied: list[int] = []
-        if destroy:
-            touched = set(rows)
-            freed: set[int] = set()
-            for bid in destroy:
-                freed.update(self.cluster.branch_by_id(bid).checks_flipped)
-            for r in sorted(freed - touched):
                 if r in st.touched_even:
-                    return None
-                if r in open_set and r not in loop_closed:
-                    auto_satisfied.append(r)
-        return _Move(
-            column=cand,
-            explains=tuple(explains),
-            loop_closed=tuple(loop_closed),
-            new_opens=tuple(new_opens),
-            destroy=frozenset(destroy),
-            auto_satisfied=tuple(auto_satisfied),
-            weight=_mech_weight(cand, self.weights),
-        )
+                    return "dead"  # evenly-touched check turned violated
+                if r in fcts:
+                    fcts.remove(r)
+                    satisfied.add(r)
+            st.satisfied = frozenset(satisfied)
+            st.fcts = tuple(fcts)
+            st.frontier = None
+            st.destroyed = destroyed
 
-    def _apply(self, st: Branch, mv: _Move) -> Branch:
-        fcts = [
-            r
-            for r in st.fcts
-            if r not in mv.loop_closed and r not in mv.auto_satisfied
-        ]
-        if mv.new_opens:
-            opens = sorted(mv.new_opens)
-            frontier = opens[0]
-            fcts.extend(opens[1:])
-        else:
-            frontier = None
-        return Branch(
-            mechanisms=st.mechanisms | {mv.column},
-            satisfied=st.satisfied | set(mv.explains) | set(mv.auto_satisfied),
-            touched_even=st.touched_even | {st.frontier} | set(mv.loop_closed),
-            frontier=frontier,
-            fcts=tuple(fcts),
-            weight_used=st.weight_used + mv.weight,
-            growths=st.growths + 1,
-            spawned=self.spawned,
-            destroyed=st.destroyed | mv.destroy,
-        )
-
-    def _expand(self, st: Branch) -> list[Branch]:
-        candidates = [
-            c
-            for c in self.m.row_support[st.frontier]
-            if c not in st.mechanisms and self._col_free(c, st.destroyed)
-        ]
+    def _expand(self, st: _Path) -> list[_Path]:
+        """Children of st: one per candidate column at its frontier, keeping
+        the candidates that open the fewest new checks, cheapest first."""
+        growths = st.growths + 1
+        if self.max_growths is not None and growths > self.max_growths:
+            return []
+        cluster, eff, syndrome, weights = self.cluster, self.eff, self.syndrome, self.weights
+        col_owner, row_owner = cluster._col_owner, cluster._row_owner
+        col_support, budget = self.m.col_support, self.budget
+        frontier, fcts, destroyed = st.frontier, st.fcts, st.destroyed
+        mechanisms, satisfied, touched_even = st.mechanisms, st.satisfied, st.touched_even
+        base = st.weight_used
         moves = []
-        for c in candidates:
-            if st.weight_used + _mech_weight(c, self.weights) > self.budget:
+        for c in self.m.row_support[frontier]:
+            owner = col_owner[c]
+            if c in mechanisms or (owner is not None and owner not in destroyed):
                 continue
-            if self.max_growths is not None and st.growths + 1 > self.max_growths:
+            weight = weights[c]
+            if base + weight > budget:
                 continue
-            mv = self._evaluate(st, c)
-            if mv is not None:
-                moves.append(mv)
+            rows = col_support[c]
+            destroy: set[int] | tuple = ()
+            if self.destructive:
+                destroy = set()
+                for r in rows:
+                    if r != frontier and r not in fcts and not eff[r] and syndrome[r] == 1:
+                        owner = row_owner[r]
+                        if owner not in destroyed and owner in cluster._destructible:
+                            destroy.add(owner)
+                if destroy and len(destroyed | destroy) > self.max_br:
+                    continue
+            path_destroyed = destroyed | destroy if destroy else destroyed
+            explains: list[int] = []
+            loop_closed: list[int] = []
+            new_opens: list[int] = []
+            for r in rows:
+                if r == frontier:
+                    continue
+                if eff[r] or (path_destroyed and row_owner[r] in path_destroyed):
+                    if r in satisfied or r in fcts:
+                        break  # second touch on an explained check
+                    explains.append(r)
+                elif r in fcts:
+                    loop_closed.append(r)
+                else:
+                    new_opens.append(r)
+            else:
+                auto_satisfied: list[int] = []
+                if destroy:
+                    freed: set[int] = set()
+                    for bid in destroy:
+                        freed.update(cluster._by_id[bid].checks_flipped)
+                    freed.difference_update(rows)
+                    if not touched_even.isdisjoint(freed):
+                        continue  # an evenly-touched check would turn violated
+                    auto_satisfied = [r for r in sorted(freed) if r in fcts]
+                moves.append(
+                    (len(new_opens), weight, c, explains, loop_closed, new_opens,
+                     destroy, auto_satisfied)
+                )
         if not moves:
             return []
-        min_opens = min(len(mv.new_opens) for mv in moves)
-        moves = [mv for mv in moves if len(mv.new_opens) == min_opens]
-        moves.sort(key=lambda mv: (mv.weight, mv.column))
-        self._count_spawned(len(moves))
-        children = [self._apply(st, mv) for mv in moves]
-        if self.stats is not None and children:
-            self.stats.observe_growths(children[0].growths)
+        if len(moves) > 1:
+            fewest = min(mv[0] for mv in moves)
+            moves = [mv for mv in moves if mv[0] == fewest]
+            moves.sort(key=lambda mv: (mv[1], mv[2]))
+            self._count_spawned(len(moves))
+        touched = touched_even | {frontier}
+        children = []
+        for _, weight, c, explains, loop_closed, new_opens, destroy, auto_satisfied in moves:
+            rest = [r for r in fcts if r not in loop_closed and r not in auto_satisfied]
+            child_frontier = None
+            if new_opens:
+                new_opens.sort()
+                child_frontier = new_opens[0]
+                rest.extend(new_opens[1:])
+            children.append(_Path(
+                mechanisms | {c},
+                satisfied.union(explains, auto_satisfied),
+                touched.union(loop_closed),
+                child_frontier,
+                tuple(rest),
+                base + weight,
+                growths,
+                destroyed | destroy if destroy else destroyed,
+            ))
+        if self.stats is not None:
+            self.stats.observe_growths(growths)
         return children
 
-    def grow(self, seed: Branch) -> ClosedBranch | None:
+    def grow(self, seed: _Path) -> ClosedBranch | None:
         if seed.weight_used > self.budget:
             return None
         try:
-            stack: list[list[Branch]] = [[seed]]
+            stack: list[list[_Path]] = [[seed]]
             while stack:
                 level = stack[-1]
                 if not level:
                     stack.pop()
                     continue
-                status, st = self._activate_frontier(level.pop(0))
+                st = level.pop(0)
+                status = self._activate_frontier(st)
                 if status == "dead":
                     continue
                 if status == "closed":
@@ -518,7 +496,7 @@ class _Grower:
         except _Rejected:
             return None
 
-    def _commit(self, st: Branch) -> ClosedBranch | None:
+    def _commit(self, st: _Path) -> ClosedBranch | None:
         checks = tuple(sorted(st.satisfied))
         if not checks:
             return None  # even-parity cycle explains nothing
@@ -555,12 +533,15 @@ def grow_branch(
     On success the closed branch (and any dismantling it required) is
     committed to the cluster.
     """
-    eff = (syndrome ^ cluster.flipped).astype(np.uint8)
+    eff = (syndrome ^ cluster.flipped).tolist()
     grower = _Grower(
         mode, budget, params.max_br, params.max_gr,
         cluster, syndrome, eff, m, event_weights, stats,
     )
-    return grower.grow(seed)
+    return grower.grow(_Path(
+        seed.mechanisms, seed.satisfied, seed.touched_even, seed.frontier,
+        seed.fcts, seed.weight_used, seed.growths, seed.destroyed,
+    ))
 
 
 def _branch_growth_pass(
@@ -575,26 +556,29 @@ def _branch_growth_pass(
     event_weights: np.ndarray | None,
     stats: DecodeStats | None,
 ) -> Cluster:
-    eff = (syndrome ^ cluster.flipped).astype(np.uint8)
-    if not eff.any():
+    """Grow, in column order, every column that qualifies as a seed both at
+    the start of the pass and, under the then-current eff, when reached."""
+    eff = (syndrome ^ cluster.flipped).tolist()
+    if not any(eff):
         return cluster
-    seeds = find_branch_instances(
-        tcts, syndrome, cluster, m, event_weights=event_weights
-    )
+    if tcts < 1:
+        raise ValueError("tcts must be >= 1")
+    columns = _seed_columns(tcts, eff, cluster, m)
     grower = _Grower(
         mode, weight, max_br, max_growths, cluster, syndrome, eff, m, event_weights, stats
     )
-    for seed in seeds:
-        if not eff.any():
+    for c in columns:
+        if not any(eff):
             break
-        col = next(iter(seed.mechanisms))
-        if cluster.col_owner(col) is not None:
+        seed = _seed(c, tcts, eff, m) if cluster._col_owner[c] is None else None
+        if seed is None:
             continue
-        fresh = _make_seed(col, tcts, eff, m, event_weights)
-        if fresh is None:
-            continue
+        satisfied, frontier, fcts = seed
         grower.spawned = 1
-        grower.grow(fresh)
+        grower.grow(_Path(
+            frozenset((c,)), satisfied, frozenset(), frontier, fcts,
+            grower.weights[c], 0, frozenset(),
+        ))
     return cluster
 
 

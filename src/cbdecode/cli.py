@@ -177,6 +177,8 @@ def cmd_sweep(args) -> int:
         entries = data.get("codes", [])
         if not entries:
             raise ValueError("sweep needs a non-empty 'codes' list")
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ValueError("'codes' must be a list of mappings, e.g. [{code: bb72}]")
         out_csv = data.get("output", "sweep.csv")
     except (OSError, ValueError, yaml.YAMLError) as exc:
         print(f"sweep: {exc}", file=sys.stderr)

@@ -122,6 +122,24 @@ def test_seed_tcts_two():
     assert find_branch_instances(1, s, Cluster(3, 1), m) == []
 
 
+def test_pass_grows_only_seeds_that_qualify_at_start_and_when_reached():
+    # violated rows 0, 2, 5.  c0 {0,1} closes first with c1 {1,2}, clearing
+    # rows 0 and 2.  c2 {2,3} qualified at the start of the pass but no longer
+    # does; c4 {2,5} did not qualify at the start but would now.  Either one,
+    # if grown, would close through row 3 (c3) under the budget.
+    m = BinaryMatrix(
+        6, 5, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (2, 4), (5, 4)]
+    )
+    s = np.array([1, 0, 1, 0, 0, 1], dtype=np.uint8)
+    cluster = Cluster(m.rows, m.cols)
+    stats = DecodeStats()
+    non_dest_branch_growth(1, cluster, s, 3.0, 10, m, stats=stats)
+    assert [b.mechanisms for b in cluster.branches()] == [frozenset({0, 1})]
+    assert cluster.error.tolist() == [1, 1, 0, 0, 0]
+    assert cluster.flipped.tolist() == [1, 0, 1, 0, 0, 0]
+    assert stats.branches_closed == 1
+
+
 # --- grow_branch ------------------------------------------------------------
 
 

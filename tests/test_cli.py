@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from cbdecode import cli
 from cbdecode.cli import main
@@ -135,6 +136,14 @@ def test_sweep_requires_increasing_probabilities(tmp_path):
     sweep = tmp_path / "s.yaml"
     sweep.write_text("probabilities: [0.05, 0.04]\ncodes: [{code: bb72}]\n")
     assert main(["sweep", str(sweep)]) == 2
+
+
+@pytest.mark.parametrize("codes", ["[bb72]", "bb72", "{code: bb72}"])
+def test_sweep_rejects_codes_that_are_not_a_list_of_mappings(tmp_path, capsys, codes):
+    sweep = tmp_path / "s.yaml"
+    sweep.write_text(f"probabilities: [0.05]\ncodes: {codes}\n")
+    assert main(["sweep", str(sweep)]) == 2
+    assert capsys.readouterr().err.startswith("sweep: 'codes' must be a list of mappings")
 
 
 def test_sweep_partial_failure(tmp_path, capsys):
