@@ -16,8 +16,8 @@ from cbdecode import (
     STANDARD_CODES,
     build_bb_code,
     cb_decode,
-    find_branch_instances,
     mat_vec_mod2,
+    non_dest_branch_growth,
     weight_1_errors,
 )
 
@@ -30,20 +30,24 @@ syndrome = mat_vec_mod2(m, error)
 print(f"sampled X error on qubits {np.flatnonzero(error).tolist()}")
 print(f"syndrome weight {int(syndrome.sum())}: checks {np.flatnonzero(syndrome).tolist()}")
 
+params = CBParams(max_gr=6, max_br=10, max_tcts=3)
+
 # stage 1: isolated mechanisms whose checks are all violated close immediately
 cluster = Cluster(m.rows, m.cols)
 weight_1_errors(syndrome, cluster, m)
-print(f"\nweight-1 sweep closed {len(cluster.nd_branches)} branches: "
-      f"{[sorted(b.mechanisms) for b in cluster.nd_branches]}")
+closed = [sorted(b.mechanisms) for b in cluster.branches()]
+print(f"\nweight-1 sweep closed {len(closed)} branches: {closed}")
 
-# stage 2: what would be grown next, classified by trivial-check count
-for tcts in (1, 2, 3):
-    seeds = find_branch_instances(tcts, syndrome, cluster, m)
-    cols = [sorted(b.mechanisms)[0] for b in seeds]
-    print(f"branch instances with {tcts} trivial check(s): {cols}")
+# stage 2: grow seeds with 1, 2, then 3 trivial checks (tcts) into closed
+# branches, here at the last growth budget of the schedule
+for tcts in range(1, params.max_tcts + 1):
+    seen = len(cluster.branches())
+    non_dest_branch_growth(tcts, cluster, syndrome, float(params.max_gr), params, m)
+    closed = [sorted(b.mechanisms) for b in cluster.branches()[seen:]]
+    print(f"tcts={tcts} pass closed {len(closed)} branches: {closed}")
+print(f"cluster explains the syndrome: {cluster.matches(syndrome)}")
 
 # the full schedule: growth budgets 2..max_gr, non-destructive then destructive
-params = CBParams(max_gr=6, max_br=10, max_tcts=3)
 stats = DecodeStats()
 recovered = cb_decode(syndrome, params, m, stats=stats)
 print(f"\nrecovered error on qubits {np.flatnonzero(recovered).tolist()}")

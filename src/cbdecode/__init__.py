@@ -1,19 +1,15 @@
 """Closed-branch decoding for quantum LDPC codes."""
 
 from .bbcodes import BBCodeSpec, CSSCode, Monomial, STANDARD_CODES, build_bb_code, load_code_spec
-from .bp import BPDecoder, BPResult, bp_cb_decode, bp_decode, event_weights
+from .bp import BPDecoder, BPResult, bp_cb_decode, event_weights
 from .cb import (
-    Branch,
     CBParams,
     ClosedBranch,
     Cluster,
     DecodeStats,
     cb_decode,
     dest_branch_growth,
-    find_branch_instances,
-    grow_branch,
     non_dest_branch_growth,
-    verify_closed_branch,
     weight_1_errors,
 )
 from .gf2 import (
@@ -53,7 +49,6 @@ __all__ = [
     "BPDecoder",
     "BPResult",
     "BinaryMatrix",
-    "Branch",
     "CBParams",
     "CSSCode",
     "ClosedBranch",
@@ -67,15 +62,12 @@ __all__ = [
     "STANDARD_CODES",
     "Shot",
     "bp_cb_decode",
-    "bp_decode",
     "build_bb_code",
     "cb_decode",
     "crossing_estimate",
     "data_qubit_model",
     "dest_branch_growth",
     "event_weights",
-    "find_branch_instances",
-    "grow_branch",
     "kernel_basis_mod2",
     "load_code_spec",
     "load_detector_model",
@@ -93,6 +85,5 @@ __all__ = [
     "save_detector_model",
     "save_matrix",
     "shot_rng",
-    "verify_closed_branch",
     "weight_1_errors",
 ]

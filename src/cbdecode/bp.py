@@ -133,18 +133,6 @@ class BPDecoder:
         )
 
 
-def bp_decode(
-    m: BinaryMatrix,
-    syndrome: np.ndarray,
-    priors: np.ndarray,
-    max_iters: int = 30,
-    *,
-    stop_on_match: bool = True,
-) -> BPResult:
-    """One-shot sum-product decode; see BPDecoder for the reusable form."""
-    return BPDecoder(m, priors).decode(syndrome, max_iters, stop_on_match=stop_on_match)
-
-
 def event_weights(llrs: np.ndarray) -> np.ndarray:
     """Per-mechanism growth weights: llr - min(llr) + 1, so min weight is 1."""
     llrs = np.asarray(llrs, dtype=np.float64)

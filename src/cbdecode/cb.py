@@ -18,11 +18,18 @@ Two budgets bound the work per instance: max_br caps how many alternative
 branches a separation may spawn, and the weight budget caps the accumulated
 mechanism weight (mechanism count in plain mode, event weights when driven
 by belief-propagation marginals).
+
+The schedule (run_schedule) is built from three stage passes, each acting on
+a Cluster in place: weight_1_errors closes every mechanism whose checks are
+all violated, non_dest_branch_growth grows every seed with a given number of
+trivial checks (tcts) into a closed branch, and dest_branch_growth does the
+same while dismantling earlier closed branches it collides with.  They are
+the stage API: a caller observes a stage by running it on its own cluster.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,13 +87,12 @@ class Cluster:
     Maintains flipped_checks = noise_matrix . error (mod 2) incrementally;
     each flipped check and each used mechanism is owned by exactly one live
     branch, which is what destructive growth needs to dismantle precisely.
-    Owners are kept in lists indexed by row and by column (None: no owner),
-    and the ids of live non-destructive branches in a set.
+    Live branches are kept by id, owners in lists indexed by row and by
+    column (None: no owner), and the ids of live non-destructive branches,
+    the ones destructive growth may dismantle, in a set.
     """
 
     def __init__(self, n_rows: int, n_cols: int):
-        self.nd_branches: list[ClosedBranch] = []
-        self.d_branches: list[ClosedBranch] = []
         self.flipped = zeros_vec(n_rows)
         self.error = zeros_vec(n_cols)
         self._next_id = 0
@@ -100,10 +106,7 @@ class Cluster:
         self._next_id += 1
         self._by_id[bid] = branch
         if branch.mode == NON_DESTRUCTIVE:
-            self.nd_branches.append(branch)
             self._destructible.add(bid)
-        else:
-            self.d_branches.append(branch)
         for r in branch.checks_flipped:
             self.flipped[r] ^= 1
             self._row_owner[r] = bid
@@ -113,11 +116,11 @@ class Cluster:
         return bid
 
     def dismantle(self, branch_id: int) -> ClosedBranch:
-        branch = self._by_id.pop(branch_id)
-        if branch.mode != NON_DESTRUCTIVE:
+        branch = self._by_id[branch_id]
+        if branch_id not in self._destructible:
             raise ValueError("only non-destructively obtained branches can be dismantled")
-        self.nd_branches.remove(branch)
-        self._destructible.discard(branch_id)
+        del self._by_id[branch_id]
+        self._destructible.remove(branch_id)
         for r in branch.checks_flipped:
             self.flipped[r] ^= 1
             self._row_owner[r] = None
@@ -127,7 +130,8 @@ class Cluster:
         return branch
 
     def branches(self) -> list[ClosedBranch]:
-        return self.nd_branches + self.d_branches
+        """The live branches in id order (ids rise as branches are added)."""
+        return list(self._by_id.values())
 
     def row_owner(self, row: int) -> int | None:
         return self._row_owner[row]
@@ -135,54 +139,8 @@ class Cluster:
     def col_owner(self, col: int) -> int | None:
         return self._col_owner[col]
 
-    def branch_by_id(self, branch_id: int) -> ClosedBranch:
-        return self._by_id[branch_id]
-
-    def is_destructible(self, branch_id: int) -> bool:
-        return branch_id in self._destructible
-
     def matches(self, syndrome: np.ndarray) -> bool:
         return bool(np.array_equal(self.flipped, syndrome))
-
-
-@dataclass(frozen=True)
-class Branch:
-    """A growth path, as find_branch_instances returns seeds and grow_branch
-    takes them (the growth engine itself works on a private copy).
-
-    satisfied holds the oddly-touched checks currently explained; frontier is
-    the trivial check being grown; fcts are deferred trivial checks; destroyed
-    lists branch ids this path would dismantle if it closes.
-    """
-
-    mechanisms: frozenset[int]
-    satisfied: frozenset[int]
-    touched_even: frozenset[int]
-    frontier: int | None
-    fcts: tuple[int, ...]
-    weight_used: float
-    growths: int
-    spawned: int = 1
-    destroyed: frozenset[int] = field(default_factory=frozenset)
-
-    def open_checks(self) -> tuple[int, ...]:
-        return self.fcts if self.frontier is None else (self.frontier,) + self.fcts
-
-
-def verify_closed_branch(
-    columns: set[int] | frozenset[int], syndrome: np.ndarray, m: BinaryMatrix
-) -> bool:
-    """True iff the columns' odd-touched rows are all violated and the
-    even-touched rows all trivial in the syndrome."""
-    if not columns:
-        raise ValueError("closed-branch verification needs at least one column")
-    touch: dict[int, int] = {}
-    for c in columns:
-        if not 0 <= c < m.cols:
-            raise ValueError(f"column {c} out of range")
-        for r in m.col_support[c]:
-            touch[r] = touch.get(r, 0) + 1
-    return all((cnt & 1) == int(syndrome[r]) for r, cnt in touch.items())
 
 
 def _candidate_columns(eff: list[int], m: BinaryMatrix) -> list[int]:
@@ -237,37 +195,19 @@ def _seed(
     return frozenset(r for r in rows if eff[r]), trivial[0], tuple(trivial[1:])
 
 
-def find_branch_instances(
-    tcts: int,
-    syndrome: np.ndarray,
-    cluster: Cluster,
-    m: BinaryMatrix,
-    *,
-    event_weights: np.ndarray | None = None,
-) -> list[Branch]:
-    """Seeds: unused columns with >= 1 violated and exactly tcts trivial rows."""
-    if tcts < 1:
-        raise ValueError("tcts must be >= 1")
-    eff = (syndrome ^ cluster.flipped).tolist()
-    seeds = []
-    for c in _seed_columns(tcts, eff, cluster, m):
-        satisfied, frontier, fcts = _seed(c, tcts, eff, m)
-        weight = 1.0 if event_weights is None else float(event_weights[c])
-        seeds.append(
-            Branch(frozenset((c,)), satisfied, frozenset(), frontier, fcts, weight, 0)
-        )
-    return seeds
-
-
 class _Rejected(Exception):
     """Branch instance exceeded max_br; the whole instance is abandoned."""
 
 
 class _Path:
-    """One branch path of a growing instance; the fields are Branch's.
+    """One branch path of a growing instance.
 
-    A path is owned by one stack level.  Its fields are rebound, never
-    mutated in place, so children may share their parent's sets.
+    satisfied holds the oddly-touched checks currently explained; frontier is
+    the trivial check being grown (None: pick the next deferred one); fcts
+    are the deferred trivial checks; destroyed lists the branch ids this path
+    would dismantle if it closes.  A path is owned by one stack level.  Its
+    fields are rebound, never mutated in place, so children may share their
+    parent's sets.
     """
 
     __slots__ = (
@@ -300,8 +240,7 @@ class _Grower:
         self,
         mode: str,
         budget: float,
-        max_br: int,
-        max_growths: int | None,
+        params: CBParams,
         cluster: Cluster,
         syndrome: np.ndarray,
         eff: list[int],
@@ -312,8 +251,8 @@ class _Grower:
         self.destructive = mode == DESTRUCTIVE
         self.mode = mode
         self.budget = budget
-        self.max_br = max_br
-        self.max_growths = max_growths
+        self.max_br = params.max_br
+        self.max_gr = params.max_gr
         self.cluster = cluster
         self.syndrome = np.asarray(syndrome).tolist()
         self.eff = eff
@@ -384,7 +323,7 @@ class _Grower:
         """Children of st: one per candidate column at its frontier, keeping
         the candidates that open the fewest new checks, cheapest first."""
         growths = st.growths + 1
-        if self.max_growths is not None and growths > self.max_growths:
+        if growths > self.max_gr:
             return []
         cluster, eff, syndrome, weights = self.cluster, self.eff, self.syndrome, self.weights
         col_owner, row_owner = cluster._col_owner, cluster._row_owner
@@ -516,57 +455,26 @@ class _Grower:
         return branch
 
 
-def grow_branch(
-    seed: Branch,
-    mode: str,
-    budget: float,
-    params: CBParams,
-    cluster: Cluster,
-    syndrome: np.ndarray,
-    m: BinaryMatrix,
-    *,
-    event_weights: np.ndarray | None = None,
-    stats: DecodeStats | None = None,
-) -> ClosedBranch | None:
-    """Grow one seed to closure; returns None on rejection or dead end.
-
-    On success the closed branch (and any dismantling it required) is
-    committed to the cluster.
-    """
-    eff = (syndrome ^ cluster.flipped).tolist()
-    grower = _Grower(
-        mode, budget, params.max_br, params.max_gr,
-        cluster, syndrome, eff, m, event_weights, stats,
-    )
-    return grower.grow(_Path(
-        seed.mechanisms, seed.satisfied, seed.touched_even, seed.frontier,
-        seed.fcts, seed.weight_used, seed.growths, seed.destroyed,
-    ))
-
-
 def _branch_growth_pass(
     mode: str,
     tcts: int,
     cluster: Cluster,
     syndrome: np.ndarray,
     weight: float,
-    max_br: int,
-    max_growths: int | None,
+    params: CBParams,
     m: BinaryMatrix,
     event_weights: np.ndarray | None,
     stats: DecodeStats | None,
 ) -> Cluster:
     """Grow, in column order, every column that qualifies as a seed both at
     the start of the pass and, under the then-current eff, when reached."""
+    if tcts < 1:
+        raise ValueError("tcts must be >= 1")
     eff = (syndrome ^ cluster.flipped).tolist()
     if not any(eff):
         return cluster
-    if tcts < 1:
-        raise ValueError("tcts must be >= 1")
     columns = _seed_columns(tcts, eff, cluster, m)
-    grower = _Grower(
-        mode, weight, max_br, max_growths, cluster, syndrome, eff, m, event_weights, stats
-    )
+    grower = _Grower(mode, weight, params, cluster, syndrome, eff, m, event_weights, stats)
     for c in columns:
         if not any(eff):
             break
@@ -587,17 +495,23 @@ def non_dest_branch_growth(
     cluster: Cluster,
     syndrome: np.ndarray,
     weight: float,
-    max_br: int,
+    params: CBParams,
     m: BinaryMatrix,
     *,
-    max_growths: int | None = None,
     event_weights: np.ndarray | None = None,
     stats: DecodeStats | None = None,
 ) -> Cluster:
-    """Grow every matching seed non-destructively under the given budgets."""
+    """Grow every seed with tcts trivial checks into a closed branch, without
+    touching the cluster's earlier branches.
+
+    A seed is an unowned column with >= 1 violated and exactly tcts trivial
+    checks.  Each path keeps its mechanism weight within `weight` and its
+    growths within params.max_gr, and an instance that spawns more than
+    params.max_br branches is abandoned.  Closed branches are added to the
+    cluster, which is returned.
+    """
     return _branch_growth_pass(
-        NON_DESTRUCTIVE, tcts, cluster, syndrome, weight, max_br, max_growths,
-        m, event_weights, stats,
+        NON_DESTRUCTIVE, tcts, cluster, syndrome, weight, params, m, event_weights, stats
     )
 
 
@@ -606,17 +520,19 @@ def dest_branch_growth(
     cluster: Cluster,
     syndrome: np.ndarray,
     weight: float,
-    max_br: int,
+    params: CBParams,
     m: BinaryMatrix,
     *,
-    max_growths: int | None = None,
     event_weights: np.ndarray | None = None,
     stats: DecodeStats | None = None,
 ) -> Cluster:
-    """Destructive variant: growth may dismantle earlier closed branches."""
+    """non_dest_branch_growth, except that a path may dismantle up to
+    params.max_br of the cluster's non-destructive branches it collides with.
+
+    The dismantling happens only when the path closes.
+    """
     return _branch_growth_pass(
-        DESTRUCTIVE, tcts, cluster, syndrome, weight, max_br, max_growths,
-        m, event_weights, stats,
+        DESTRUCTIVE, tcts, cluster, syndrome, weight, params, m, event_weights, stats
     )
 
 
@@ -649,8 +565,8 @@ def run_schedule(
         weight_1_errors(syndrome, cluster, m, stats=stats)
         for tcts in range(1, params.max_tcts + 1):
             non_dest_branch_growth(
-                tcts, cluster, syndrome, budget, params.max_br, m,
-                max_growths=params.max_gr, event_weights=event_weights, stats=stats,
+                tcts, cluster, syndrome, budget, params, m,
+                event_weights=event_weights, stats=stats,
             )
         # once the cluster explains the full syndrome the remaining passes
         # are no-ops, so the early returns below are pure shortcuts
@@ -658,13 +574,13 @@ def run_schedule(
             return cluster.error.copy()
         for tcts in range(1, params.max_tcts + 1):
             dest_branch_growth(
-                tcts, cluster, syndrome, budget, params.max_br, m,
-                max_growths=params.max_gr, event_weights=event_weights, stats=stats,
+                tcts, cluster, syndrome, budget, params, m,
+                event_weights=event_weights, stats=stats,
             )
             weight_1_errors(syndrome, cluster, m, stats=stats)
             non_dest_branch_growth(
-                1, cluster, syndrome, budget, params.max_br, m,
-                max_growths=params.max_gr, event_weights=event_weights, stats=stats,
+                1, cluster, syndrome, budget, params, m,
+                event_weights=event_weights, stats=stats,
             )
             if cluster.matches(syndrome):
                 return cluster.error.copy()

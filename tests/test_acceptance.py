@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cbdecode.bbcodes import STANDARD_CODES, build_bb_code
-from cbdecode.bp import BPDecoder, bp_cb_decode, bp_decode
+from cbdecode.bp import BPDecoder, bp_cb_decode
 from cbdecode.cb import CBParams, DecodeStats, cb_decode
 from cbdecode.gf2 import BinaryMatrix, mat_vec_mod2, vec_from_support
 from cbdecode.harness import ExperimentConfig, crossing_estimate, run_experiment
@@ -315,7 +315,7 @@ def test_criterion_09_bp_tree_exactness():
     worst = 0.0
     for syndrome in itertools.product([0, 1], repeat=2):
         s = np.array(syndrome, dtype=np.uint8)
-        res = bp_decode(m, s, priors, max_iters=40, stop_on_match=False)
+        res = BPDecoder(m, priors).decode(s, max_iters=40, stop_on_match=False)
         num = np.zeros(3)
         den = 0.0
         for bits in itertools.product([0, 1], repeat=3):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cbdecode.bp import BPDecoder, bp_cb_decode, bp_decode, event_weights
+from cbdecode.bp import BPDecoder, bp_cb_decode, event_weights
 from cbdecode.cb import CBParams, run_schedule
 from cbdecode.gf2 import BinaryMatrix, mat_vec_mod2
 from cbdecode.noise import data_qubit_model, sample_shot, shot_rng
@@ -27,14 +27,14 @@ def exact_marginals(m, syndrome, priors):
 
 def test_zero_syndrome_converges_at_iteration_zero():
     m = chain_code()
-    res = bp_decode(m, np.zeros(2, dtype=np.uint8), np.array([0.1, 0.2, 0.3]))
+    res = BPDecoder(m, np.array([0.1, 0.2, 0.3])).decode(np.zeros(2, dtype=np.uint8))
     assert res.converged and res.iterations == 0
     assert not res.hard_decision.any()
 
 
 def test_single_check_single_mechanism_forced():
     m = BinaryMatrix.from_dense([[1]])
-    res = bp_decode(m, np.array([1], dtype=np.uint8), np.array([0.1]))
+    res = BPDecoder(m, np.array([0.1])).decode(np.array([1], dtype=np.uint8))
     assert res.hard_decision.tolist() == [1]
     assert res.converged
 
@@ -44,7 +44,7 @@ def test_marginals_exact_on_tree():
     priors = np.array([0.1, 0.1, 0.1])
     for syndrome in ([0, 0], [0, 1], [1, 0], [1, 1]):
         s = np.array(syndrome, dtype=np.uint8)
-        res = bp_decode(m, s, priors, max_iters=40, stop_on_match=False)
+        res = BPDecoder(m, priors).decode(s, max_iters=40, stop_on_match=False)
         exact = exact_marginals(m, s, priors)
         assert np.abs(res.marginals - exact).max() < 1e-9
 
@@ -54,24 +54,24 @@ def test_marginals_exact_on_tree_asymmetric_priors():
     priors = np.array([0.02, 0.3, 0.11, 0.47])
     for syndrome in ([1, 0, 1], [0, 1, 0], [1, 1, 1]):
         s = np.array(syndrome, dtype=np.uint8)
-        res = bp_decode(m, s, priors, max_iters=60, stop_on_match=False)
+        res = BPDecoder(m, priors).decode(s, max_iters=60, stop_on_match=False)
         exact = exact_marginals(m, s, priors)
         assert np.abs(res.marginals - exact).max() < 1e-9
 
 
 def test_prior_validation():
     m = chain_code()
-    s = np.zeros(2, dtype=np.uint8)
     with pytest.raises(ValueError):
-        bp_decode(m, s, np.array([0.0, 0.1, 0.1]))
+        BPDecoder(m, np.array([0.0, 0.1, 0.1]))
     with pytest.raises(ValueError):
-        bp_decode(m, s, np.array([0.6, 0.1, 0.1]))
+        BPDecoder(m, np.array([0.6, 0.1, 0.1]))
 
 
 def test_llrs_follow_marginals_and_are_clamped():
     m = BinaryMatrix.from_dense([[1]])
-    res = bp_decode(m, np.array([1], dtype=np.uint8), np.array([1e-9]), max_iters=5,
-                    stop_on_match=False)
+    res = BPDecoder(m, np.array([1e-9])).decode(
+        np.array([1], dtype=np.uint8), max_iters=5, stop_on_match=False
+    )
     assert res.llrs.max() <= 25.0 and res.llrs.min() >= -25.0
     # hard decision flips exactly where the marginal exceeds 1/2
     assert np.array_equal(res.hard_decision, (res.marginals > 0.5).astype(np.uint8))

@@ -11,10 +11,7 @@ from cbdecode.cb import (
     NON_DESTRUCTIVE,
     cb_decode,
     dest_branch_growth,
-    find_branch_instances,
-    grow_branch,
     non_dest_branch_growth,
-    verify_closed_branch,
     weight_1_errors,
 )
 from cbdecode.gf2 import BinaryMatrix, mat_vec_mod2, vec_from_support
@@ -22,6 +19,20 @@ from cbdecode.gf2 import BinaryMatrix, mat_vec_mod2, vec_from_support
 
 def syndrome_of(m, cols):
     return mat_vec_mod2(m, vec_from_support(m.cols, cols))
+
+
+def verify_closed_branch(columns, syndrome, m):
+    """True iff the columns' odd-touched rows are all violated and the
+    even-touched rows all trivial in the syndrome."""
+    if not columns:
+        raise ValueError("closed-branch verification needs at least one column")
+    touch: dict[int, int] = {}
+    for c in columns:
+        if not 0 <= c < m.cols:
+            raise ValueError(f"column {c} out of range")
+        for r in m.col_support[c]:
+            touch[r] = touch.get(r, 0) + 1
+    return all((cnt & 1) == int(syndrome[r]) for r, cnt in touch.items())
 
 
 # --- verify_closed_branch -------------------------------------------------
@@ -90,36 +101,56 @@ def test_weight1_disjoint_columns_order_independent():
         weight_1_errors(s, cluster, mat)
         assert cluster.error.tolist() == [1, 1]
         assert cluster.matches(s)
-        assert len(cluster.nd_branches) == 2
+        assert len(cluster.branches()) == 2
 
 
-# --- find_branch_instances --------------------------------------------------
+# --- seeds, observed through a growth pass -----------------------------------
 
 
 def test_seed_classification():
-    # c0: all three rows violated; c1: two violated one trivial; c2: none violated
+    # c0 has no violated row, c1 no trivial row, c2 two violated and one
+    # trivial (row 3): only c2 is a tcts=1 seed.  Weights make a wrongly seeded
+    # c0 close {c0, c2} and a wrongly seeded c1 close on its own, while the
+    # c2 seed grows through its frontier row 3 to the cheaper c3 and closes
+    # at once (no deferred checks), explaining rows 1 and 2.
     m = BinaryMatrix(
-        4, 3, [(0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (3, 1), (3, 2)]
+        4, 4, [(3, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (3, 3)]
     )
     s = np.array([1, 1, 1, 0], dtype=np.uint8)
-    cluster = Cluster(4, 3)
-    seeds = find_branch_instances(1, s, cluster, m)
-    cols = [next(iter(b.mechanisms)) for b in seeds]
-    assert cols == [1]  # c0 has no trivial row, c2 has no violated row
-    assert seeds[0].frontier == 3
-    assert seeds[0].fcts == ()
-    assert seeds[0].satisfied == frozenset({1, 2})
-    with pytest.raises(ValueError):
-        find_branch_instances(0, s, cluster, m)
+    weights = np.array([2.0, 1.0, 1.0, 1.0])
+    params = CBParams(max_gr=6, max_br=10, max_tcts=3)
+    cluster = Cluster(4, 4)
+    stats = DecodeStats()
+    non_dest_branch_growth(1, cluster, s, 3.0, params, m, event_weights=weights, stats=stats)
+    (branch,) = cluster.branches()
+    assert branch.mechanisms == frozenset({2, 3})
+    assert branch.checks_flipped == (1, 2)
+    assert cluster.flipped.tolist() == [0, 1, 1, 0]
+    assert stats.branches_closed == 1 and stats.max_growths == 1
+    for syndrome in (s, np.zeros(4, dtype=np.uint8)):
+        with pytest.raises(ValueError):
+            non_dest_branch_growth(0, Cluster(4, 4), syndrome, 3.0, params, m)
 
 
 def test_seed_tcts_two():
-    m = BinaryMatrix(3, 1, [(0, 0), (1, 0), (2, 0)])
+    # c0 {0,1,2} has one violated and two trivial rows: a tcts=2 seed with
+    # frontier 1 and row 2 deferred.  From row 1 the one candidate, c2 {1,2},
+    # closes the deferred row as a loop; a frontier at row 2 would split
+    # between c1 {2} and c2, which max_br=1 rejects, and without the deferred
+    # row the growth would take c1 as well.  A tcts=1 pass has no seed.
+    m = BinaryMatrix(3, 3, [(0, 0), (1, 0), (2, 0), (2, 1), (1, 2), (2, 2)])
     s = np.array([1, 0, 0], dtype=np.uint8)
-    seeds = find_branch_instances(2, s, Cluster(3, 1), m)
-    assert len(seeds) == 1
-    assert seeds[0].frontier == 1 and seeds[0].fcts == (2,)
-    assert find_branch_instances(1, s, Cluster(3, 1), m) == []
+    params = CBParams(max_gr=6, max_br=1, max_tcts=3)
+    cluster = Cluster(3, 3)
+    stats = DecodeStats()
+    non_dest_branch_growth(2, cluster, s, 3.0, params, m, stats=stats)
+    assert [b.mechanisms for b in cluster.branches()] == [frozenset({0, 2})]
+    assert cluster.branches()[0].checks_flipped == (0,)
+    assert stats.instances_rejected == 0 and stats.max_growths == 1
+    cluster = Cluster(3, 3)
+    non_dest_branch_growth(1, cluster, s, 3.0, params, m)
+    assert cluster.branches() == []
+    assert not cluster.error.any()
 
 
 def test_pass_grows_only_seeds_that_qualify_at_start_and_when_reached():
@@ -133,14 +164,15 @@ def test_pass_grows_only_seeds_that_qualify_at_start_and_when_reached():
     s = np.array([1, 0, 1, 0, 0, 1], dtype=np.uint8)
     cluster = Cluster(m.rows, m.cols)
     stats = DecodeStats()
-    non_dest_branch_growth(1, cluster, s, 3.0, 10, m, stats=stats)
+    params = CBParams(max_gr=6, max_br=10, max_tcts=3)
+    non_dest_branch_growth(1, cluster, s, 3.0, params, m, stats=stats)
     assert [b.mechanisms for b in cluster.branches()] == [frozenset({0, 1})]
     assert cluster.error.tolist() == [1, 1, 0, 0, 0]
     assert cluster.flipped.tolist() == [1, 0, 1, 0, 0, 0]
     assert stats.branches_closed == 1
 
 
-# --- grow_branch ------------------------------------------------------------
+# --- branch growth ----------------------------------------------------------
 
 
 def chain_matrix():
@@ -152,15 +184,14 @@ def test_grow_immediate_closure():
     m = chain_matrix()
     s = syndrome_of(m, [0, 1])
     cluster = Cluster(m.rows, m.cols)
-    seed, other = find_branch_instances(1, s, cluster, m)
-    assert next(iter(seed.mechanisms)) == 0 and next(iter(other.mechanisms)) == 1
     params = CBParams(max_gr=6, max_br=10, max_tcts=3)
     stats = DecodeStats()
-    closed = grow_branch(seed, NON_DESTRUCTIVE, 2.0, params, cluster, s, m, stats=stats)
-    assert closed is not None
+    non_dest_branch_growth(1, cluster, s, 2.0, params, m, stats=stats)
+    (closed,) = cluster.branches()
     assert closed.mechanisms == frozenset({0, 1})
     assert set(closed.checks_flipped) == {0, 1, 3, 4}
     assert cluster.matches(s)
+    assert stats.branches_closed == 1
     assert stats.max_growths == 1
     assert stats.max_spawned <= 1
 
@@ -170,15 +201,14 @@ def test_grow_separation_rejected_at_max_br_one():
     m = BinaryMatrix(4, 3, [(0, 0), (1, 0), (1, 1), (2, 1), (1, 2), (3, 2)])
     s = np.array([1, 0, 0, 0], dtype=np.uint8)
     cluster = Cluster(m.rows, m.cols)
-    (seed,) = find_branch_instances(1, s, cluster, m)
     stats = DecodeStats()
-    params = CBParams(max_gr=6, max_br=1, max_tcts=3)
-    assert grow_branch(seed, NON_DESTRUCTIVE, 3.0, params, cluster, s, m, stats=stats) is None
+    non_dest_branch_growth(1, cluster, s, 3.0, CBParams(6, 1, 3), m, stats=stats)
+    assert cluster.branches() == []
     assert stats.instances_rejected == 1
     # with room for both branches the growth dead-ends instead of rejecting
     stats = DecodeStats()
-    params = CBParams(max_gr=6, max_br=2, max_tcts=3)
-    assert grow_branch(seed, NON_DESTRUCTIVE, 3.0, params, cluster, s, m, stats=stats) is None
+    non_dest_branch_growth(1, cluster, s, 3.0, CBParams(6, 2, 3), m, stats=stats)
+    assert cluster.branches() == []
     assert stats.instances_rejected == 0
     assert stats.max_spawned == 2
 
@@ -193,11 +223,9 @@ def test_grow_loop_closure_through_deferred_check():
     )
     s = np.array([1, 0, 0, 0], dtype=np.uint8)
     cluster = Cluster(m.rows, m.cols)
-    (seed,) = find_branch_instances(2, s, cluster, m)
-    assert seed.frontier == 1 and seed.fcts == (2,)
     params = CBParams(max_gr=6, max_br=10, max_tcts=3)
-    closed = grow_branch(seed, NON_DESTRUCTIVE, 3.0, params, cluster, s, m)
-    assert closed is not None
+    non_dest_branch_growth(2, cluster, s, 3.0, params, m)
+    (closed,) = cluster.branches()
     assert closed.mechanisms == frozenset({0, 1, 2})
     assert closed.checks_flipped == (0,)
     assert cluster.matches(s)
@@ -221,10 +249,11 @@ def test_destructive_growth_dismantles_blocking_branch():
     weight_1_errors(s, cluster, m)
     # the central mechanism is claimed first and blocks everything
     assert cluster.error.tolist() == [1, 0, 0, 0]
-    non_dest_branch_growth(1, cluster, s, 2.0, 10, m)
+    params = CBParams(max_gr=6, max_br=10, max_tcts=3)
+    non_dest_branch_growth(1, cluster, s, 2.0, params, m)
     assert not cluster.matches(s)
     stats = DecodeStats()
-    dest_branch_growth(1, cluster, s, 2.0, 10, m, stats=stats)
+    dest_branch_growth(1, cluster, s, 2.0, params, m, stats=stats)
     weight_1_errors(s, cluster, m)
     assert stats.dismantled == 1
     assert cluster.matches(s)
@@ -236,8 +265,9 @@ def test_destructive_growth_without_prior_branches_matches_non_destructive():
     s = syndrome_of(m, [0, 1])
     c1 = Cluster(m.rows, m.cols)
     c2 = Cluster(m.rows, m.cols)
-    non_dest_branch_growth(1, c1, s, 2.0, 10, m)
-    dest_branch_growth(1, c2, s, 2.0, 10, m)
+    params = CBParams(max_gr=6, max_br=10, max_tcts=3)
+    non_dest_branch_growth(1, c1, s, 2.0, params, m)
+    dest_branch_growth(1, c2, s, 2.0, params, m)
     assert c1.error.tolist() == c2.error.tolist()
     assert c1.matches(s) and c2.matches(s)
 
@@ -270,18 +300,17 @@ def test_branch_budget_counts_explored_tree():
     m = five_ary_tree_matrix()
     s = np.zeros(m.rows, dtype=np.uint8)
     s[0] = 1
-    cluster = Cluster(m.rows, m.cols)
-    (seed,) = find_branch_instances(1, s, cluster, m)
+    cluster = Cluster(m.rows, m.cols)  # c0 is the only seed
 
     stats = DecodeStats()
-    params = CBParams(max_gr=6, max_br=125, max_tcts=3)
-    assert grow_branch(seed, NON_DESTRUCTIVE, 4.0, params, cluster, s, m, stats=stats) is None
+    non_dest_branch_growth(1, cluster, s, 4.0, CBParams(6, 125, 3), m, stats=stats)
+    assert cluster.branches() == []
     assert stats.instances_rejected == 0
     assert stats.max_spawned == 125  # 5^3 explored branches fit exactly
 
     stats = DecodeStats()
-    params = CBParams(max_gr=6, max_br=124, max_tcts=3)
-    assert grow_branch(seed, NON_DESTRUCTIVE, 4.0, params, cluster, s, m, stats=stats) is None
+    non_dest_branch_growth(1, cluster, s, 4.0, CBParams(6, 124, 3), m, stats=stats)
+    assert cluster.branches() == []
     assert stats.instances_rejected == 1
 
 
@@ -387,5 +416,11 @@ def test_cluster_add_dismantle_consistency():
 def test_cluster_rejects_dismantling_destructive_branches():
     cluster = Cluster(3, 3)
     bid = cluster.add(ClosedBranch(frozenset({1}), (1,), "destructive"))
-    with pytest.raises(ValueError):
-        cluster.dismantle(bid)
+    before = cluster.branches()
+    # a refused dismantling leaves the cluster as it was, so it is refused again
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            cluster.dismantle(bid)
+        assert cluster.branches() == before
+        assert cluster.flipped.tolist() == [0, 1, 0]
+        assert cluster.row_owner(1) == bid and cluster.col_owner(1) == bid
