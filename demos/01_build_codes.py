@@ -6,6 +6,9 @@ hx = [A | B] and hz = [B^T | A^T]; logical operator bases are extracted by
 completing the stabilizer row spaces inside the opposite kernels.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from cbdecode import STANDARD_CODES, build_bb_code, rank_mod2, save_matrix
@@ -33,5 +36,7 @@ for name, spec in STANDARD_CODES.items():
 
 # check matrices export to a plain sparse text format: "rows cols" then "r c" lines
 code = build_bb_code(STANDARD_CODES["bb72"])
-save_matrix(code.hz, "/tmp/bb72_hz.txt")
-print("\nwrote /tmp/bb72_hz.txt (sparse text format)")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "bb72_hz.txt")
+    save_matrix(code.hz, path)
+    print(f"\nwrote {path} (sparse text format)")

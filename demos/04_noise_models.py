@@ -7,6 +7,9 @@ columns, lifting bulk row weights from 6 to 8.  Circuit-level matrices are
 produced by external tools and ingested from a small text format.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from cbdecode import (
@@ -44,6 +47,8 @@ print(f"  sample: {int(shot.mechanisms.sum())} mechanisms fired, "
       f"observables flipped {np.flatnonzero(shot.observable_flips).tolist()}")
 
 # models round-trip through the text format: 'error <p> D... L...' per column
-save_detector_model(ph, "/tmp/bb72_phenom.dem")
-again = load_detector_model("/tmp/bb72_phenom.dem")
-print(f"\nwrote and re-read /tmp/bb72_phenom.dem: identical model: {again == ph}")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "bb72_phenom.dem")
+    save_detector_model(ph, path)
+    again = load_detector_model(path)
+    print(f"\nwrote and re-read {path}: identical model: {again == ph}")

@@ -33,7 +33,22 @@ class BPResult:
 
 
 class BPDecoder:
-    """Reusable sum-product decoder for a fixed matrix and priors."""
+    """Reusable sum-product decoder for a fixed matrix and priors.
+
+    Messages live in two padded slot layouts, both built once here.  Check
+    slots form a contiguous (max row weight, rows) array, slot (k, r) being
+    the edge to the k-th column of row r (`BinaryMatrix.row_slots`).
+    Variable slots form a contiguous (max column weight, columns) array,
+    slot (j, c) being the edge to the j-th row of column c.  Two permutation
+    indexes carry messages between the layouts, one gather each way per
+    iteration, and point padding slots at one neutral element appended to
+    the source: 0.0 among check-to-variable messages, tanh 1.0 among
+    variable-to-check ones.  The variable-to-check gather fills the check
+    slots twice, in order and in reverse slot order side by side, so one
+    running product down the slots gives both the prefix and the suffix
+    products.  The convergence check gathers the hard decision through the
+    check slots' column indexes and XORs down each row's slots.
+    """
 
     def __init__(self, m: BinaryMatrix, priors: np.ndarray, clamp: float = LLR_CLAMP):
         priors = np.asarray(priors, dtype=np.float64)
@@ -45,28 +60,31 @@ class BPDecoder:
         self.clamp = float(clamp)
         self.prior_llr = np.log((1.0 - priors) / priors)
 
-        edge_rows: list[int] = []
-        edge_cols: list[int] = []
-        for r, cs in enumerate(m.row_support):
-            for c in cs:
-                edge_rows.append(r)
-                edge_cols.append(c)
-        self.n_edges = len(edge_rows)
-        self.edge_rows = np.array(edge_rows, dtype=np.int64)
-        self.edge_cols = np.array(edge_cols, dtype=np.int64)
-
-        pad = self.n_edges  # index of the neutral slot
-        wr = max(m.row_weights(), default=0)
-        wc = max(m.col_weights(), default=0)
-        self.check_edges = np.full((m.rows, max(wr, 1)), pad, dtype=np.int64)
-        self.var_edges = np.full((m.cols, max(wc, 1)), pad, dtype=np.int64)
-        row_fill = [0] * m.rows
-        col_fill = [0] * m.cols
-        for e, (r, c) in enumerate(zip(edge_rows, edge_cols)):
-            self.check_edges[r, row_fill[r]] = e
-            row_fill[r] += 1
-            self.var_edges[c, col_fill[c]] = e
-            col_fill[c] += 1
+        self.check_cols = m.row_slots()
+        width, rows = self.check_cols.shape
+        var_width = max(max(m.col_weights(), default=0), 1)
+        # numpy sums 8 or more contiguous terms pairwise and fewer in order,
+        # so only narrower variable slots may be summed slot row by slot row
+        self.pairwise_sum = var_width >= 8
+        # edges sorted by column, rows ascending within a column (check slot
+        # s holds row s % rows); an edge's rank within its column is its slot
+        check_slot = np.flatnonzero(self.check_cols < m.cols)
+        cols = self.check_cols.ravel()[check_slot]
+        order = np.lexsort((check_slot % rows, cols))
+        check_slot, cols = check_slot[order], cols[order]
+        var_slot = (np.arange(cols.size) - np.searchsorted(cols, cols)) * m.cols + cols
+        var_from_check = np.full(var_width * m.cols, width * rows, dtype=np.intp)
+        var_from_check[var_slot] = check_slot
+        self.var_from_check = var_from_check.reshape(var_width, m.cols)
+        check_from_var = np.full(width * rows, var_width * m.cols, dtype=np.intp)
+        check_from_var[check_slot] = var_slot
+        check_from_var = check_from_var.reshape(width, rows)
+        self.check_from_var = np.hstack([check_from_var, check_from_var[::-1]])
+        # the first iteration's variable-to-check tanh messages carry the priors
+        prior_t = np.tanh(np.clip(self.prior_llr, -self.clamp, self.clamp) / 2.0)
+        self.prior_t = np.append(prior_t, 1.0)[
+            np.hstack([self.check_cols, self.check_cols[::-1]])
+        ]
 
     def decode(
         self,
@@ -78,56 +96,62 @@ class BPDecoder:
         syndrome = np.asarray(syndrome, dtype=np.uint8)
         if syndrome.shape != (self.m.rows,):
             raise ValueError("syndrome length must equal the matrix row count")
-        dense = self.m.to_dense().astype(np.uint32)
+        cols = self.m.cols
+        # priors of at most 1/2 give prior LLRs of at least 0, so the prior
+        # hard decision is zero; hard[cols] pads the check slots
+        hard = np.zeros(cols + 1, dtype=bool)
+        posterior = self.prior_llr
+        if stop_on_match and not syndrome.any():
+            return self._result(posterior, hard[:cols], True, 0)
 
-        posterior = self.prior_llr.copy()
-        hard = (posterior < 0).astype(np.uint8)
-        if stop_on_match and np.array_equal((dense @ hard) & 1, syndrome):
-            return self._result(posterior, hard, True, 0)
-
-        sign = (1.0 - 2.0 * syndrome.astype(np.float64))[:, None]
-        v2c = np.zeros(self.n_edges, dtype=np.float64)
-        v2c[:] = self.prior_llr[self.edge_cols]
+        target = syndrome.astype(bool).tobytes()
+        sign2 = np.where(syndrome, -2.0, 2.0)
+        c2v = np.empty(self.check_cols.size + 1, dtype=np.float64)
+        c2v[-1] = 0.0
+        c2v_checks = c2v[:-1].reshape(self.check_cols.shape)
+        t = np.empty(self.var_from_check.size + 1, dtype=np.float64)
+        t[-1] = 1.0
+        t_vars = t[:-1].reshape(self.var_from_check.shape)
+        width, rows = self.check_cols.shape
+        products = self.prior_t.copy()
         converged = False
         it = 0
         for it in range(1, max_iters + 1):
-            t = np.tanh(np.clip(v2c, -self.clamp, self.clamp) / 2.0)
-            t_pad = np.append(t, 1.0)
-            gathered = t_pad[self.check_edges]
-            prefix = np.cumprod(gathered, axis=1)
-            suffix = np.cumprod(gathered[:, ::-1], axis=1)[:, ::-1]
-            excl = np.ones_like(gathered)
-            excl[:, 1:] *= prefix[:, :-1]
-            excl[:, :-1] *= suffix[:, 1:]
-            excl = np.clip(excl, -1.0 + 1e-12, 1.0 - 1e-12)
-            c2v_vals = sign * 2.0 * np.arctanh(excl)
-            c2v = np.zeros(self.n_edges + 1, dtype=np.float64)
-            c2v[self.check_edges] = c2v_vals
-            c2v[self.n_edges] = 0.0
+            for k in range(1, width):
+                np.multiply(products[k - 1], products[k], out=products[k])
+            prefix, suffix = products[:, :rows], products[::-1, rows:]
+            excl = np.ones_like(prefix)
+            excl[1:] = prefix[:-1]
+            excl[:-1] *= suffix[1:]
+            excl.clip(-1.0 + 1e-12, 1.0 - 1e-12, out=excl)
+            np.multiply(sign2, np.arctanh(excl, out=excl), out=c2v_checks)
 
-            incoming = c2v[self.var_edges]
-            posterior = self.prior_llr + incoming.sum(axis=1)
-            v2c_vals = posterior[:, None] - incoming
-            v2c_full = np.zeros(self.n_edges + 1, dtype=np.float64)
-            v2c_full[self.var_edges] = v2c_vals
-            v2c = v2c_full[: self.n_edges]
-
-            hard = (posterior < 0).astype(np.uint8)
-            if np.array_equal((dense @ hard) & 1, syndrome):
+            incoming = c2v[self.var_from_check]
+            if self.pairwise_sum:
+                total = incoming.T.copy().sum(axis=1)
+            else:
+                total = np.add.reduce(incoming, axis=0)
+            posterior = self.prior_llr + total
+            np.less(posterior, 0.0, out=hard[:cols])
+            if np.logical_xor.reduce(hard[self.check_cols], axis=0).tobytes() == target:
                 converged = True
                 if stop_on_match:
                     break
-        return self._result(posterior, hard, converged, it)
+            v2c = np.subtract(posterior, incoming, out=incoming)
+            v2c.clip(-self.clamp, self.clamp, out=v2c)
+            np.tanh(np.divide(v2c, 2.0, out=v2c), out=t_vars)
+            products = t[self.check_from_var]
+        return self._result(posterior, hard[:cols], converged, it)
 
     def _result(
         self, posterior: np.ndarray, hard: np.ndarray, converged: bool, iterations: int
     ) -> BPResult:
-        marginals = 1.0 / (1.0 + np.exp(np.clip(posterior, -700.0, 700.0)))
-        llrs = np.clip(posterior, -self.clamp, self.clamp)
+        marginals = 1.0 / (1.0 + np.exp(posterior.clip(-700.0, 700.0)))
+        llrs = posterior.clip(-self.clamp, self.clamp)
         return BPResult(
             marginals=marginals,
             llrs=llrs,
-            hard_decision=hard,
+            hard_decision=hard.astype(np.uint8),
             converged=converged,
             iterations=iterations,
         )

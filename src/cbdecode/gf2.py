@@ -2,9 +2,11 @@
 
 Matrices are stored as sorted row and column adjacency lists (both views are
 built once at construction, since decoding walks rows and columns all the
-time).  Vectors are plain numpy uint8 arrays with values in {0, 1}.  Rank and
-kernel computations run on a dense bit-packed copy (Python integers as row
-bitmasks), which is plenty for the few-thousand-column matrices handled here.
+time).  Vectors are plain numpy uint8 arrays with values in {0, 1}.
+Mat-vecs gather and XOR over a padded column-index array built once per
+matrix; no dense copy is kept.  Rank and kernel computations run on
+bit-packed rows (Python integers as row bitmasks), which is plenty for the
+few-thousand-column matrices handled here.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ class BinaryMatrix:
         Positions of the nonzero entries. Duplicates collapse to one entry.
     """
 
-    __slots__ = ("rows", "cols", "row_support", "col_support", "_dense")
+    __slots__ = ("rows", "cols", "row_support", "col_support", "_slots")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[tuple[int, int]]):
         if rows < 0 or cols < 0:
@@ -45,7 +47,7 @@ class BinaryMatrix:
         self.col_support: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(s)) for s in by_col
         )
-        self._dense: np.ndarray | None = None
+        self._slots: np.ndarray | None = None
 
     @classmethod
     def from_dense(cls, arr: np.ndarray | Sequence[Sequence[int]]) -> "BinaryMatrix":
@@ -66,13 +68,29 @@ class BinaryMatrix:
         return cls(len(rows), cols, entries)
 
     def to_dense(self) -> np.ndarray:
-        """Dense uint8 copy; cached since matrices are immutable."""
-        if self._dense is None:
-            d = np.zeros((self.rows, self.cols), dtype=np.uint8)
+        """A new dense uint8 copy on every call; nothing is cached."""
+        d = np.zeros((self.rows, self.cols), dtype=np.uint8)
+        for r, cs in enumerate(self.row_support):
+            d[r, list(cs)] = 1
+        return d
+
+    def row_slots(self) -> np.ndarray:
+        """Column indices as a (max row weight, rows) array, one row per column.
+
+        Slot k of row r, entry (k, r), holds the k-th smallest column of that
+        row.  Rows shorter than the widest are padded with the index `cols`,
+        which a caller points at a neutral element appended to its vector.
+        At least one slot row is kept, so an empty matrix pads every row.
+        Built on first use and kept, read-only.
+        """
+        if self._slots is None:
+            width = max(max(self.row_weights(), default=0), 1)
+            slots = np.full((width, self.rows), self.cols, dtype=np.intp)
             for r, cs in enumerate(self.row_support):
-                d[r, list(cs)] = 1
-            self._dense = d
-        return self._dense
+                slots[: len(cs), r] = cs
+            slots.flags.writeable = False
+            self._slots = slots
+        return self._slots
 
     def transpose(self) -> "BinaryMatrix":
         return BinaryMatrix(
@@ -120,12 +138,17 @@ def vec_from_support(n: int, support: Iterable[int]) -> np.ndarray:
 
 
 def mat_vec_mod2(m: BinaryMatrix, v: np.ndarray) -> np.ndarray:
-    """Return m @ v over GF(2). Raises on dimension mismatch."""
+    """Return m @ v over GF(2) as a uint8 vector. Raises on dimension mismatch.
+
+    v, with a zero appended for the padding index, is gathered through the
+    `BinaryMatrix.row_slots` array and XOR-reduced over each row's slots.
+    """
     v = np.asarray(v, dtype=np.uint8)
     if v.shape != (m.cols,):
         raise ValueError(f"vector length {v.shape} does not match {m.cols} columns")
-    prod = m.to_dense().astype(np.uint32) @ v.astype(np.uint32)
-    return (prod & 1).astype(np.uint8)
+    padded = np.zeros(m.cols + 1, dtype=np.uint8)
+    padded[: m.cols] = v
+    return np.bitwise_xor.reduce(padded[m.row_slots()], axis=0) & 1
 
 
 def _rows_as_ints(m: BinaryMatrix) -> list[int]:

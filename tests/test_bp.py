@@ -77,6 +77,23 @@ def test_llrs_follow_marginals_and_are_clamped():
     assert np.array_equal(res.hard_decision, (res.marginals > 0.5).astype(np.uint8))
 
 
+def test_shot_path_needs_no_dense_matrix(bb72, monkeypatch):
+    # BP and the mat-vec work from sparse index arrays alone
+    model, _ = data_qubit_model(bb72, 0.06)
+
+    def no_dense(self):
+        raise AssertionError("dense copy requested")
+
+    monkeypatch.setattr(BinaryMatrix, "to_dense", no_dense)
+    dec = BPDecoder(model.noise_matrix, model.priors)
+    for i in range(20):
+        shot = sample_shot(model, shot_rng(8, i))
+        res = dec.decode(shot.syndrome)
+        if res.converged:
+            parity = mat_vec_mod2(model.noise_matrix, res.hard_decision)
+            assert np.array_equal(parity, shot.syndrome)
+
+
 def test_event_weights_examples():
     w = event_weights(np.array([0.5, 2.0, -1.0]))
     assert np.allclose(w, [2.5, 4.0, 1.0])

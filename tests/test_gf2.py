@@ -60,6 +60,29 @@ def test_mat_vec_linearity():
         assert np.array_equal(lhs, rhs)
 
 
+def test_mat_vec_matches_dense_oracle():
+    # seeded random matrices, with empty rows and columns, and the 0xn and
+    # nx0 shapes, against a plain dense integer product
+    rng = np.random.default_rng(17)
+    shapes = [(0, 5), (5, 0), (0, 0), (1, 1)] + [
+        (int(rng.integers(1, 15)), int(rng.integers(1, 25))) for _ in range(40)
+    ]
+    for rows, cols in shapes:
+        a = (rng.random((rows, cols)) < rng.uniform(0.05, 0.6)).astype(np.uint8)
+        if rows > 1 and cols > 1:
+            a[rng.integers(rows)] = 0
+            a[:, rng.integers(cols)] = 0
+        m = BinaryMatrix.from_dense(a)
+        for _ in range(5):
+            v = rng.integers(0, 2, size=cols).astype(np.uint8)
+            out = mat_vec_mod2(m, v)
+            assert out.dtype == np.uint8 and out.shape == (rows,)
+            expected = (a.astype(np.int64) @ v.astype(np.int64)) % 2
+            assert np.array_equal(out, expected)
+        with pytest.raises(ValueError):
+            mat_vec_mod2(m, np.zeros(cols + 1, dtype=np.uint8))
+
+
 def test_rank_trivial_cases():
     assert rank_mod2(BinaryMatrix.from_dense(np.eye(2, dtype=int))) == 2
     assert rank_mod2(BinaryMatrix.from_dense(np.ones((2, 2), dtype=int))) == 1
