@@ -38,8 +38,9 @@ class BPDecoder:
     Messages live in two padded slot layouts, both built once here.  Check
     slots form a contiguous (max row weight, rows) array, slot (k, r) being
     the edge to the k-th column of row r (`BinaryMatrix.row_slots`).
-    Variable slots form a contiguous (max column weight, columns) array,
-    slot (j, c) being the edge to the j-th row of column c.  Two permutation
+    Variable slots form a contiguous (columns, max column weight) array,
+    slot (c, j) being the edge to the j-th row of column c, so a column's
+    incoming messages sum along a row of that array.  Two permutation
     indexes carry messages between the layouts, one gather each way per
     iteration, and point padding slots at one neutral element appended to
     the source: 0.0 among check-to-variable messages, tanh 1.0 among
@@ -63,20 +64,17 @@ class BPDecoder:
         self.check_cols = m.row_slots()
         width, rows = self.check_cols.shape
         var_width = max(max(m.col_weights(), default=0), 1)
-        # numpy sums 8 or more contiguous terms pairwise and fewer in order,
-        # so only narrower variable slots may be summed slot row by slot row
-        self.pairwise_sum = var_width >= 8
         # edges sorted by column, rows ascending within a column (check slot
         # s holds row s % rows); an edge's rank within its column is its slot
         check_slot = np.flatnonzero(self.check_cols < m.cols)
         cols = self.check_cols.ravel()[check_slot]
         order = np.lexsort((check_slot % rows, cols))
         check_slot, cols = check_slot[order], cols[order]
-        var_slot = (np.arange(cols.size) - np.searchsorted(cols, cols)) * m.cols + cols
-        var_from_check = np.full(var_width * m.cols, width * rows, dtype=np.intp)
+        var_slot = cols * var_width + np.arange(cols.size) - np.searchsorted(cols, cols)
+        var_from_check = np.full(m.cols * var_width, width * rows, dtype=np.intp)
         var_from_check[var_slot] = check_slot
-        self.var_from_check = var_from_check.reshape(var_width, m.cols)
-        check_from_var = np.full(width * rows, var_width * m.cols, dtype=np.intp)
+        self.var_from_check = var_from_check.reshape(m.cols, var_width)
+        check_from_var = np.full(width * rows, m.cols * var_width, dtype=np.intp)
         check_from_var[check_slot] = var_slot
         check_from_var = check_from_var.reshape(width, rows)
         self.check_from_var = np.hstack([check_from_var, check_from_var[::-1]])
@@ -112,13 +110,12 @@ class BPDecoder:
         t = np.empty(self.var_from_check.size + 1, dtype=np.float64)
         t[-1] = 1.0
         t_vars = t[:-1].reshape(self.var_from_check.shape)
-        width, rows = self.check_cols.shape
-        products = self.prior_t.copy()
+        rows = self.check_cols.shape[1]
+        products = self.prior_t
         converged = False
         it = 0
         for it in range(1, max_iters + 1):
-            for k in range(1, width):
-                np.multiply(products[k - 1], products[k], out=products[k])
+            products = np.multiply.accumulate(products, axis=0)
             prefix, suffix = products[:, :rows], products[::-1, rows:]
             excl = np.ones_like(prefix)
             excl[1:] = prefix[:-1]
@@ -127,17 +124,13 @@ class BPDecoder:
             np.multiply(sign2, np.arctanh(excl, out=excl), out=c2v_checks)
 
             incoming = c2v[self.var_from_check]
-            if self.pairwise_sum:
-                total = incoming.T.copy().sum(axis=1)
-            else:
-                total = np.add.reduce(incoming, axis=0)
-            posterior = self.prior_llr + total
+            posterior = self.prior_llr + incoming.sum(axis=1)
             np.less(posterior, 0.0, out=hard[:cols])
             if np.logical_xor.reduce(hard[self.check_cols], axis=0).tobytes() == target:
                 converged = True
                 if stop_on_match:
                     break
-            v2c = np.subtract(posterior, incoming, out=incoming)
+            v2c = np.subtract(posterior[:, None], incoming, out=incoming)
             v2c.clip(-self.clamp, self.clamp, out=v2c)
             np.tanh(np.divide(v2c, 2.0, out=v2c), out=t_vars)
             products = t[self.check_from_var]
