@@ -5,6 +5,9 @@ noise, accumulating 100 logical failures per point, then interpolates the
 crossing p = P_L on log-log axes.  Takes well under a minute.
 """
 
+import os
+import tempfile
+
 from cbdecode import (
     CBParams,
     ExperimentConfig,
@@ -33,7 +36,11 @@ for p in (0.04, 0.05, 0.06, 0.07, 0.08):
     print(f"p={p:.2f}: {result.logical_failures}/{result.shots_run} failures, "
           f"P_L={result.p_l_total:.4f}, mean decode {result.decode_mean_us:.0f}us")
 
-append_csv("/tmp/bb72_sweep.csv", rows)
 crossing = crossing_estimate(points)
 print(f"\nestimated pseudothreshold (p = P_L crossing): {crossing:.4f}")
-print("rows appended to /tmp/bb72_sweep.csv")
+
+# result rows append to a CSV file, with a header when the file is new
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "bb72_sweep.csv")
+    append_csv(path, rows)
+    print(f"wrote {len(rows)} rows to {path}")

@@ -11,11 +11,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import yaml
 
 from .bbcodes import BBCodeSpec, STANDARD_CODES, build_bb_code, load_code_spec, spec_from_dict
-from .cb import CBParams
 from .gf2 import save_matrix
 from .harness import (
     CIRCUIT_FILE,
@@ -35,11 +35,11 @@ from .noise import (
 )
 
 
-def _env_seed() -> int:
+def _env_seed() -> int | None:
     try:
-        return int(os.environ.get("CBDECODE_SEED", "0"))
-    except ValueError:
-        return 0
+        return int(os.environ["CBDECODE_SEED"])
+    except (KeyError, ValueError):
+        return None
 
 
 def _resolve_code(value) -> BBCodeSpec:
@@ -95,43 +95,39 @@ def cmd_build_noise(args) -> int:
     return 0
 
 
+# the keys of a run file or sweep entry besides 'code' and 'dem', with their
+# types; a key that is not set keeps the ExperimentConfig or CBParams default
+_KEYS = {
+    "noise": str, "p": float, "q": float, "rounds": int, "decoder": str, "sector": str,
+    "max_shots": int, "max_failures": lambda v: None if v is None else int(v), "seed": int,
+    "bp_iters": int, "name": str, "max_gr": int, "max_br": int, "max_tcts": int,
+}
+_PARAM_KEYS = ("max_gr", "max_br", "max_tcts")
+
+
 def _build_config(data: dict) -> ExperimentConfig:
     """An ExperimentConfig from a run file or sweep entry, flags merged in."""
-    noise = data.get("noise", DATA_QUBIT)
-    code_spec = None
-    dem_path = None
-    if noise == CIRCUIT_FILE:
-        dem_path = data.get("dem")
-        if dem_path is None:
+    unknown = sorted(map(str, set(data) - set(_KEYS) - {"code", "dem"}))
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    kwargs = {key: convert(data[key]) for key, convert in _KEYS.items() if key in data}
+    params = {key: kwargs.pop(key) for key in _PARAM_KEYS if key in kwargs}
+    kwargs.setdefault("noise", DATA_QUBIT)
+    if "seed" not in kwargs and _env_seed() is not None:
+        kwargs["seed"] = _env_seed()
+    if kwargs["noise"] == CIRCUIT_FILE:
+        if data.get("dem") is None:
             raise ValueError("circuit-file noise needs a 'dem' path")
+        kwargs["dem_path"] = data["dem"]
     else:
         if "code" not in data:
             raise ValueError("config needs a 'code' entry")
-        code_spec = _resolve_code(data["code"])
-    rounds = int(data.get("rounds", 1))
-    if noise == PHENOMENOLOGICAL and "rounds" not in data and code_spec and code_spec.distance:
-        rounds = code_spec.distance
-    max_failures = data.get("max_failures", 100)
-    return ExperimentConfig(
-        noise=noise,
-        p=float(data.get("p", 0.0)),
-        q=float(data["q"]) if "q" in data else None,
-        rounds=rounds,
-        code_spec=code_spec,
-        dem_path=dem_path,
-        params=CBParams(
-            max_gr=int(data.get("max_gr", 6)),
-            max_br=int(data.get("max_br", 10)),
-            max_tcts=int(data.get("max_tcts", 3)),
-        ),
-        decoder=data.get("decoder", "bp+cb"),
-        sector=data.get("sector", "x"),
-        max_shots=int(data.get("max_shots", 10_000)),
-        max_failures=None if max_failures is None else int(max_failures),
-        seed=int(data.get("seed", _env_seed())),
-        bp_iters=int(data.get("bp_iters", 30)),
-        name=str(data.get("name", "")),
-    )
+        kwargs["code_spec"] = spec = _resolve_code(data["code"])
+        if kwargs["noise"] == PHENOMENOLOGICAL and "rounds" not in kwargs and spec.distance:
+            kwargs["rounds"] = spec.distance
+    config = ExperimentConfig(**kwargs)
+    config.params = replace(config.params, **params)
+    return config
 
 
 def _load_mapping(path: str, what: str) -> dict:
@@ -188,9 +184,14 @@ def cmd_sweep(args) -> int:
     defaults = {"max_shots": 100_000}
     if args.seed is not None:
         defaults["seed"] = args.seed
+    labels = [_entry_label({**defaults, **entry, "p": probabilities[0]}) for entry in entries]
+    repeated = sorted({label for label in labels if label is not None and labels.count(label) > 1})
+    if repeated:
+        print(f"sweep: entries share the label {', '.join(repeated)} and so one series file; "
+              "give each a distinct 'name'", file=sys.stderr)
+        return 2
     partial = False
-    for entry in entries:
-        label = entry.get("name", "")
+    for entry, label in zip(entries, labels):
         points: list[tuple[float, float]] = []
         series_rows: list[str] = []
         for p in probabilities:
@@ -198,36 +199,34 @@ def cmd_sweep(args) -> int:
                 config = _build_config({**defaults, **entry, "p": p})
                 result = run_experiment(config, threads=args.threads)
             except (OSError, ValueError, yaml.YAMLError) as exc:
-                print(f"sweep point {label} p={p}: {exc}", file=sys.stderr)
+                print(f"sweep point {label or entry.get('name', '')} p={p}: {exc}", file=sys.stderr)
                 partial = True
                 continue
             append_csv(out_csv, [result_row(config, result)])
             points.append((p, result.p_l_per_cycle))
             series_rows.append(f"{p!r} {result.p_l_per_cycle!r}")
             print(
-                f"{config.label()} p={p} shots={result.shots_run} "
+                f"{label} p={p} shots={result.shots_run} "
                 f"failures={result.logical_failures} PL_per_cycle={result.p_l_per_cycle:.6g}"
             )
-        series_path = f"{os.path.splitext(out_csv)[0]}_{config_label_for(entry)}.dat"
-        with open(series_path, "w", encoding="utf-8") as fh:
+        if label is None:
+            continue  # the entry builds no config; its points reported why
+        with open(f"{os.path.splitext(out_csv)[0]}_{label}.dat", "w", encoding="utf-8") as fh:
             fh.write("\n".join(series_rows) + ("\n" if series_rows else ""))
         crossing = crossing_estimate(points)
         if crossing is None:
-            print(f"{config_label_for(entry)}: no p = P_L crossing bracketed")
+            print(f"{label}: no p = P_L crossing bracketed")
         else:
-            print(f"{config_label_for(entry)}: p = P_L crossing at {crossing:.4g}")
+            print(f"{label}: p = P_L crossing at {crossing:.4g}")
     return 1 if partial else 0
 
 
-def config_label_for(entry: dict) -> str:
-    if entry.get("name"):
-        return str(entry["name"])
-    code = entry.get("code")
-    if isinstance(code, str):
-        return os.path.splitext(os.path.basename(code))[0]
-    if isinstance(code, dict):
-        return f"bb_l{code.get('l')}_m{code.get('m')}"
-    return "dem"
+def _entry_label(data: dict) -> str | None:
+    """The label a sweep entry's CSV rows and series file take; None if it has none."""
+    try:
+        return _build_config(data).label()
+    except (OSError, ValueError, yaml.YAMLError):
+        return None
 
 
 def cmd_dem_info(args) -> int:

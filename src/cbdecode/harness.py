@@ -1,14 +1,14 @@
 """Monte Carlo estimation of logical error rates.
 
-Shots are sampled, decoded and scored independently; per-shot RNG streams
-derive from (seed, shot_index), and outcomes are consumed in shot order
-whether one process or a pool runs them.  An experiment stops at its shot
-budget or at the exact shot where the failure target is reached, so counts
-do not depend on the number of processes.  Every noise model is scored
-alike: a zero output for a nonzero syndrome is a declared failure, and any
-other output must reproduce its syndrome (else ValueError) and is a failure
-when the residual flips a logical observable.  Results report the total
-logical error rate together with its per-cycle normalization.
+An `ExperimentConfig` describes a whole experiment; `run_experiment(config,
+threads=...)` runs it, in this process or in a pool of `threads` workers.
+Per-shot RNG streams derive from (seed, shot_index), and outcomes are
+consumed in shot order, so an experiment stops at its shot budget or at the
+exact shot where the failure target is reached at any thread count.  Every
+noise model is scored alike: a zero output for a nonzero syndrome is a
+declared failure, and any other output must reproduce its syndrome (else
+ValueError) and is a failure when the residual flips a logical observable.
+Results report the total logical error rate and its per-cycle normalization.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .bbcodes import BBCodeSpec, CSSCode, build_bb_code
 from .bp import BPDecoder, bp_cb_decode
-from .cb import CBParams, DecodeStats, cb_decode
+from .cb import CBParams, cb_decode
 from .gf2 import mat_vec_mod2
 from .noise import (
     DetectorModel,
@@ -116,10 +116,8 @@ class ExperimentResult:
     p_l_total: float
     p_l_per_cycle: float
     rounds: int
-    wall_time_s: float
     decode_mean_us: float
     decode_p50_us: float
-    decode_p90_us: float
     decode_p99_us: float
 
 
@@ -151,51 +149,35 @@ def logical_failure(
 class _ShotRunner:
     """Per-process experiment state: models, decoders, scoring."""
 
-    def __init__(self, config: ExperimentConfig, decode_fn=None, stats: DecodeStats | None = None):
+    def __init__(self, config: ExperimentConfig):
         self.config = config
-        self.stats = stats
-        self.decode_fn = decode_fn
         self.code: CSSCode | None = None
-        self.sectors: list[tuple[DetectorModel, BPDecoder | None, str]] = []
         if config.noise == DATA_QUBIT:
             self.code = build_bb_code(config.code_spec)
             mx, mz = data_qubit_model(self.code, config.p)
             wanted = {"x": [("x", mx)], "z": [("z", mz)], "both": [("x", mx), ("z", mz)]}
-            for sector, model in wanted[config.sector]:
-                self.sectors.append(self._prepare(model) + (sector,))
+            models = wanted[config.sector]
         elif config.noise == PHENOMENOLOGICAL:
             self.code = build_bb_code(config.code_spec)
             q = config.q if config.q is not None else config.p
-            model = phenomenological_model(self.code, config.p, q, config.rounds)
-            self.sectors.append(self._prepare(model) + ("x",))
+            models = [("x", phenomenological_model(self.code, config.p, q, config.rounds))]
         else:
-            model = load_detector_model(config.dem_path)
-            self.sectors.append(self._prepare(model) + ("x",))
-
-    def _prepare(self, model: DetectorModel) -> tuple[DetectorModel, BPDecoder | None]:
-        bp = None
-        if self.config.decoder == "bp+cb" and self.decode_fn is None and model.priors.any():
-            # zero priors (q = 0 measurement columns, say) get a tiny floor so
-            # belief propagation stays defined; their llrs clamp to the maximum
-            priors = np.clip(model.priors, 1e-12, 0.5)
-            bp = BPDecoder(model.noise_matrix, priors)
-        return (model, bp)
+            models = [("x", load_detector_model(config.dem_path))]
+        self.sectors: list[tuple[str, DetectorModel, BPDecoder | None]] = []
+        for sector, model in models:
+            bp = None
+            if config.decoder == "bp+cb" and model.priors.any():
+                # zero priors (q = 0 measurement columns, say) get a tiny floor so
+                # belief propagation stays defined; their llrs clamp to the maximum
+                bp = BPDecoder(model.noise_matrix, np.clip(model.priors, 1e-12, 0.5))
+            self.sectors.append((sector, model, bp))
 
     def _decode(self, model: DetectorModel, bp: BPDecoder | None, syndrome: np.ndarray) -> np.ndarray:
-        if self.decode_fn is not None:
-            return self.decode_fn(model, syndrome)
         if not syndrome.any():
             return np.zeros(model.noise_matrix.cols, dtype=np.uint8)
         if self.config.decoder == "cb":
-            return cb_decode(syndrome, self.config.params, model.noise_matrix, stats=self.stats)
-        return bp_cb_decode(
-            syndrome,
-            self.config.params,
-            model,
-            self.config.bp_iters,
-            decoder=bp,
-            stats=self.stats,
-        )
+            return cb_decode(syndrome, self.config.params, model.noise_matrix)
+        return bp_cb_decode(syndrome, self.config.params, model, self.config.bp_iters, decoder=bp)
 
     def run_shot(self, index: int) -> tuple[bool, float]:
         """Returns (logical failure?, decode seconds)."""
@@ -205,14 +187,14 @@ class _ShotRunner:
             parts = {"x": err.x_part, "z": err.z_part}
             samples = [
                 (parts[sector], mat_vec_mod2(model.noise_matrix, parts[sector]))
-                for model, _, sector in self.sectors
+                for sector, model, _ in self.sectors
             ]
         else:
-            shot = sample_shot(self.sectors[0][0], rng)
+            shot = sample_shot(self.sectors[0][1], rng)
             samples = [(shot.mechanisms, shot.syndrome)]
         failed = False
         spent = 0.0
-        for (model, bp, _), (actual, syndrome) in zip(self.sectors, samples):
+        for (_, model, bp), (actual, syndrome) in zip(self.sectors, samples):
             t0 = time.perf_counter()
             recovered = self._decode(model, bp, syndrome)
             spent += time.perf_counter() - t0
@@ -235,38 +217,29 @@ def _worker_shot(index: int) -> tuple[bool, float]:
     return _WORKER_RUNNER.run_shot(index)
 
 
-def _shot_outcomes(config: ExperimentConfig, threads: int, stats, decode_fn):
+def _shot_outcomes(config: ExperimentConfig, threads: int):
     """Per-shot (failed, decode seconds) in shot-index order.
 
     Pool workers build their runner once; closing the generator cancels the
     shots not yet handed to a worker.
     """
-    if threads <= 1 or decode_fn is not None or stats is not None:
-        runner = _ShotRunner(config, decode_fn=decode_fn, stats=stats)
-        yield from map(runner.run_shot, range(config.max_shots))
+    if threads <= 1:
+        yield from map(_ShotRunner(config).run_shot, range(config.max_shots))
         return
     with ProcessPoolExecutor(threads, initializer=_init_worker, initargs=(config,)) as pool:
         yield from pool.map(_worker_shot, range(config.max_shots), chunksize=_CHUNK_SHOTS)
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    *,
-    threads: int = 1,
-    stats: DecodeStats | None = None,
-    decode_fn=None,
-) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig, *, threads: int = 1) -> ExperimentResult:
     """Sample, decode and score shots until the shot or failure target."""
-    t_start = time.perf_counter()
     failures = 0
     times: list[float] = []
-    with closing(_shot_outcomes(config, threads, stats, decode_fn)) as outcomes:
+    with closing(_shot_outcomes(config, threads)) as outcomes:
         for failed, spent in outcomes:
             failures += failed
             times.append(spent)
             if config.max_failures is not None and failures >= config.max_failures:
                 break
-    wall = time.perf_counter() - t_start
     shots_run = len(times)
     arr = np.array(times) * 1e6
     pl_total = failures / shots_run
@@ -276,10 +249,8 @@ def run_experiment(
         p_l_total=pl_total,
         p_l_per_cycle=pl_total / config.rounds,
         rounds=config.rounds,
-        wall_time_s=wall,
         decode_mean_us=float(arr.mean()),
         decode_p50_us=float(np.percentile(arr, 50)),
-        decode_p90_us=float(np.percentile(arr, 90)),
         decode_p99_us=float(np.percentile(arr, 99)),
     )
 

@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cbdecode import cli
+from cbdecode.bbcodes import STANDARD_CODES
 from cbdecode.cli import main
-from cbdecode.harness import CSV_COLUMNS, ExperimentResult
+from cbdecode.harness import CSV_COLUMNS, ExperimentConfig, ExperimentResult
 from cbdecode.gf2 import load_matrix
 from cbdecode.noise import load_detector_model
 
@@ -103,6 +106,33 @@ def test_run_missing_config(tmp_path):
     assert main(["run", str(tmp_path / "nope.yaml")]) == 2
 
 
+def test_run_rejects_unknown_keys(tmp_path, capsys):
+    cfg = run_config(tmp_path, max_brr=36, bp_iter=3)
+    assert main(["run", str(cfg)]) == 2
+    assert "unknown config keys: bp_iter, max_brr" in capsys.readouterr().err
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("run_*.yaml")), ids=lambda p: p.name)
+def test_shipped_run_configs_run(path, capsys):
+    assert main(["run", str(path), "--shots", "3"]) == 0
+    assert "shots=3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("sweep_*.yaml")), ids=lambda p: p.name)
+def test_shipped_sweep_entries_build(path):
+    for entry in cli._load_mapping(str(path), "sweep spec")["codes"]:
+        assert cli._build_config(entry).label() == entry["name"]
+
+
+def test_build_config_keeps_the_dataclass_defaults():
+    assert cli._build_config({"code": "bb72", "seed": 0}) == ExperimentConfig(
+        noise="data-qubit", code_spec=STANDARD_CODES["bb72"], seed=0
+    )
+
+
 def test_sweep_single_point_matches_run(tmp_path, capsys):
     run_cfg = run_config(tmp_path, p=0.05, max_shots=60)
     run_csv = tmp_path / "run.csv"
@@ -188,12 +218,37 @@ def test_sweep_entry_without_code_is_a_point_error(tmp_path, capsys):
     assert "sweep point nocode p=0.05: config needs a 'code' entry" in capsys.readouterr().err
 
 
+def test_sweep_entry_with_unknown_key_is_a_point_error(tmp_path, capsys):
+    sweep = tmp_path / "s.yaml"
+    sweep.write_text(
+        "probabilities: [0.05]\n"
+        f"output: {tmp_path / 'o.csv'}\n"
+        "codes:\n"
+        "  - {name: typo, code: bb72, max_brr: 36, max_shots: 5}\n"
+    )
+    assert main(["sweep", str(sweep)]) == 1
+    assert "sweep point typo p=0.05: unknown config keys: max_brr" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("codes, label", [
+    ("[{code: bb72}, {code: bb72, decoder: cb}]", "bb72"),
+    ("[{noise: circuit-file, dem: a/m.dem}, {noise: circuit-file, dem: b/m.dem}]", "m.dem"),
+], ids=["registry-code", "circuit-file"])
+def test_sweep_rejects_entries_sharing_a_label(tmp_path, capsys, codes, label):
+    sweep = tmp_path / "s.yaml"
+    out = tmp_path / "o.csv"
+    sweep.write_text(f"probabilities: [0.05]\noutput: {out}\ncodes: {codes}\n")
+    assert main(["sweep", str(sweep)]) == 2
+    assert f"entries share the label {label}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_defaults_and_seed_precedence(tmp_path, capsys, monkeypatch):
     seen = []
 
     def fake_run(config, threads=1):
         seen.append(config)
-        return ExperimentResult(1, 0, 0.0, 0.0, 1, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return ExperimentResult(1, 0, 0.0, 0.0, 1, 0.0, 0.0, 0.0)
 
     monkeypatch.setattr(cli, "run_experiment", fake_run)
     monkeypatch.setenv("CBDECODE_SEED", "12")

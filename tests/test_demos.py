@@ -4,10 +4,14 @@ Each demo runs in its own interpreter with the checkout's `src` on the path,
 so a demo that imports a removed name fails here.  A demo that writes files
 writes them into a temporary directory it removes again: each run gets its
 own TMPDIR, every absolute path a demo prints must lie inside it and be gone
-once the demo exits.  demos/05 is left out: it is a long sweep that appends
-to a CSV file.
+once the demo exits.  demos/05 is a long sweep, so it is only parsed: every
+name it imports from cbdecode must exist, and every name it reads must be
+imported, assigned or built in.
 """
 
+import ast
+import builtins
+import importlib
 import os
 import re
 import subprocess
@@ -38,3 +42,22 @@ def test_demo_runs(demo, tmp_path):
     for path in printed:
         assert path.resolve().is_relative_to(tmp_path.resolve()), path
         assert not path.exists(), path
+
+
+def test_sweep_demo_imports_exist():
+    tree = ast.parse((ROOT / "demos" / "05_pseudothreshold_sweep.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    ours = [node for node in imports if node.module.split(".")[0] == "cbdecode"]
+    assert ours
+    for node in ours:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+    bound = set(dir(builtins)) | {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    names = [node for node in ast.walk(tree) if isinstance(node, ast.Name)]
+    bound |= {node.id for node in names if isinstance(node.ctx, ast.Store)}
+    assert {node.id for node in names} <= bound

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cbdecode import harness
 from cbdecode.bbcodes import STANDARD_CODES
 from cbdecode.cb import CBParams
 from cbdecode.gf2 import vec_from_support
@@ -84,9 +85,10 @@ def test_zero_error_rate_gives_zero_failures():
     assert result.p_l_total == 0.0
 
 
-def test_identity_stub_decoder_fails_often():
-    stub = lambda model, syndrome: np.zeros(model.noise_matrix.cols, dtype=np.uint8)
-    result = run_experiment(_config(p=0.3, max_shots=120), decode_fn=stub)
+def test_identity_stub_decoder_fails_often(monkeypatch):
+    stub = lambda syndrome, params, model, *a, **kw: np.zeros(model.noise_matrix.cols, dtype=np.uint8)
+    monkeypatch.setattr(harness, "bp_cb_decode", stub)
+    result = run_experiment(_config(p=0.3, max_shots=120))
     # with no correction at p = 0.3 nearly every shot has a nonzero syndrome
     assert result.logical_failures > 100
 
@@ -185,7 +187,7 @@ def test_threads_reproduce_serial_counts(max_failures):
 
 
 @pytest.mark.parametrize("noise", ["data-qubit", "phenomenological", "circuit-file"])
-def test_unsound_output_raises_on_every_noise_model(noise, bb72, tmp_path):
+def test_unsound_output_raises_on_every_noise_model(noise, bb72, tmp_path, monkeypatch):
     if noise == "circuit-file":
         dem = tmp_path / "m.dem"
         save_detector_model(data_qubit_model(bb72, 0.05)[0], str(dem))
@@ -194,6 +196,7 @@ def test_unsound_output_raises_on_every_noise_model(noise, bb72, tmp_path):
         config = _config(noise=noise, rounds=2)
     # a fixed nonzero output reproduces one syndrome at most, so some shot's
     # residual has a nonzero syndrome
-    stub = lambda model, syndrome: vec_from_support(model.noise_matrix.cols, [0])
+    stub = lambda syndrome, params, model, *a, **kw: vec_from_support(model.noise_matrix.cols, [0])
+    monkeypatch.setattr(harness, "bp_cb_decode", stub)
     with pytest.raises(ValueError, match="nonzero syndrome"):
-        run_experiment(config, decode_fn=stub)
+        run_experiment(config)
