@@ -11,7 +11,7 @@ import tempfile
 
 import numpy as np
 
-from cbdecode import STANDARD_CODES, build_bb_code, rank_mod2, save_matrix
+from cbdecode import BinaryMatrix, STANDARD_CODES, build_bb_code, rank_mod2, save_matrix
 
 for name, spec in STANDARD_CODES.items():
     code = build_bb_code(spec)
@@ -21,16 +21,14 @@ for name, spec in STANDARD_CODES.items():
     print(f"  hx: {code.hx.rows}x{code.hx.cols}, rank {rank_mod2(code.hx)}, "
           f"row weight {set(code.hx.row_weights())}, column weight {set(code.hx.col_weights())}")
 
-    # CSS commutation: hx hz^T = 0 over GF(2)
-    hx = code.hx.to_dense().astype(np.uint32)
-    hz = code.hz.to_dense().astype(np.uint32)
-    assert not ((hx @ hz.T) & 1).any()
+    # CSS invariants: hx hz^T = 0 over GF(2), k = n - rank hx - rank hz, and
+    # each logical basis lies in the kernel of the opposite check matrix
+    code.validate()
 
     # the symplectic pairing between the logical bases has full rank k
     pairing = np.array(
         [[np.dot(lx.astype(int), lz.astype(int)) % 2 for lz in code.logical_z]
          for lx in code.logical_x], dtype=np.uint8)
-    from cbdecode import BinaryMatrix
     assert rank_mod2(BinaryMatrix.from_dense(pairing)) == code.k
     print(f"  logical bases: {code.k} X and {code.k} Z representatives, pairing full rank")
 

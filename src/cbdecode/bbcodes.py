@@ -1,9 +1,12 @@
 """Bivariate-bicycle CSS code construction.
 
 A code is defined by integers (l, m) and two weight-3 polynomials A, B in the
-commuting cyclic-shift operators x = S_l (x) I_m and y = I_l (x) S_m.  The
-check matrices are hx = [A | B] and hz = [B^T | A^T]; logical operator bases
-are completions of the stabilizer row spaces inside the opposite kernels.
+commuting cyclic-shift operators x = S_l (x) I_m and y = I_l (x) S_m.  With
+lattice index u*m + v, the monomial x^a y^b is the permutation taking (u, v)
+to ((u+a) mod l, (v+b) mod m), so A and B are built from index arithmetic
+alone.  The check matrices are hx = [A | B] and hz = [B^T | A^T]; logical
+operator bases are completions of the stabilizer row spaces inside the
+opposite kernels.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .gf2 import BinaryMatrix, kernel_basis_mod2, mat_vec_mod2, quotient_basis, rank_mod2
+from .gf2 import (
+    BinaryMatrix, kernel_basis_mod2, mat_vec_mod2, quotient_basis, rank_mod2, vec_from_support,
+)
 
 _MONOMIAL_RE = re.compile(r"^([xy])(?:\^(\d+))?$")
 
@@ -34,14 +39,10 @@ class Monomial:
 
     @classmethod
     def parse(cls, text: str) -> "Monomial":
-        m = _MONOMIAL_RE.match(text.strip())
+        m = _MONOMIAL_RE.match(text.strip()) if isinstance(text, str) else None
         if m is None:
             raise ValueError(f"cannot parse monomial {text!r} (expected e.g. 'x^3' or 'y')")
         return cls(m.group(1), int(m.group(2)) if m.group(2) else 1)
-
-    def reduced(self, l: int, m: int) -> "Monomial":
-        mod = l if self.variable == "x" else m
-        return Monomial(self.variable, self.power % mod)
 
     def __str__(self):
         return self.variable if self.power == 1 else f"{self.variable}^{self.power}"
@@ -106,11 +107,11 @@ class CSSCode:
 
     def validate(self) -> None:
         """Check the CSS invariants; raises AssertionError on violation."""
-        hx, hz = self.hx.to_dense(), self.hz.to_dense()
-        assert hx.shape[1] == hz.shape[1] == self.n
-        assert not ((hx.astype(np.uint32) @ hz.T.astype(np.uint32)) & 1).any(), (
-            "hx hz^T != 0 (mod 2)"
-        )
+        assert self.hx.cols == self.hz.cols == self.n
+        for cs in self.hz.row_support:
+            assert not mat_vec_mod2(self.hx, vec_from_support(self.n, cs)).any(), (
+                "hx hz^T != 0 (mod 2)"
+            )
         assert self.k == self.n - rank_mod2(self.hx) - rank_mod2(self.hz)
         assert len(self.logical_x) == len(self.logical_z) == self.k
         for v in self.logical_z:
@@ -119,31 +120,18 @@ class CSSCode:
             assert not mat_vec_mod2(self.hz, v).any(), "logical_x outside ker(hz)"
 
 
-def cyclic_shift(size: int) -> BinaryMatrix:
-    """size x size permutation matrix with entry (i, (i+1) mod size)."""
-    if size < 1:
-        raise ValueError("cyclic shift size must be >= 1")
-    return BinaryMatrix(size, size, ((i, (i + 1) % size) for i in range(size)))
+def _polynomial(terms: tuple[Monomial, ...], l: int, m: int) -> set[tuple[int, int]]:
+    """Nonzero (row, col) entries of the mod-2 sum of the terms' permutations.
 
-
-def build_xy(l: int, m: int) -> tuple[BinaryMatrix, BinaryMatrix]:
-    """The commuting lm x lm shift operators x and y."""
-    if l < 1 or m < 1:
-        raise ValueError("l and m must be >= 1")
-    x = np.kron(cyclic_shift(l).to_dense(), np.eye(m, dtype=np.uint8))
-    y = np.kron(np.eye(l, dtype=np.uint8), cyclic_shift(m).to_dense())
-    return BinaryMatrix.from_dense(x), BinaryMatrix.from_dense(y)
-
-
-def _term_matrix(term: Monomial, l: int, m: int) -> np.ndarray:
-    t = term.reduced(l, m)
-    if t.variable == "x":
-        return np.kron(
-            np.roll(np.eye(l, dtype=np.uint8), t.power, axis=1), np.eye(m, dtype=np.uint8)
-        )
-    return np.kron(
-        np.eye(l, dtype=np.uint8), np.roll(np.eye(m, dtype=np.uint8), t.power, axis=1)
-    )
+    Terms that coincide once reduced mod l or m cancel in pairs.
+    """
+    entries: set[tuple[int, int]] = set()
+    for t in terms:
+        a, b = (t.power, 0) if t.variable == "x" else (0, t.power)
+        entries ^= {
+            (u * m + v, (u + a) % l * m + (v + b) % m) for u in range(l) for v in range(m)
+        }
+    return entries
 
 
 def build_bb_code(spec: BBCodeSpec) -> CSSCode:
@@ -154,18 +142,14 @@ def build_bb_code(spec: BBCodeSpec) -> CSSCode:
     kernel of one check matrix quotiented by the row space of the other.
     """
     l, m = spec.l, spec.m
-    a = np.zeros((l * m, l * m), dtype=np.uint8)
-    b = np.zeros((l * m, l * m), dtype=np.uint8)
-    for t in spec.a_terms:
-        a ^= _term_matrix(t, l, m)
-    for t in spec.b_terms:
-        b ^= _term_matrix(t, l, m)
-    hx = BinaryMatrix.from_dense(np.hstack([a, b]))
-    hz = BinaryMatrix.from_dense(np.hstack([b.T, a.T]))
-    n = 2 * l * m
+    half, n = l * m, 2 * l * m
+    a = _polynomial(spec.a_terms, l, m)
+    b = _polynomial(spec.b_terms, l, m)
+    hx = BinaryMatrix(half, n, [*a, *((r, half + c) for r, c in b)])
+    hz = BinaryMatrix(half, n, [*((c, r) for r, c in b), *((c, half + r) for r, c in a)])
     k = n - rank_mod2(hx) - rank_mod2(hz)
-    hx_rows = [r for r in hx.to_dense()]
-    hz_rows = [r for r in hz.to_dense()]
+    hx_rows = [vec_from_support(n, cs) for cs in hx.row_support]
+    hz_rows = [vec_from_support(n, cs) for cs in hz.row_support]
     logical_z = quotient_basis(hz_rows, kernel_basis_mod2(hx))
     logical_x = quotient_basis(hx_rows, kernel_basis_mod2(hz))
     if len(logical_z) != k or len(logical_x) != k:
@@ -183,16 +167,27 @@ def build_bb_code(spec: BBCodeSpec) -> CSSCode:
 
 
 def spec_from_dict(data: dict) -> BBCodeSpec:
+    """A spec from a mapping; a missing or malformed key raises ValueError naming it.
+
+    l, m and the optional distance must be integers, and a_terms and b_terms
+    lists of monomial strings.
+    """
     for key in ("l", "m", "a_terms", "b_terms"):
         if key not in data:
             raise ValueError(f"code spec missing key {key!r}")
-    return BBCodeSpec.from_strings(
-        int(data["l"]),
-        int(data["m"]),
-        list(data["a_terms"]),
-        list(data["b_terms"]),
-        distance=int(data["distance"]) if "distance" in data else None,
-        name=str(data.get("name", "")),
+    for key in ("l", "m", "distance"):
+        if key in data and type(data[key]) is not int:
+            raise ValueError(f"code spec key {key!r} must be an integer, got {data[key]!r}")
+    terms = []
+    for key in ("a_terms", "b_terms"):
+        if not isinstance(data[key], (list, tuple)):
+            raise ValueError(f"code spec key {key!r} must be a list such as [x^3, y, y^2]")
+        try:
+            terms.append(tuple(Monomial.parse(t) for t in data[key]))
+        except ValueError as exc:
+            raise ValueError(f"code spec key {key!r}: {exc}") from None
+    return BBCodeSpec(
+        data["l"], data["m"], *terms, data.get("distance"), str(data.get("name", ""))
     )
 
 

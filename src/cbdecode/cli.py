@@ -110,7 +110,13 @@ def _build_config(data: dict) -> ExperimentConfig:
     unknown = sorted(map(str, set(data) - set(_KEYS) - {"code", "dem"}))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    kwargs = {key: convert(data[key]) for key, convert in _KEYS.items() if key in data}
+    kwargs = {}
+    for key, convert in _KEYS.items():
+        if key in data:
+            try:
+                kwargs[key] = convert(data[key])
+            except (TypeError, ValueError):
+                raise ValueError(f"config key {key!r} cannot take the value {data[key]!r}") from None
     params = {key: kwargs.pop(key) for key in _PARAM_KEYS if key in kwargs}
     kwargs.setdefault("noise", DATA_QUBIT)
     if "seed" not in kwargs and _env_seed() is not None:
@@ -163,7 +169,10 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     try:
         data = _load_mapping(args.sweep, "sweep spec")
-        probabilities = [float(p) for p in data.get("probabilities", [])]
+        try:
+            probabilities = [float(p) for p in data.get("probabilities") or []]
+        except (TypeError, ValueError):
+            raise ValueError("'probabilities' must be a list of numbers") from None
         if not probabilities:
             raise ValueError("sweep needs a non-empty 'probabilities' list")
         if any(not 0.0 < p < 1.0 for p in probabilities):
@@ -176,6 +185,8 @@ def cmd_sweep(args) -> int:
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise ValueError("'codes' must be a list of mappings, e.g. [{code: bb72}]")
         out_csv = data.get("output", "sweep.csv")
+        if not isinstance(out_csv, str):
+            raise ValueError(f"'output' must be a file path, got {out_csv!r}")
     except (OSError, ValueError, yaml.YAMLError) as exc:
         print(f"sweep: {exc}", file=sys.stderr)
         return 2

@@ -4,9 +4,10 @@ Matrices are stored as sorted row and column adjacency lists (both views are
 built once at construction, since decoding walks rows and columns all the
 time).  Vectors are plain numpy uint8 arrays with values in {0, 1}.
 Mat-vecs gather and XOR over a padded column-index array built once per
-matrix; no dense copy is kept.  Rank and kernel computations run on
-bit-packed rows (Python integers as row bitmasks), which is plenty for the
-few-thousand-column matrices handled here.
+matrix; no dense copy is kept, and the library itself never builds one:
+`BinaryMatrix.to_dense`/`from_dense` serve tests and demos only.  Rank and
+kernel computations run on bit-packed rows (Python integers as row
+bitmasks), which is plenty for the few-thousand-column matrices handled here.
 """
 
 from __future__ import annotations
@@ -164,14 +165,7 @@ def _rows_as_ints(m: BinaryMatrix) -> list[int]:
 def rank_mod2(m: BinaryMatrix) -> int:
     """GF(2) rank by Gaussian elimination on bit-packed rows."""
     pivots: dict[int, int] = {}  # lowest set bit -> row bitmask
-    for x in _rows_as_ints(m):
-        while x:
-            low = x & -x
-            if low not in pivots:
-                pivots[low] = x
-                break
-            x ^= pivots[low]
-    return len(pivots)
+    return sum(_add_pivot(x, pivots) for x in _rows_as_ints(m))
 
 
 def kernel_basis_mod2(m: BinaryMatrix) -> list[np.ndarray]:
@@ -192,7 +186,7 @@ def kernel_basis_mod2(m: BinaryMatrix) -> list[np.ndarray]:
         if x == 0:
             continue
         pc = (x & -x).bit_length() - 1
-        for i, (qc, qr) in enumerate(zip(pivot_col, reduced)):
+        for i, qr in enumerate(reduced):
             if (qr >> pc) & 1:
                 reduced[i] = qr ^ x
         pivot_col.append(pc)
@@ -231,10 +225,8 @@ def _add_pivot(x: int, pivots: dict[int, int]) -> bool:
 
 
 def _vec_to_int(v: np.ndarray) -> int:
-    x = 0
-    for i in np.flatnonzero(v):
-        x |= 1 << int(i)
-    return x
+    """Bitmask with bit i set iff v[i] is nonzero."""
+    return int.from_bytes(np.packbits(np.asarray(v) != 0, bitorder="little").tobytes(), "little")
 
 
 def quotient_basis(
@@ -246,19 +238,21 @@ def quotient_basis(
     ValueError otherwise.  For a CSS code with span_small the stabilizer
     rows and span_large a kernel basis, the result has length k.
     """
+    large = [_vec_to_int(v) for v in span_large]
     large_pivots: dict[int, int] = {}
-    for v in span_large:
-        _add_pivot(_vec_to_int(v), large_pivots)
+    for x in large:
+        _add_pivot(x, large_pivots)
     pivots: dict[int, int] = {}
     for v in span_small:
-        if _reduce_against(_vec_to_int(v), large_pivots):
+        x = _vec_to_int(v)
+        if _reduce_against(x, large_pivots):
             raise ValueError("span_small is not contained in span(span_large)")
-        _add_pivot(_vec_to_int(v), pivots)
-    out: list[np.ndarray] = []
-    for v in span_large:
-        if _add_pivot(_vec_to_int(v), pivots):
-            out.append(np.asarray(v, dtype=np.uint8).copy())
-    return out
+        _add_pivot(x, pivots)
+    return [
+        np.asarray(v, dtype=np.uint8).copy()
+        for v, x in zip(span_large, large)
+        if _add_pivot(x, pivots)
+    ]
 
 
 def save_matrix(m: BinaryMatrix, path: str) -> None:

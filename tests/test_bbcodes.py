@@ -1,29 +1,137 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cbdecode.bbcodes import (
     BBCodeSpec,
+    CSSCode,
     Monomial,
     STANDARD_CODES,
     build_bb_code,
-    build_xy,
-    cyclic_shift,
     load_code_spec,
+    spec_from_dict,
 )
 from cbdecode.gf2 import BinaryMatrix, rank_mod2
 
 
-def test_cyclic_shift_small_sizes():
-    assert cyclic_shift(1).to_dense().tolist() == [[1]]
-    assert cyclic_shift(2).to_dense().tolist() == [[0, 1], [1, 0]]
-    s3 = cyclic_shift(3)
-    assert {(r, c) for r, cs in enumerate(s3.row_support) for c in cs} == {
-        (0, 1),
-        (1, 2),
-        (2, 0),
-    }
-    with pytest.raises(ValueError):
-        cyclic_shift(0)
+def dense_oracle(spec: BBCodeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """hx and hz built densely, each term a Kronecker product of rolled identities."""
+    l, m = spec.l, spec.m
+
+    def term(t: Monomial) -> np.ndarray:
+        if t.variable == "x":
+            shift = np.roll(np.eye(l, dtype=np.uint8), t.power % l, axis=1)
+            return np.kron(shift, np.eye(m, dtype=np.uint8))
+        shift = np.roll(np.eye(m, dtype=np.uint8), t.power % m, axis=1)
+        return np.kron(np.eye(l, dtype=np.uint8), shift)
+
+    a = np.zeros((l * m, l * m), dtype=np.uint8)
+    b = np.zeros((l * m, l * m), dtype=np.uint8)
+    for t in spec.a_terms:
+        a ^= term(t)
+    for t in spec.b_terms:
+        b ^= term(t)
+    return np.hstack([a, b]), np.hstack([b.T, a.T])
+
+
+def random_specs(seed: int, count: int) -> list[BBCodeSpec]:
+    """Seeded specs with exponents up to twice the modulus, so reduced terms coincide."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    while len(specs) < count:
+        l, m = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        terms = []
+        for _ in range(6):
+            var = "x" if rng.integers(0, 2) else "y"
+            terms.append(Monomial(var, int(rng.integers(0, 2 * (l if var == "x" else m) + 1))))
+        try:
+            specs.append(BBCodeSpec(l, m, tuple(terms[:3]), tuple(terms[3:])))
+        except ValueError:
+            continue  # duplicate terms drawn
+    return specs
+
+
+def coinciding(spec: BBCodeSpec) -> bool:
+    """True if two terms of A or of B are the same lattice shift once reduced."""
+    def shift(t: Monomial) -> tuple[int, int]:
+        return (t.power % spec.l, 0) if t.variable == "x" else (0, t.power % spec.m)
+
+    return any(len({shift(t) for t in terms}) < 3 for terms in (spec.a_terms, spec.b_terms))
+
+
+CANCELLING = [
+    # x^0 and y^0 are both the identity, x^6 is x^0 on l = 6
+    BBCodeSpec.from_strings(6, 6, ["x^0", "y^0", "x"], ["y^3", "x^6", "x^0"]),
+    # all three A terms are the identity: A = I
+    BBCodeSpec.from_strings(6, 4, ["x^0", "y^0", "x^12"], ["y^4", "x", "x^2"]),
+    # the 1x1 lattice: every term is the identity
+    BBCodeSpec.from_strings(1, 1, ["x^3", "y", "y^2"], ["y^3", "x", "x^2"]),
+]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [*STANDARD_CODES.values(), *CANCELLING, *random_specs(23, 60)],
+    ids=[*STANDARD_CODES, "identities", "a-identity", "1x1", *(f"random{i}" for i in range(60))],
+)
+def test_check_matrices_match_dense_oracle(spec):
+    code = build_bb_code(spec)
+    hx, hz = dense_oracle(spec)
+    assert code.n == 2 * spec.l * spec.m
+    assert np.array_equal(code.hx.to_dense(), hx)
+    assert np.array_equal(code.hz.to_dense(), hz)
+    code.validate()
+
+
+def test_random_specs_include_coinciding_terms():
+    assert sum(map(coinciding, random_specs(23, 60))) >= 20
+    assert all(map(coinciding, CANCELLING))
+
+
+# sha256 of the concatenated logical_x and logical_z bytes, pinned from the
+# dense construction this package used before it built codes by index arithmetic
+LOGICAL_DIGESTS = {
+    "bb72": (
+        "016c7b74a84a51f1b731772835bf3d77788189ea623848c0aff92197d68d337e",
+        "073b2ae692fc2aa97f591bac963b96a5d68eda3d89b942b3fb0f59180970f23e",
+    ),
+    "bb108": (
+        "55c8cbcd494f9be540684949bb161b8539d5815905c42734c4e10a43dbdb3066",
+        "20e2100fe6f3665c1e687c8494d3e42e21d5ae77156c9be863a9a00a6e74083c",
+    ),
+    "bb144": (
+        "f67b815bf1a7003eb3e8ae7b25dd0125a828c2f0608829c9f8dc5b61f77ad92b",
+        "99c2d7642a41a4dd9c28e3ecc41cba27b49f0439d08367278df1faf698024e5c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOGICAL_DIGESTS))
+def test_logical_basis_digests(name):
+    code = build_bb_code(STANDARD_CODES[name])
+    for basis, digest in zip((code.logical_x, code.logical_z), LOGICAL_DIGESTS[name]):
+        assert all(v.dtype == np.uint8 and v.shape == (code.n,) for v in basis)
+        assert hashlib.sha256(b"".join(v.tobytes() for v in basis)).hexdigest() == digest
+
+
+def test_construction_needs_no_dense_matrix(monkeypatch):
+    def no_dense(*args):
+        raise AssertionError("dense matrix requested")
+
+    monkeypatch.setattr(BinaryMatrix, "to_dense", no_dense)
+    monkeypatch.setattr(BinaryMatrix, "from_dense", classmethod(no_dense))
+    for spec in (STANDARD_CODES["bb72"], *CANCELLING):
+        build_bb_code(spec).validate()
+
+
+def test_validate_rejects_anticommuting_checks():
+    # the second hz row overlaps the hx row in one column
+    hx = BinaryMatrix(1, 4, [(0, 0), (0, 1)])
+    hz = BinaryMatrix(2, 4, [(0, 0), (0, 1), (1, 1), (1, 2)])
+    with pytest.raises(AssertionError, match="hx hz"):
+        CSSCode(n=4, k=1, hx=hx, hz=hz).validate()
 
 
 def test_monomial_parsing():
@@ -34,30 +142,9 @@ def test_monomial_parsing():
         Monomial.parse("z^2")
     with pytest.raises(ValueError):
         Monomial.parse("x^-1")
-
-
-def test_build_xy_degenerate_and_small():
-    x, y = build_xy(1, 1)
-    assert x.to_dense().tolist() == [[1]] and y.to_dense().tolist() == [[1]]
-    x, y = build_xy(2, 1)
-    assert x.to_dense().tolist() == [[0, 1], [1, 0]]
-    assert y.to_dense().tolist() == [[1, 0], [0, 1]]
-
-
-def test_build_xy_commute_and_orders():
-    l, m = 6, 6
-    x, y = build_xy(l, m)
-    xd, yd = x.to_dense().astype(np.uint32), y.to_dense().astype(np.uint32)
-    assert x.rows == x.cols == l * m
-    assert np.array_equal((xd @ yd) & 1, (yd @ xd) & 1)
-    xp = np.eye(l * m, dtype=np.uint32)
-    for _ in range(l):
-        xp = (xp @ xd) & 1
-    assert np.array_equal(xp, np.eye(l * m, dtype=np.uint32))
-    yp = np.eye(l * m, dtype=np.uint32)
-    for _ in range(m):
-        yp = (yp @ yd) & 1
-    assert np.array_equal(yp, np.eye(l * m, dtype=np.uint32))
+    for value in (3, None, ["x"]):
+        with pytest.raises(ValueError, match="cannot parse monomial"):
+            Monomial.parse(value)
 
 
 @pytest.mark.parametrize(
@@ -143,3 +230,27 @@ def test_load_code_spec(tmp_path):
     bad.write_text("l: 6\nm: 6\n")
     with pytest.raises(ValueError):
         load_code_spec(str(bad))
+
+
+SPEC = {"l": 6, "m": 6, "a_terms": ["x^3", "y", "y^2"], "b_terms": ["y^3", "x", "x^2"]}
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param("l", None, id="l-null"),
+    pytest.param("l", "6", id="l-string"),
+    pytest.param("m", 6.5, id="m-float"),
+    pytest.param("distance", "six", id="distance-string"),
+    pytest.param("distance", None, id="distance-null"),
+    pytest.param("distance", True, id="distance-bool"),
+    pytest.param("a_terms", ["x^3", 3, "y^2"], id="a_terms-number"),
+    pytest.param("a_terms", None, id="a_terms-null"),
+    pytest.param("b_terms", "y^3", id="b_terms-string"),
+])
+def test_spec_from_dict_names_the_malformed_key(key, value):
+    with pytest.raises(ValueError, match=f"code spec key '{key}'"):
+        spec_from_dict({**SPEC, key: value})
+
+
+def test_shipped_code_spec_is_bb72():
+    path = Path(__file__).resolve().parents[1] / "configs" / "bb72.yaml"
+    assert load_code_spec(str(path)) == STANDARD_CODES["bb72"]

@@ -34,6 +34,18 @@ def test_build_code_degenerate_spec(tmp_path, capsys):
     assert "n=2 k=0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("key, value", [
+    ("l", "null"), ("m", "6.5"), ("distance", "six"), ("a_terms", "[3, y, y^2]"), ("b_terms", "y^3"),
+], ids=["l-null", "m-float", "distance-string", "a_terms-number", "b_terms-string"])
+def test_build_code_rejects_a_malformed_spec(tmp_path, capsys, key, value):
+    fields = {"l": 6, "m": 6, "a_terms": "[x^3, y, y^2]", "b_terms": "[y^3, x, x^2]", key: value}
+    spec = tmp_path / "bad.yaml"
+    spec.write_text("".join(f"{k}: {v}\n" for k, v in fields.items()))
+    assert main(["build-code", str(spec), "--out", str(tmp_path / "b")]) == 2
+    assert capsys.readouterr().err.startswith(f"build-code: code spec key '{key}'")
+    assert not (tmp_path / "b.hx.txt").exists()
+
+
 def test_build_code_missing_file(tmp_path, capsys):
     assert main(["build-code", str(tmp_path / "nope.yaml"), "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err != ""
@@ -110,6 +122,15 @@ def test_run_rejects_unknown_keys(tmp_path, capsys):
     cfg = run_config(tmp_path, max_brr=36, bp_iter=3)
     assert main(["run", str(cfg)]) == 2
     assert "unknown config keys: bp_iter, max_brr" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("max_shots", "null"), ("p", "null"), ("seed", "null"), ("max_gr", "[1]"), ("p", "abc"),
+])
+def test_run_rejects_a_value_of_the_wrong_type(tmp_path, capsys, key, value):
+    cfg = run_config(tmp_path, **{key: value})
+    assert main(["run", str(cfg)]) == 2
+    assert f"run: config key '{key}' cannot take the value" in capsys.readouterr().err
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -228,6 +249,35 @@ def test_sweep_entry_with_unknown_key_is_a_point_error(tmp_path, capsys):
     )
     assert main(["sweep", str(sweep)]) == 1
     assert "sweep point typo p=0.05: unknown config keys: max_brr" in capsys.readouterr().err
+
+
+def test_sweep_entry_with_a_null_value_is_a_point_error(tmp_path, capsys):
+    sweep = tmp_path / "s.yaml"
+    sweep.write_text(
+        "probabilities: [0.05]\n"
+        f"output: {tmp_path / 'o.csv'}\n"
+        "codes:\n"
+        "  - {name: nulls, code: bb72, max_shots: null}\n"
+    )
+    assert main(["sweep", str(sweep)]) == 1
+    err = capsys.readouterr().err
+    assert "sweep point nulls p=0.05: config key 'max_shots' cannot take the value None" in err
+
+
+@pytest.mark.parametrize("probabilities", ["[null]", "0.05", "[0.05, abc]"])
+def test_sweep_rejects_probabilities_that_are_not_numbers(tmp_path, capsys, probabilities):
+    sweep = tmp_path / "s.yaml"
+    sweep.write_text(f"probabilities: {probabilities}\ncodes: [{{code: bb72}}]\n")
+    assert main(["sweep", str(sweep)]) == 2
+    assert capsys.readouterr().err == "sweep: 'probabilities' must be a list of numbers\n"
+
+
+@pytest.mark.parametrize("output", ["null", "5"])
+def test_sweep_rejects_an_output_that_is_not_a_path(tmp_path, capsys, output):
+    sweep = tmp_path / "s.yaml"
+    sweep.write_text(f"probabilities: [0.05]\noutput: {output}\ncodes: [{{code: bb72}}]\n")
+    assert main(["sweep", str(sweep)]) == 2
+    assert capsys.readouterr().err.startswith("sweep: 'output' must be a file path")
 
 
 @pytest.mark.parametrize("codes, label", [
