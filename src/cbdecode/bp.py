@@ -51,14 +51,13 @@ class BPDecoder:
     check slots' column indexes and XORs down each row's slots.
     """
 
-    def __init__(self, m: BinaryMatrix, priors: np.ndarray, clamp: float = LLR_CLAMP):
+    def __init__(self, m: BinaryMatrix, priors: np.ndarray):
         priors = np.asarray(priors, dtype=np.float64)
         if priors.shape != (m.cols,):
             raise ValueError("one prior per column required")
         if ((priors <= 0.0) | (priors > 0.5)).any():
             raise ValueError("priors must lie in (0, 0.5]")
         self.m = m
-        self.clamp = float(clamp)
         self.prior_llr = np.log((1.0 - priors) / priors)
 
         self.check_cols = m.row_slots()
@@ -79,7 +78,7 @@ class BPDecoder:
         check_from_var = check_from_var.reshape(width, rows)
         self.check_from_var = np.hstack([check_from_var, check_from_var[::-1]])
         # the first iteration's variable-to-check tanh messages carry the priors
-        prior_t = np.tanh(np.clip(self.prior_llr, -self.clamp, self.clamp) / 2.0)
+        prior_t = np.tanh(np.clip(self.prior_llr, -LLR_CLAMP, LLR_CLAMP) / 2.0)
         self.prior_t = np.append(prior_t, 1.0)[
             np.hstack([self.check_cols, self.check_cols[::-1]])
         ]
@@ -131,7 +130,7 @@ class BPDecoder:
                 if stop_on_match:
                     break
             v2c = np.subtract(posterior[:, None], incoming, out=incoming)
-            v2c.clip(-self.clamp, self.clamp, out=v2c)
+            v2c.clip(-LLR_CLAMP, LLR_CLAMP, out=v2c)
             np.tanh(np.divide(v2c, 2.0, out=v2c), out=t_vars)
             products = t[self.check_from_var]
         return self._result(posterior, hard[:cols], converged, it)
@@ -140,7 +139,7 @@ class BPDecoder:
         self, posterior: np.ndarray, hard: np.ndarray, converged: bool, iterations: int
     ) -> BPResult:
         marginals = 1.0 / (1.0 + np.exp(posterior.clip(-700.0, 700.0)))
-        llrs = posterior.clip(-self.clamp, self.clamp)
+        llrs = posterior.clip(-LLR_CLAMP, LLR_CLAMP)
         return BPResult(
             marginals=marginals,
             llrs=llrs,

@@ -59,7 +59,6 @@ class ClosedBranch:
     mechanisms: frozenset[int]
     checks_flipped: tuple[int, ...]
     mode: str
-    branch_id: int = -1
 
 
 @dataclass
@@ -87,9 +86,10 @@ class Cluster:
     Maintains flipped_checks = noise_matrix . error (mod 2) incrementally;
     each flipped check and each used mechanism is owned by exactly one live
     branch, which is what destructive growth needs to dismantle precisely.
-    Live branches are kept by id, owners in lists indexed by row and by
-    column (None: no owner), and the ids of live non-destructive branches,
-    the ones destructive growth may dismantle, in a set.
+    Live branches are kept by id, owners in the lists row_owner and
+    col_owner indexed by row and by column (None: no owner), and the ids of
+    live non-destructive branches, the ones destructive growth may
+    dismantle, in a set.
     """
 
     def __init__(self, n_rows: int, n_cols: int):
@@ -97,22 +97,22 @@ class Cluster:
         self.error = zeros_vec(n_cols)
         self._next_id = 0
         self._by_id: dict[int, ClosedBranch] = {}
-        self._row_owner: list[int | None] = [None] * n_rows
-        self._col_owner: list[int | None] = [None] * n_cols
+        self.row_owner: list[int | None] = [None] * n_rows
+        self.col_owner: list[int | None] = [None] * n_cols
         self._destructible: set[int] = set()
 
     def add(self, branch: ClosedBranch) -> int:
-        bid = branch.branch_id = self._next_id
+        bid = self._next_id
         self._next_id += 1
         self._by_id[bid] = branch
         if branch.mode == NON_DESTRUCTIVE:
             self._destructible.add(bid)
         for r in branch.checks_flipped:
             self.flipped[r] ^= 1
-            self._row_owner[r] = bid
+            self.row_owner[r] = bid
         for c in branch.mechanisms:
             self.error[c] ^= 1
-            self._col_owner[c] = bid
+            self.col_owner[c] = bid
         return bid
 
     def dismantle(self, branch_id: int) -> ClosedBranch:
@@ -123,21 +123,15 @@ class Cluster:
         self._destructible.remove(branch_id)
         for r in branch.checks_flipped:
             self.flipped[r] ^= 1
-            self._row_owner[r] = None
+            self.row_owner[r] = None
         for c in branch.mechanisms:
             self.error[c] ^= 1
-            self._col_owner[c] = None
+            self.col_owner[c] = None
         return branch
 
     def branches(self) -> list[ClosedBranch]:
         """The live branches in id order (ids rise as branches are added)."""
         return list(self._by_id.values())
-
-    def row_owner(self, row: int) -> int | None:
-        return self._row_owner[row]
-
-    def col_owner(self, col: int) -> int | None:
-        return self._col_owner[col]
 
     def matches(self, syndrome: np.ndarray) -> bool:
         return bool(np.array_equal(self.flipped, syndrome))
@@ -161,7 +155,7 @@ def weight_1_errors(
     """Close every mechanism whose adjacent checks are all effectively violated."""
     eff = (syndrome ^ cluster.flipped).tolist()
     for c in _candidate_columns(eff, m):
-        if cluster._col_owner[c] is not None:
+        if cluster.col_owner[c] is not None:
             continue
         rows = m.col_support[c]
         if rows and all(eff[r] for r in rows):
@@ -173,26 +167,17 @@ def weight_1_errors(
     return cluster
 
 
-def _seed_columns(tcts: int, eff: list[int], cluster: Cluster, m: BinaryMatrix) -> list[int]:
-    """Unowned columns with >= 1 violated and exactly tcts trivial rows."""
-    return [
-        c
-        for c in _candidate_columns(eff, m)  # each touches a violated row
-        if cluster._col_owner[c] is None
-        and [eff[r] for r in m.col_support[c]].count(0) == tcts
-    ]
-
-
-def _seed(
-    col: int, tcts: int, eff: list[int], m: BinaryMatrix
-) -> tuple[frozenset[int], int, tuple[int, ...]] | None:
-    """(satisfied, frontier, fcts) of the seed at col under eff, or None when
-    col has no violated row or not exactly tcts trivial ones."""
+def _seed(col: int, tcts: int, eff: list[int], m: BinaryMatrix) -> list[int] | None:
+    """The trivial rows of col under eff, the seed's frontier then its deferred
+    checks; None when col has no violated row or not exactly tcts trivial ones."""
     rows = m.col_support[col]
-    trivial = [r for r in rows if not eff[r]]
+    trivial = []
+    for r in rows:  # plain loop: cheaper than a comprehension on so few rows
+        if not eff[r]:
+            trivial.append(r)
     if len(trivial) != tcts or len(trivial) == len(rows):
         return None
-    return frozenset(r for r in rows if eff[r]), trivial[0], tuple(trivial[1:])
+    return trivial
 
 
 class _Rejected(Exception):
@@ -205,7 +190,7 @@ class _Path:
     satisfied holds the oddly-touched checks currently explained; frontier is
     the trivial check being grown (None: pick the next deferred one); fcts
     are the deferred trivial checks; destroyed lists the branch ids this path
-    would dismantle if it closes.  A path is owned by one stack level.  Its
+    would dismantle if it closes.  A path sits on the growth stack once.  Its
     fields are rebound, never mutated in place, so children may share their
     parent's sets.
     """
@@ -246,10 +231,9 @@ class _Grower:
         eff: list[int],
         m: BinaryMatrix,
         weights: np.ndarray | None,
-        stats: DecodeStats | None,
+        stats: DecodeStats,
     ):
         self.destructive = mode == DESTRUCTIVE
-        self.mode = mode
         self.budget = budget
         self.max_br = params.max_br
         self.max_gr = params.max_gr
@@ -268,12 +252,10 @@ class _Grower:
         if alternatives <= 1:
             return
         if self.spawned + alternatives - 1 > self.max_br:
-            if self.stats is not None:
-                self.stats.instances_rejected += 1
+            self.stats.instances_rejected += 1
             raise _Rejected
         self.spawned += alternatives - 1
-        if self.stats is not None:
-            self.stats.observe_spawned(self.spawned)
+        self.stats.observe_spawned(self.spawned)
 
     def _activate_frontier(self, st: _Path) -> str:
         """Pick st's next frontier; destructively clear owned ones.
@@ -290,7 +272,7 @@ class _Grower:
             if not self.destructive:
                 return "ok"
             frontier = st.frontier
-            owner = cluster._row_owner[frontier]
+            owner = cluster.row_owner[frontier]
             if (
                 self.eff[frontier]
                 or owner in st.destroyed
@@ -326,7 +308,7 @@ class _Grower:
         if growths > self.max_gr:
             return []
         cluster, eff, syndrome, weights = self.cluster, self.eff, self.syndrome, self.weights
-        col_owner, row_owner = cluster._col_owner, cluster._row_owner
+        col_owner, row_owner = cluster.col_owner, cluster.row_owner
         col_support, budget = self.m.col_support, self.budget
         frontier, fcts, destroyed = st.frontier, st.fcts, st.destroyed
         mechanisms, satisfied, touched_even = st.mechanisms, st.satisfied, st.touched_even
@@ -405,21 +387,16 @@ class _Grower:
                 growths,
                 destroyed | destroy if destroy else destroyed,
             ))
-        if self.stats is not None:
-            self.stats.observe_growths(growths)
+        self.stats.observe_growths(growths)
         return children
 
     def grow(self, seed: _Path) -> ClosedBranch | None:
         if seed.weight_used > self.budget:
             return None
         try:
-            stack: list[list[_Path]] = [[seed]]
+            stack = [seed]
             while stack:
-                level = stack[-1]
-                if not level:
-                    stack.pop()
-                    continue
-                st = level.pop(0)
+                st = stack.pop()
                 status = self._activate_frontier(st)
                 if status == "dead":
                     continue
@@ -428,9 +405,7 @@ class _Grower:
                     if closed is not None:
                         return closed
                     continue
-                children = self._expand(st)
-                if children:
-                    stack.append(children)
+                stack += self._expand(st)[::-1]  # first child on top: preorder
             return None
         except _Rejected:
             return None
@@ -443,15 +418,14 @@ class _Grower:
             dismantled = self.cluster.dismantle(bid)
             for r in dismantled.checks_flipped:
                 self.eff[r] ^= 1
-            if self.stats is not None:
-                self.stats.dismantled += 1
-        branch = ClosedBranch(st.mechanisms, checks, self.mode)
+            self.stats.dismantled += 1
+        mode = DESTRUCTIVE if self.destructive else NON_DESTRUCTIVE
+        branch = ClosedBranch(st.mechanisms, checks, mode)
         self.cluster.add(branch)
         for r in checks:
             self.eff[r] ^= 1
-        if self.stats is not None:
-            self.stats.branches_closed += 1
-            self.stats.observe_growths(st.growths)
+        self.stats.branches_closed += 1
+        self.stats.observe_growths(st.growths)
         return branch
 
 
@@ -473,19 +447,23 @@ def _branch_growth_pass(
     eff = (syndrome ^ cluster.flipped).tolist()
     if not any(eff):
         return cluster
-    columns = _seed_columns(tcts, eff, cluster, m)
-    grower = _Grower(mode, weight, params, cluster, syndrome, eff, m, event_weights, stats)
+    columns = [
+        c for c in _candidate_columns(eff, m)
+        if cluster.col_owner[c] is None and _seed(c, tcts, eff, m) is not None
+    ]
+    grower = _Grower(
+        mode, weight, params, cluster, syndrome, eff, m, event_weights, stats or DecodeStats()
+    )
     for c in columns:
         if not any(eff):
             break
-        seed = _seed(c, tcts, eff, m) if cluster._col_owner[c] is None else None
-        if seed is None:
+        trivial = _seed(c, tcts, eff, m) if cluster.col_owner[c] is None else None
+        if trivial is None:
             continue
-        satisfied, frontier, fcts = seed
         grower.spawned = 1
         grower.grow(_Path(
-            frozenset((c,)), satisfied, frozenset(), frontier, fcts,
-            grower.weights[c], 0, frozenset(),
+            frozenset((c,)), frozenset(m.col_support[c]).difference(trivial), frozenset(),
+            trivial[0], tuple(trivial[1:]), grower.weights[c], 0, frozenset(),
         ))
     return cluster
 

@@ -96,7 +96,8 @@ def cmd_build_noise(args) -> int:
 
 
 # the keys of a run file or sweep entry besides 'code' and 'dem', with their
-# types; a key that is not set keeps the ExperimentConfig or CBParams default
+# types (a str key takes only a string); a key that is not set keeps the
+# ExperimentConfig or CBParams default
 _KEYS = {
     "noise": str, "p": float, "q": float, "rounds": int, "decoder": str, "sector": str,
     "max_shots": int, "max_failures": lambda v: None if v is None else int(v), "seed": int,
@@ -114,6 +115,8 @@ def _build_config(data: dict) -> ExperimentConfig:
     for key, convert in _KEYS.items():
         if key in data:
             try:
+                if convert is str and not isinstance(data[key], str):
+                    raise TypeError(key)
                 kwargs[key] = convert(data[key])
             except (TypeError, ValueError):
                 raise ValueError(f"config key {key!r} cannot take the value {data[key]!r}") from None

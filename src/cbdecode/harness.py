@@ -115,7 +115,6 @@ class ExperimentResult:
     logical_failures: int
     p_l_total: float
     p_l_per_cycle: float
-    rounds: int
     decode_mean_us: float
     decode_p50_us: float
     decode_p99_us: float
@@ -128,20 +127,14 @@ def required_shots(target_pl_d: float) -> int:
     return math.ceil(100.0 / target_pl_d)
 
 
-def logical_failure(
-    model: DetectorModel,
-    actual: np.ndarray,
-    recovered: np.ndarray,
-    *,
-    verify_residual: bool = False,
-) -> bool:
+def logical_failure(model: DetectorModel, actual: np.ndarray, recovered: np.ndarray) -> bool:
     """True iff the residual actual + recovered flips any logical observable.
 
-    With verify_residual a residual outside the check kernel raises, since
-    the decoder should never emit such an estimate.
+    A residual outside the check kernel raises, since the decoder should
+    never emit such an estimate.
     """
     residual = (np.asarray(actual, dtype=np.uint8) ^ np.asarray(recovered, dtype=np.uint8))
-    if verify_residual and mat_vec_mod2(model.noise_matrix, residual).any():
+    if mat_vec_mod2(model.noise_matrix, residual).any():
         raise ValueError("residual error has a nonzero syndrome")
     return bool(mat_vec_mod2(model.observables, residual).any())
 
@@ -166,7 +159,7 @@ class _ShotRunner:
         self.sectors: list[tuple[str, DetectorModel, BPDecoder | None]] = []
         for sector, model in models:
             bp = None
-            if config.decoder == "bp+cb" and model.priors.any():
+            if config.decoder == "bp+cb":
                 # zero priors (q = 0 measurement columns, say) get a tiny floor so
                 # belief propagation stays defined; their llrs clamp to the maximum
                 bp = BPDecoder(model.noise_matrix, np.clip(model.priors, 1e-12, 0.5))
@@ -200,7 +193,7 @@ class _ShotRunner:
             spent += time.perf_counter() - t0
             if not recovered.any() and syndrome.any():
                 failed = True  # declared failure
-            elif logical_failure(model, actual, recovered, verify_residual=True):
+            elif logical_failure(model, actual, recovered):
                 failed = True
         return failed, spent
 
@@ -248,7 +241,6 @@ def run_experiment(config: ExperimentConfig, *, threads: int = 1) -> ExperimentR
         logical_failures=failures,
         p_l_total=pl_total,
         p_l_per_cycle=pl_total / config.rounds,
-        rounds=config.rounds,
         decode_mean_us=float(arr.mean()),
         decode_p50_us=float(np.percentile(arr, 50)),
         decode_p99_us=float(np.percentile(arr, 99)),

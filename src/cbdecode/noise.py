@@ -21,7 +21,6 @@ from .gf2 import BinaryMatrix, mat_vec_mod2
 class PauliError:
     """X/Z decomposition of an n-qubit Pauli; Y sets both parts."""
 
-    n: int
     x_part: np.ndarray
     z_part: np.ndarray
 
@@ -37,8 +36,6 @@ class DetectorModel:
     noise_matrix: BinaryMatrix
     priors: np.ndarray
     observables: BinaryMatrix
-    rounds: int = 1
-    name: str = ""
 
     def __post_init__(self):
         self.priors = np.asarray(self.priors, dtype=np.float64)
@@ -82,7 +79,7 @@ def sample_depolarizing(n: int, p: float, rng: np.random.Generator) -> PauliErro
     kind = rng.integers(0, 3, size=n)  # 0=X, 1=Y, 2=Z
     x_part = (hit & (kind != 2)).astype(np.uint8)
     z_part = (hit & (kind != 0)).astype(np.uint8)
-    return PauliError(n=n, x_part=x_part, z_part=z_part)
+    return PauliError(x_part=x_part, z_part=z_part)
 
 
 def data_qubit_model(code: CSSCode, p: float) -> tuple[DetectorModel, DetectorModel]:
@@ -97,15 +94,11 @@ def data_qubit_model(code: CSSCode, p: float) -> tuple[DetectorModel, DetectorMo
         noise_matrix=code.hz,
         priors=np.full(code.n, prior),
         observables=BinaryMatrix.from_rows(code.logical_z, code.n),
-        rounds=1,
-        name=f"{code.name}_dataX",
     )
     z_model = DetectorModel(
         noise_matrix=code.hx,
         priors=np.full(code.n, prior),
         observables=BinaryMatrix.from_rows(code.logical_x, code.n),
-        rounds=1,
-        name=f"{code.name}_dataZ",
     )
     return x_model, z_model
 
@@ -153,13 +146,7 @@ def phenomenological_model(
     priors = np.concatenate(
         [np.full(data_cols, 2.0 * p / 3.0), np.full(meas_cols, q)]
     )
-    return DetectorModel(
-        noise_matrix=noise_matrix,
-        priors=priors,
-        observables=observables,
-        rounds=rounds,
-        name=f"{code.name}_phenom_r{rounds}",
-    )
+    return DetectorModel(noise_matrix=noise_matrix, priors=priors, observables=observables)
 
 
 def sample_shot(model: DetectorModel, rng: np.random.Generator) -> Shot:
@@ -241,9 +228,7 @@ def load_detector_model(path: str) -> DetectorModel:
     observ = BinaryMatrix(
         n_obs, n_mech, ((o, c) for c, os_ in enumerate(mech_obs) for o in os_)
     )
-    return DetectorModel(
-        noise_matrix=noise, priors=np.array(priors), observables=observ, rounds=1
-    )
+    return DetectorModel(noise_matrix=noise, priors=np.array(priors), observables=observ)
 
 
 def save_detector_model(model: DetectorModel, path: str) -> None:

@@ -407,10 +407,10 @@ def test_cluster_add_dismantle_consistency():
     assert cluster.flipped.tolist() == [1, 1, 1, 0, 0]
     assert cluster.error.tolist() == [1, 0]
     assert np.array_equal(mat_vec_mod2(m, cluster.error), cluster.flipped)
-    assert cluster.row_owner(1) == bid and cluster.col_owner(0) == bid
+    assert cluster.row_owner[1] == bid and cluster.col_owner[0] == bid
     cluster.dismantle(bid)
     assert not cluster.flipped.any() and not cluster.error.any()
-    assert cluster.row_owner(1) is None
+    assert cluster.row_owner[1] is None
 
 
 def test_cluster_rejects_dismantling_destructive_branches():
@@ -423,4 +423,4 @@ def test_cluster_rejects_dismantling_destructive_branches():
             cluster.dismantle(bid)
         assert cluster.branches() == before
         assert cluster.flipped.tolist() == [0, 1, 0]
-        assert cluster.row_owner(1) == bid and cluster.col_owner(1) == bid
+        assert cluster.row_owner[1] == bid and cluster.col_owner[1] == bid

@@ -126,6 +126,7 @@ def test_run_rejects_unknown_keys(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("max_shots", "null"), ("p", "null"), ("seed", "null"), ("max_gr", "[1]"), ("p", "abc"),
+    ("name", "null"), ("name", "[a, b]"), ("noise", "null"), ("decoder", "[cb]"), ("sector", "1"),
 ])
 def test_run_rejects_a_value_of_the_wrong_type(tmp_path, capsys, key, value):
     cfg = run_config(tmp_path, **{key: value})
@@ -264,6 +265,19 @@ def test_sweep_entry_with_a_null_value_is_a_point_error(tmp_path, capsys):
     assert "sweep point nulls p=0.05: config key 'max_shots' cannot take the value None" in err
 
 
+def test_sweep_entry_with_a_null_name_is_a_point_error(tmp_path, capsys):
+    sweep = tmp_path / "s.yaml"
+    sweep.write_text(
+        "probabilities: [0.05]\n"
+        f"output: {tmp_path / 'o.csv'}\n"
+        "codes:\n"
+        "  - {name: null, code: bb72, max_shots: 5}\n"
+    )
+    assert main(["sweep", str(sweep)]) == 1
+    assert "config key 'name' cannot take the value None" in capsys.readouterr().err
+    assert not (tmp_path / "o_None.dat").exists()
+
+
 @pytest.mark.parametrize("probabilities", ["[null]", "0.05", "[0.05, abc]"])
 def test_sweep_rejects_probabilities_that_are_not_numbers(tmp_path, capsys, probabilities):
     sweep = tmp_path / "s.yaml"
@@ -298,7 +312,7 @@ def test_sweep_defaults_and_seed_precedence(tmp_path, capsys, monkeypatch):
 
     def fake_run(config, threads=1):
         seen.append(config)
-        return ExperimentResult(1, 0, 0.0, 0.0, 1, 0.0, 0.0, 0.0)
+        return ExperimentResult(1, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     monkeypatch.setattr(cli, "run_experiment", fake_run)
     monkeypatch.setenv("CBDECODE_SEED", "12")
