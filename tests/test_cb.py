@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cbdecode.cb import (
     CBParams,
@@ -12,6 +13,7 @@ from cbdecode.cb import (
     cb_decode,
     dest_branch_growth,
     non_dest_branch_growth,
+    run_schedule,
     weight_1_errors,
 )
 from cbdecode.gf2 import BinaryMatrix, mat_vec_mod2, vec_from_support
@@ -312,6 +314,166 @@ def test_branch_budget_counts_explored_tree():
     non_dest_branch_growth(1, cluster, s, 4.0, CBParams(6, 124, 3), m, stats=stats)
     assert cluster.branches() == []
     assert stats.instances_rejected == 1
+
+
+# --- budget and rejection rules of destructive growth --------------------------
+#
+# Each case primes a cluster with the weight-1 sweep and runs one destructive
+# pass in which exactly one rule stops a path that would otherwise close.
+
+
+def primed(m, s):
+    cluster = Cluster(m.rows, m.cols)
+    weight_1_errors(s, cluster, m)
+    return cluster
+
+
+def test_frontier_dismantling_stops_at_max_br():
+    # c0 {0} and c1 {2} close at weight 1.  The tcts=2 seed c2 {0,1,2} has
+    # both trivial rows owned: dismantling c0 at its frontier and c1 at its
+    # deferred row 2 takes two branches, one more than max_br=1 allows.
+    m = BinaryMatrix(3, 3, [(0, 0), (2, 1), (0, 2), (1, 2), (2, 2)])
+    s = np.array([1, 1, 1], dtype=np.uint8)
+    cluster = primed(m, s)
+    dest_branch_growth(2, cluster, s, 3.0, CBParams(6, 1, 3), m)
+    assert [b.mechanisms for b in cluster.branches()] == [frozenset({0}), frozenset({1})]
+    stats = DecodeStats()
+    cluster = primed(m, s)
+    dest_branch_growth(2, cluster, s, 3.0, CBParams(6, 2, 3), m, stats=stats)
+    assert [b.mechanisms for b in cluster.branches()] == [frozenset({2})]
+    assert cluster.branches()[0].checks_flipped == (0, 1, 2)
+    assert stats.dismantled == 2 and cluster.matches(s)
+
+
+def test_dead_path_is_dropped_not_grown():
+    # c0 {1} and c3 {0} close at weight 1.  The tcts=2 seed c1 {0,1,2}
+    # dismantles c3 at its frontier row 0, then dead-ends at row 1, whose
+    # owner c0 would be a second dismantled branch under max_br=1.  Grown
+    # from row 1 anyway, the path would close at once with c2 {1}.
+    m = BinaryMatrix(3, 4, [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (0, 3)])
+    s = np.array([1, 1, 1], dtype=np.uint8)
+    cluster = primed(m, s)
+    stats = DecodeStats()
+    dest_branch_growth(2, cluster, s, 2.0, CBParams(6, 1, 3), m, stats=stats)
+    assert [b.mechanisms for b in cluster.branches()] == [frozenset({0}), frozenset({3})]
+    assert stats.branches_closed == 0 and stats.dismantled == 0
+
+
+def test_candidate_whose_destroy_set_exceeds_max_br_is_skipped():
+    # c0 {1} and c3 {0} close at weight 1.  The seed c2 {2,3} grows from row
+    # 2 only through c1 {0,1,2}, which would dismantle both: more than
+    # max_br=1, so the path has no move.  With max_br=2 it closes.
+    m = BinaryMatrix(
+        4, 4, [(1, 0), (0, 1), (1, 1), (2, 1), (2, 2), (3, 2), (0, 3)]
+    )
+    s = np.array([1, 1, 0, 1], dtype=np.uint8)
+    cluster = primed(m, s)
+    dest_branch_growth(1, cluster, s, 2.0, CBParams(6, 1, 3), m)
+    assert [b.mechanisms for b in cluster.branches()] == [frozenset({0}), frozenset({3})]
+    stats = DecodeStats()
+    cluster = primed(m, s)
+    dest_branch_growth(1, cluster, s, 2.0, CBParams(6, 2, 3), m, stats=stats)
+    assert [b.mechanisms for b in cluster.branches()] == [frozenset({1, 2})]
+    assert stats.dismantled == 2 and cluster.matches(s)
+
+
+def test_seed_heavier_than_the_budget_is_not_grown():
+    # c0 {1} closes at weight 1.  The seed c1 {0,1} weighs 3.0; its frontier
+    # row 1 is c0's, so a destructive path would close with no growth at all.
+    m = BinaryMatrix(2, 2, [(1, 0), (0, 1), (1, 1)])
+    s = np.array([1, 1], dtype=np.uint8)
+    weights = np.array([2.0, 3.0])
+    params = CBParams(6, 10, 3)
+    cluster = primed(m, s)
+    dest_branch_growth(1, cluster, s, 2.5, params, m, event_weights=weights)
+    assert [b.mechanisms for b in cluster.branches()] == [frozenset({0})]
+    cluster = primed(m, s)
+    dest_branch_growth(1, cluster, s, 3.0, params, m, event_weights=weights)
+    assert [b.mechanisms for b in cluster.branches()] == [frozenset({1})]
+
+
+def test_dismantling_may_not_violate_a_loop_closed_check():
+    # c3 {2,3} closes at weight 1.  The tcts=3 seed c0 {0,1,2,3} grows from
+    # row 1 through c1 {1,3}, closing its deferred row 3 as a loop.  Its next
+    # frontier, row 2, is c3's, but dismantling c3 would turn the now evenly
+    # touched row 3 violated: the path is dead.
+    m = BinaryMatrix(4, 4, [(0, 0), (1, 0), (2, 0), (3, 0), (1, 1), (3, 1), (2, 3), (3, 3)])
+    s = np.array([1, 0, 1, 1], dtype=np.uint8)
+    cluster = primed(m, s)
+    assert [b.mechanisms for b in cluster.branches()] == [frozenset({3})]
+    dest_branch_growth(3, cluster, s, 4.0, CBParams(6, 10, 3), m)
+    assert [b.mechanisms for b in cluster.branches()] == [frozenset({3})]
+
+
+def test_candidate_may_not_violate_a_loop_closed_check():
+    # c3 {2,3} closes at weight 1.  The tcts=2 seed c0 {0,1,2} grows from row
+    # 1 through c1 {1,2,4}, closing its deferred row 2 as a loop and opening
+    # row 4.  From row 4, c2 {3,4} would dismantle c3 and so turn the evenly
+    # touched row 2 violated: the path has no move.
+    m = BinaryMatrix(
+        5, 4,
+        [(0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (4, 1), (3, 2), (4, 2), (2, 3), (3, 3)],
+    )
+    s = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
+    cluster = primed(m, s)
+    assert [b.mechanisms for b in cluster.branches()] == [frozenset({3})]
+    dest_branch_growth(2, cluster, s, 3.0, CBParams(6, 10, 3), m)
+    assert [b.mechanisms for b in cluster.branches()] == [frozenset({3})]
+
+
+# --- invariants on small random problems ------------------------------------
+
+
+@st.composite
+def small_problems(draw):
+    rows = draw(st.integers(3, 8))
+    cols = draw(st.integers(3, 12))
+    entries = []
+    for c in range(cols):
+        support = draw(st.sets(st.integers(0, rows - 1), min_size=1, max_size=min(4, rows)))
+        entries += [(r, c) for r in support]
+    m = BinaryMatrix(rows, cols, entries)
+    error = draw(st.lists(st.booleans(), min_size=cols, max_size=cols))
+    syndrome = syndrome_of(m, [c for c, e in enumerate(error) if e])
+    params = CBParams(draw(st.integers(2, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    weights = None
+    if draw(st.booleans()):
+        weights = np.array(draw(st.lists(st.integers(1, 4), min_size=cols, max_size=cols)), float)
+    return m, syndrome, params, weights
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(small_problems())
+def test_schedule_invariants(problem):
+    """Sound outputs, budgets kept, and every branch closed when committed:
+    its oddly-touched checks violated and its evenly-touched ones trivial
+    under the effective syndrome of that moment."""
+    m, syndrome, params, weights = problem
+    unclosed = []
+    add = Cluster.add
+
+    def checked_add(cluster, branch):
+        eff = syndrome ^ cluster.flipped
+        if not verify_closed_branch(branch.mechanisms, eff, m):
+            unclosed.append(branch)
+        return add(cluster, branch)
+
+    stats = DecodeStats()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Cluster, "add", checked_add)
+        if weights is None:
+            out = cb_decode(syndrome, params, m, stats=stats)
+        else:
+            w_max = float(weights.max())
+            out = run_schedule(
+                syndrome, params, m, range(1, params.max_gr + 1), lambda step: step * w_max,
+                event_weights=weights, stats=stats,
+            )
+    assert unclosed == []
+    if out.any():
+        assert np.array_equal(mat_vec_mod2(m, out), syndrome)
+    assert stats.max_spawned <= params.max_br
+    assert stats.max_growths <= params.max_gr
 
 
 # --- cb_decode ---------------------------------------------------------------
