@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import BinaryMatrix, zeros_vec
+from .gf2 import BinaryMatrix, _vec_to_int, zeros_vec
 
 NON_DESTRUCTIVE = "non-destructive"
 DESTRUCTIVE = "destructive"
@@ -86,17 +86,22 @@ class Cluster:
     Maintains flipped_checks = noise_matrix . error (mod 2) incrementally;
     each flipped check and each used mechanism is owned by exactly one live
     branch, which is what destructive growth needs to dismantle precisely.
-    Live branches are kept by id, owners in the lists row_owner and
-    col_owner indexed by row and by column (None: no owner), and the ids of
-    live non-destructive branches, the ones destructive growth may
-    dismantle, in a set.
+    Live branches are kept by id, with the row bitmask of their checks;
+    owners in the lists row_owner and col_owner indexed by row and by column
+    (None: no owner); and the ids of live non-destructive branches, the ones
+    destructive growth may dismantle, in a set.  flipped_rows is flipped as
+    a row bitmask.  version counts the adds and dismantlings, so an
+    unchanged version means an unchanged cluster.
     """
 
     def __init__(self, n_rows: int, n_cols: int):
         self.flipped = zeros_vec(n_rows)
         self.error = zeros_vec(n_cols)
+        self.flipped_rows = 0
+        self.version = 0
         self._next_id = 0
         self._by_id: dict[int, ClosedBranch] = {}
+        self._rows: dict[int, int] = {}
         self.row_owner: list[int | None] = [None] * n_rows
         self.col_owner: list[int | None] = [None] * n_cols
         self._destructible: set[int] = set()
@@ -104,12 +109,17 @@ class Cluster:
     def add(self, branch: ClosedBranch) -> int:
         bid = self._next_id
         self._next_id += 1
+        self.version += 1
         self._by_id[bid] = branch
         if branch.mode == NON_DESTRUCTIVE:
             self._destructible.add(bid)
+        rows = 0
         for r in branch.checks_flipped:
             self.flipped[r] ^= 1
             self.row_owner[r] = bid
+            rows |= 1 << r
+        self._rows[bid] = rows
+        self.flipped_rows ^= rows
         for c in branch.mechanisms:
             self.error[c] ^= 1
             self.col_owner[c] = bid
@@ -119,7 +129,9 @@ class Cluster:
         branch = self._by_id[branch_id]
         if branch_id not in self._destructible:
             raise ValueError("only non-destructively obtained branches can be dismantled")
+        self.version += 1
         del self._by_id[branch_id]
+        self.flipped_rows ^= self._rows.pop(branch_id)
         self._destructible.remove(branch_id)
         for r in branch.checks_flipped:
             self.flipped[r] ^= 1
@@ -137,12 +149,18 @@ class Cluster:
         return bool(np.array_equal(self.flipped, syndrome))
 
 
-def _candidate_columns(eff: list[int], m: BinaryMatrix) -> list[int]:
-    cols: set[int] = set()
-    for r, violated in enumerate(eff):
-        if violated:
-            cols.update(m.row_support[r])
-    return sorted(cols)
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _candidate_columns(eff: int, m: BinaryMatrix) -> list[int]:
+    return sorted({c for r in _bits(eff) for c in m.row_support[r]})
 
 
 def weight_1_errors(
@@ -153,31 +171,23 @@ def weight_1_errors(
     stats: DecodeStats | None = None,
 ) -> Cluster:
     """Close every mechanism whose adjacent checks are all effectively violated."""
-    eff = (syndrome ^ cluster.flipped).tolist()
+    eff = _vec_to_int(syndrome) ^ cluster.flipped_rows
+    masks = m.col_masks()
     for c in _candidate_columns(eff, m):
-        if cluster.col_owner[c] is not None:
-            continue
-        rows = m.col_support[c]
-        if rows and all(eff[r] for r in rows):
-            cluster.add(ClosedBranch(frozenset((c,)), rows, NON_DESTRUCTIVE))
-            for r in rows:
-                eff[r] = 0
+        rows = masks[c]
+        if cluster.col_owner[c] is None and rows and rows & eff == rows:
+            cluster.add(ClosedBranch(frozenset((c,)), m.col_support[c], NON_DESTRUCTIVE))
+            eff ^= rows
             if stats is not None:
                 stats.branches_closed += 1
     return cluster
 
 
-def _seed(col: int, tcts: int, eff: list[int], m: BinaryMatrix) -> list[int] | None:
-    """The trivial rows of col under eff, the seed's frontier then its deferred
-    checks; None when col has no violated row or not exactly tcts trivial ones."""
-    rows = m.col_support[col]
-    trivial = []
-    for r in rows:  # plain loop: cheaper than a comprehension on so few rows
-        if not eff[r]:
-            trivial.append(r)
-    if len(trivial) != tcts or len(trivial) == len(rows):
-        return None
-    return trivial
+def _seed(rows: int, tcts: int, eff: int) -> int:
+    """The trivial rows under eff of a column with row mask rows, if it has a
+    violated row and exactly tcts trivial ones; 0 otherwise."""
+    trivial = rows & ~eff
+    return trivial if trivial != rows and trivial.bit_count() == tcts else 0
 
 
 class _Rejected(Exception):
@@ -187,64 +197,66 @@ class _Rejected(Exception):
 class _Path:
     """One branch path of a growing instance.
 
-    satisfied holds the oddly-touched checks currently explained; frontier is
-    the trivial check being grown (None: pick the next deferred one); fcts
-    are the deferred trivial checks; destroyed lists the branch ids this path
-    would dismantle if it closes.  A path sits on the growth stack once.  Its
-    fields are rebound, never mutated in place, so children may share their
-    parent's sets.
+    Row and column sets are int bitmasks.  satisfied holds the oddly-touched
+    checks currently explained; frontier is the trivial check being grown
+    (None: pick the next deferred one); fcts are the deferred trivial checks
+    in the order they are taken up, and fmask their set; destroyed holds the
+    branch ids this path would dismantle if it closes, and dmask the rows
+    those branches own.  A path sits on the growth stack once.  Its fields
+    are rebound, never mutated in place, so children may share their
+    parent's values.
     """
 
     __slots__ = (
-        "mechanisms", "satisfied", "touched_even", "frontier", "fcts",
-        "weight_used", "growths", "destroyed",
+        "mechanisms", "satisfied", "touched_even", "frontier", "fcts", "fmask",
+        "weight_used", "growths", "destroyed", "dmask",
     )
 
     def __init__(
-        self, mechanisms, satisfied, touched_even, frontier, fcts, weight_used, growths, destroyed
+        self, mechanisms, satisfied, touched_even, frontier, fcts, fmask,
+        weight_used, growths, destroyed, dmask,
     ):
         self.mechanisms = mechanisms
         self.satisfied = satisfied
         self.touched_even = touched_even
         self.frontier = frontier
         self.fcts = fcts
+        self.fmask = fmask
         self.weight_used = weight_used
         self.growths = growths
         self.destroyed = destroyed
+        self.dmask = dmask
 
 
 class _Grower:
     """Depth-first growth of branch instances against one cluster.
 
-    The effective syndrome eff (updated in place as branches commit) and the
-    syndrome are int lists, and the mechanism weights one float per column
-    (1.0 in plain mode), so the inner loops index Python lists only.
+    The effective syndrome eff (updated as branches commit) and the syndrome
+    are row bitmasks, and the mechanism weights one float per column (1.0 in
+    plain mode), so a candidate's rows split into explained, loop-closed and
+    newly opened checks with a few mask operations.
     """
 
     def __init__(
-        self,
-        mode: str,
-        budget: float,
-        params: CBParams,
-        cluster: Cluster,
-        syndrome: np.ndarray,
-        eff: list[int],
-        m: BinaryMatrix,
-        weights: np.ndarray | None,
-        stats: DecodeStats,
+        self, mode: str, budget: float, params: CBParams, cluster: Cluster, syndrome: int,
+        m: BinaryMatrix, weights: np.ndarray | None, stats: DecodeStats,
     ):
         self.destructive = mode == DESTRUCTIVE
         self.budget = budget
         self.max_br = params.max_br
         self.max_gr = params.max_gr
         self.cluster = cluster
-        self.syndrome = np.asarray(syndrome).tolist()
-        self.eff = eff
+        self.syndrome = syndrome
+        self.eff = syndrome ^ cluster.flipped_rows
         self.m = m
+        self.col_masks = m.col_masks()
         if weights is None:
             self.weights = [1.0] * m.cols
+            self.min_weight = 1.0
         else:
-            self.weights = np.asarray(weights, dtype=np.float64).tolist()
+            weights = np.asarray(weights, dtype=np.float64)
+            self.weights = weights.tolist()
+            self.min_weight = float(weights.min()) if weights.size else 0.0
         self.stats = stats
         self.spawned = 1
 
@@ -257,135 +269,138 @@ class _Grower:
         self.spawned += alternatives - 1
         self.stats.observe_spawned(self.spawned)
 
+    def _dismantlable(self, row: int, destroyed: frozenset[int]) -> bool:
+        """Whether destructive growth clears frontier row by dismantling its owner."""
+        owner = self.cluster.row_owner[row]
+        destructible = owner in self.cluster._destructible
+        return destructible and owner not in destroyed and not self.eff >> row & 1
+
     def _activate_frontier(self, st: _Path) -> str:
         """Pick st's next frontier; destructively clear owned ones.
 
         Returns "closed" when every open check is resolved, "dead" when a
         destruction contradicts the path, "ok" otherwise.
         """
-        cluster = self.cluster
         while True:
             if st.frontier is None:
                 if not st.fcts:
                     return "closed"
                 st.frontier, st.fcts = st.fcts[0], st.fcts[1:]
-            if not self.destructive:
-                return "ok"
-            frontier = st.frontier
-            owner = cluster.row_owner[frontier]
-            if (
-                self.eff[frontier]
-                or owner in st.destroyed
-                or owner not in cluster._destructible
-            ):
+                st.fmask ^= 1 << st.frontier
+            if not self.destructive or not self._dismantlable(st.frontier, st.destroyed):
                 return "ok"
             # colliding with a closed branch: dismantle it, the frontier
             # becomes a violated check this branch explains, and so does
             # every deferred check the dismantling re-exposes
+            owner = self.cluster.row_owner[st.frontier]
             destroyed = st.destroyed | {owner}
             if len(destroyed) > self.max_br:
                 return "dead"
-            satisfied = set(st.satisfied)
-            satisfied.add(frontier)
-            fcts = list(st.fcts)
-            for r in cluster._by_id[owner].checks_flipped:
-                if r == frontier:
-                    continue
-                if r in st.touched_even:
-                    return "dead"  # evenly-touched check turned violated
-                if r in fcts:
-                    fcts.remove(r)
-                    satisfied.add(r)
-            st.satisfied = frozenset(satisfied)
-            st.fcts = tuple(fcts)
+            fbit = 1 << st.frontier
+            freed = self.cluster._rows[owner]
+            if freed & st.touched_even & ~fbit:
+                return "dead"  # evenly-touched check turned violated
+            hit = freed & st.fmask
+            if hit:
+                st.fcts = tuple(r for r in st.fcts if not hit >> r & 1)
+                st.fmask ^= hit
+            st.satisfied |= fbit | hit
             st.frontier = None
             st.destroyed = destroyed
+            st.dmask |= freed
 
     def _expand(self, st: _Path) -> list[_Path]:
         """Children of st: one per candidate column at its frontier, keeping
-        the candidates that open the fewest new checks, cheapest first."""
+        the candidates that open the fewest new checks, cheapest first.
+
+        A child that is not closed and can grow no further (max_gr growths,
+        or no column fits the budget) is left out when its activation would
+        leave it as it is: popped, it would expand to nothing.
+        """
         growths = st.growths + 1
         if growths > self.max_gr:
             return []
         cluster, eff, syndrome, weights = self.cluster, self.eff, self.syndrome, self.weights
-        col_owner, row_owner = cluster.col_owner, cluster.row_owner
-        col_support, budget = self.m.col_support, self.budget
-        frontier, fcts, destroyed = st.frontier, st.fcts, st.destroyed
+        col_owner, row_owner, owned_rows = cluster.col_owner, cluster.row_owner, cluster._rows
+        col_masks, budget, destructive = self.col_masks, self.budget, self.destructive
+        frontier, fcts, fmask = st.frontier, st.fcts, st.fmask
+        destroyed, dmask = st.destroyed, st.dmask
         mechanisms, satisfied, touched_even = st.mechanisms, st.satisfied, st.touched_even
         base = st.weight_used
-        moves = []
+        fbit = 1 << frontier
+        blocked = satisfied | fmask
+        moves: list[tuple] = []
+        fewest = self.m.rows  # more new checks than any candidate opens
         for c in self.m.row_support[frontier]:
             owner = col_owner[c]
-            if c in mechanisms or (owner is not None and owner not in destroyed):
+            if mechanisms >> c & 1 or (owner is not None and owner not in destroyed):
                 continue
             weight = weights[c]
             if base + weight > budget:
                 continue
-            rows = col_support[c]
+            rows = col_masks[c] & ~fbit
             destroy: set[int] | tuple = ()
-            if self.destructive:
-                destroy = set()
-                for r in rows:
-                    if r != frontier and r not in fcts and not eff[r] and syndrome[r] == 1:
-                        owner = row_owner[r]
-                        if owner not in destroyed and owner in cluster._destructible:
-                            destroy.add(owner)
-                if destroy and len(destroyed | destroy) > self.max_br:
-                    continue
-            path_destroyed = destroyed | destroy if destroy else destroyed
-            explains: list[int] = []
-            loop_closed: list[int] = []
-            new_opens: list[int] = []
-            for r in rows:
-                if r == frontier:
-                    continue
-                if eff[r] or (path_destroyed and row_owner[r] in path_destroyed):
-                    if r in satisfied or r in fcts:
-                        break  # second touch on an explained check
-                    explains.append(r)
-                elif r in fcts:
-                    loop_closed.append(r)
-                else:
-                    new_opens.append(r)
-            else:
-                auto_satisfied: list[int] = []
+            path_dmask = dmask
+            auto = 0  # deferred checks a dismantling re-exposes
+            if destructive:
+                owned = rows & syndrome & ~(eff | fmask | dmask)
+                if owned:
+                    destroy = {row_owner[r] for r in _bits(owned)} & cluster._destructible
                 if destroy:
-                    freed: set[int] = set()
+                    if len(destroyed) + len(destroy) > self.max_br:
+                        continue
+                    freed = 0
                     for bid in destroy:
-                        freed.update(cluster._by_id[bid].checks_flipped)
-                    freed.difference_update(rows)
-                    if not touched_even.isdisjoint(freed):
+                        freed |= owned_rows[bid]
+                    path_dmask = dmask | freed
+                    freed &= ~col_masks[c]
+                    if touched_even & freed:
                         continue  # an evenly-touched check would turn violated
-                    auto_satisfied = [r for r in sorted(freed) if r in fcts]
+                    auto = freed & fmask
+            explains = rows & (eff | path_dmask)
+            if explains & blocked:
+                continue  # second touch on an explained check
+            rest = rows ^ explains
+            loop_closed = rest & fmask
+            new_opens = rest ^ loop_closed
+            opens = new_opens.bit_count()
+            if opens <= fewest:  # only the moves opening the fewest checks are kept
+                if opens < fewest:
+                    fewest, moves = opens, []
                 moves.append(
-                    (len(new_opens), weight, c, explains, loop_closed, new_opens,
-                     destroy, auto_satisfied)
+                    (weight, c, explains, loop_closed, new_opens, destroy, auto, path_dmask)
                 )
         if not moves:
             return []
         if len(moves) > 1:
-            fewest = min(mv[0] for mv in moves)
-            moves = [mv for mv in moves if mv[0] == fewest]
-            moves.sort(key=lambda mv: (mv[1], mv[2]))
+            moves.sort()  # by weight, then column (columns differ)
             self._count_spawned(len(moves))
-        touched = touched_even | {frontier}
+        touched = touched_even | fbit
+        last, min_weight = growths == self.max_gr, self.min_weight
         children = []
-        for _, weight, c, explains, loop_closed, new_opens, destroy, auto_satisfied in moves:
-            rest = [r for r in fcts if r not in loop_closed and r not in auto_satisfied]
+        for weight, c, explains, loop_closed, new_opens, destroy, auto, path_dmask in moves:
+            gone = loop_closed | auto  # deferred checks this move resolves
+            used = base + weight
+            child_destroyed = destroyed | destroy if destroy else destroyed
+            if (new_opens or gone != fmask) and (last or used + min_weight > budget):
+                if not destructive:  # a dead leaf
+                    continue
+                nxt = new_opens & -new_opens
+                nxt = nxt.bit_length() - 1 if nxt else next(r for r in fcts if not gone >> r & 1)
+                if not self._dismantlable(nxt, child_destroyed):
+                    continue
+            rest = tuple(r for r in fcts if not gone >> r & 1) if gone else fcts
+            child_fmask = fmask ^ gone
             child_frontier = None
             if new_opens:
-                new_opens.sort()
-                child_frontier = new_opens[0]
-                rest.extend(new_opens[1:])
+                low = new_opens & -new_opens
+                child_frontier = low.bit_length() - 1
+                if new_opens != low:
+                    rest += _bits(new_opens ^ low)
+                    child_fmask |= new_opens ^ low
             children.append(_Path(
-                mechanisms | {c},
-                satisfied.union(explains, auto_satisfied),
-                touched.union(loop_closed),
-                child_frontier,
-                tuple(rest),
-                base + weight,
-                growths,
-                destroyed | destroy if destroy else destroyed,
+                mechanisms | 1 << c, satisfied | explains | auto, touched | loop_closed,
+                child_frontier, rest, child_fmask, used, growths, child_destroyed, path_dmask,
             ))
         self.stats.observe_growths(growths)
         return children
@@ -401,29 +416,21 @@ class _Grower:
                 if status == "dead":
                     continue
                 if status == "closed":
-                    closed = self._commit(st)
-                    if closed is not None:
-                        return closed
-                    continue
+                    return self._commit(st)
                 stack += self._expand(st)[::-1]  # first child on top: preorder
             return None
         except _Rejected:
             return None
 
-    def _commit(self, st: _Path) -> ClosedBranch | None:
-        checks = tuple(sorted(st.satisfied))
-        if not checks:
-            return None  # even-parity cycle explains nothing
+    def _commit(self, st: _Path) -> ClosedBranch:
         for bid in sorted(st.destroyed):
-            dismantled = self.cluster.dismantle(bid)
-            for r in dismantled.checks_flipped:
-                self.eff[r] ^= 1
+            self.eff ^= self.cluster._rows[bid]
+            self.cluster.dismantle(bid)
             self.stats.dismantled += 1
         mode = DESTRUCTIVE if self.destructive else NON_DESTRUCTIVE
-        branch = ClosedBranch(st.mechanisms, checks, mode)
+        branch = ClosedBranch(frozenset(_bits(st.mechanisms)), _bits(st.satisfied), mode)
         self.cluster.add(branch)
-        for r in checks:
-            self.eff[r] ^= 1
+        self.eff ^= st.satisfied
         self.stats.branches_closed += 1
         self.stats.observe_growths(st.growths)
         return branch
@@ -444,26 +451,30 @@ def _branch_growth_pass(
     the start of the pass and, under the then-current eff, when reached."""
     if tcts < 1:
         raise ValueError("tcts must be >= 1")
-    eff = (syndrome ^ cluster.flipped).tolist()
-    if not any(eff):
+    syndrome_rows = _vec_to_int(syndrome)
+    eff = syndrome_rows ^ cluster.flipped_rows
+    if not eff:
         return cluster
+    masks = m.col_masks()
     columns = [
         c for c in _candidate_columns(eff, m)
-        if cluster.col_owner[c] is None and _seed(c, tcts, eff, m) is not None
+        if cluster.col_owner[c] is None and _seed(masks[c], tcts, eff)
     ]
     grower = _Grower(
-        mode, weight, params, cluster, syndrome, eff, m, event_weights, stats or DecodeStats()
+        mode, weight, params, cluster, syndrome_rows, m, event_weights, stats or DecodeStats()
     )
     for c in columns:
-        if not any(eff):
+        eff = grower.eff
+        if not eff:
             break
-        trivial = _seed(c, tcts, eff, m) if cluster.col_owner[c] is None else None
-        if trivial is None:
+        trivial = _seed(masks[c], tcts, eff) if cluster.col_owner[c] is None else 0
+        if not trivial:
             continue
         grower.spawned = 1
+        frontier = trivial & -trivial
         grower.grow(_Path(
-            frozenset((c,)), frozenset(m.col_support[c]).difference(trivial), frozenset(),
-            trivial[0], tuple(trivial[1:]), grower.weights[c], 0, frozenset(),
+            1 << c, masks[c] & eff, 0, frontier.bit_length() - 1, _bits(trivial ^ frontier),
+            trivial ^ frontier, grower.weights[c], 0, frozenset(), 0,
         ))
     return cluster
 
@@ -531,21 +542,36 @@ def run_schedule(
     sweep and a tcts=1 non-destructive cleanup.  Returns the cluster error
     once its flipped checks reproduce the syndrome, the zero vector after
     the last step otherwise.
+
+    A tcts=1 pass right after a weight-1 sweep that adds no branch leaves a
+    cluster on which both change nothing.  While the cluster's version stays
+    at that value, a cleanup is skipped, and only the rejections it would
+    have counted again are added to stats.
     """
     syndrome = np.asarray(syndrome, dtype=np.uint8)
     if syndrome.shape != (m.rows,):
         raise ValueError("syndrome length must equal the matrix row count")
     if not syndrome.any():
         return zeros_vec(m.cols)
+    stats = stats if stats is not None else DecodeStats()
     for step in steps:
         budget = budget_for_step(step)
         cluster = Cluster(m.rows, m.cols)
-        weight_1_errors(syndrome, cluster, m, stats=stats)
-        for tcts in range(1, params.max_tcts + 1):
+        idle_version, idle_rejected = -1, 0
+
+        def cleanup_pass(tcts: int) -> None:
+            nonlocal idle_version, idle_rejected
+            version, rejected = cluster.version, stats.instances_rejected
             non_dest_branch_growth(
                 tcts, cluster, syndrome, budget, params, m,
                 event_weights=event_weights, stats=stats,
             )
+            if tcts == 1 and cluster.version == version:
+                idle_version, idle_rejected = version, stats.instances_rejected - rejected
+
+        weight_1_errors(syndrome, cluster, m, stats=stats)
+        for tcts in range(1, params.max_tcts + 1):
+            cleanup_pass(tcts)
         # once the cluster explains the full syndrome the remaining passes
         # are no-ops, so the early returns below are pure shortcuts
         if cluster.matches(syndrome):
@@ -555,11 +581,11 @@ def run_schedule(
                 tcts, cluster, syndrome, budget, params, m,
                 event_weights=event_weights, stats=stats,
             )
-            weight_1_errors(syndrome, cluster, m, stats=stats)
-            non_dest_branch_growth(
-                1, cluster, syndrome, budget, params, m,
-                event_weights=event_weights, stats=stats,
-            )
+            if cluster.version == idle_version:
+                stats.instances_rejected += idle_rejected
+            else:
+                weight_1_errors(syndrome, cluster, m, stats=stats)
+                cleanup_pass(1)
             if cluster.matches(syndrome):
                 return cluster.error.copy()
     return zeros_vec(m.cols)
@@ -579,10 +605,5 @@ def cb_decode(
     preferred.
     """
     return run_schedule(
-        syndrome,
-        params,
-        m,
-        range(2, params.max_gr + 1),
-        lambda step: float(step),
-        stats=stats,
+        syndrome, params, m, range(2, params.max_gr + 1), lambda step: float(step), stats=stats
     )

@@ -28,7 +28,7 @@ class BinaryMatrix:
         Positions of the nonzero entries. Duplicates collapse to one entry.
     """
 
-    __slots__ = ("rows", "cols", "row_support", "col_support", "_slots")
+    __slots__ = ("rows", "cols", "row_support", "col_support", "_slots", "_col_masks")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[tuple[int, int]]):
         if rows < 0 or cols < 0:
@@ -49,6 +49,7 @@ class BinaryMatrix:
             tuple(sorted(s)) for s in by_col
         )
         self._slots: np.ndarray | None = None
+        self._col_masks: tuple[int, ...] | None = None
 
     @classmethod
     def from_dense(cls, arr: np.ndarray | Sequence[Sequence[int]]) -> "BinaryMatrix":
@@ -92,6 +93,19 @@ class BinaryMatrix:
             slots.flags.writeable = False
             self._slots = slots
         return self._slots
+
+    def col_masks(self) -> tuple[int, ...]:
+        """Each column's rows as a Python int bitmask (bit r set iff entry
+        (r, c) is nonzero).  Built on first use and kept, like row_slots."""
+        if self._col_masks is None:
+            masks = []
+            for rs in self.col_support:
+                x = 0
+                for r in rs:
+                    x |= 1 << r
+                masks.append(x)
+            self._col_masks = tuple(masks)
+        return self._col_masks
 
     def transpose(self) -> "BinaryMatrix":
         return BinaryMatrix(
@@ -226,7 +240,10 @@ def _add_pivot(x: int, pivots: dict[int, int]) -> bool:
 
 def _vec_to_int(v: np.ndarray) -> int:
     """Bitmask with bit i set iff v[i] is nonzero."""
-    return int.from_bytes(np.packbits(np.asarray(v) != 0, bitorder="little").tobytes(), "little")
+    v = np.asarray(v)
+    if v.dtype.kind not in "biu":
+        v = v != 0  # packbits takes integers and booleans only, nonzero as 1
+    return int.from_bytes(np.packbits(v, bitorder="little").tobytes(), "little")
 
 
 def quotient_basis(

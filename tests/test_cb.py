@@ -421,6 +421,23 @@ def test_candidate_may_not_violate_a_loop_closed_check():
     assert [b.mechanisms for b in cluster.branches()] == [frozenset({3})]
 
 
+def test_path_at_the_budget_closes_by_dismantling():
+    # c2 {2} closes at weight 1.  The tcts=2 seed c0 {0,1,2} grows from row 1
+    # through c1 {1} to a path that has used the whole budget, with row 2
+    # deferred.  It cannot grow; non-destructively it is a dead end, but
+    # destructive growth clears row 2 by dismantling c2 and closes it.
+    m = BinaryMatrix(3, 3, [(0, 0), (1, 0), (2, 0), (1, 1), (2, 2)])
+    s = np.array([1, 0, 1], dtype=np.uint8)
+    params = CBParams(6, 10, 3)
+    cluster = primed(m, s)
+    non_dest_branch_growth(2, cluster, s, 2.0, params, m)
+    assert [b.mechanisms for b in cluster.branches()] == [frozenset({2})]
+    stats = DecodeStats()
+    dest_branch_growth(2, cluster, s, 2.0, params, m, stats=stats)
+    assert [b.mechanisms for b in cluster.branches()] == [frozenset({0, 1})]
+    assert stats.dismantled == 1 and cluster.matches(s)
+
+
 # --- invariants on small random problems ------------------------------------
 
 
