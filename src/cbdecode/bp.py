@@ -83,6 +83,15 @@ class BPDecoder:
             np.hstack([self.check_cols, self.check_cols[::-1]])
         ]
 
+    @classmethod
+    def for_model(cls, model: DetectorModel) -> "BPDecoder":
+        """The decoder for a detector model's noise matrix and priors.
+
+        Zero priors (q = 0 measurement columns, say) are raised to 1e-12 so
+        belief propagation stays defined; their llrs clamp to the maximum.
+        """
+        return cls(model.noise_matrix, np.clip(model.priors, 1e-12, 0.5))
+
     def decode(
         self,
         syndrome: np.ndarray,
@@ -168,12 +177,13 @@ def bp_cb_decode(
 ) -> np.ndarray:
     """BP first; on mismatch, the closed-branch schedule in weighted mode.
 
-    Returns the zero vector when neither stage reproduces the syndrome.
+    Without a decoder, BPDecoder.for_model(model) builds one.  Returns the
+    zero vector when neither stage reproduces the syndrome.
     """
     syndrome = np.asarray(syndrome, dtype=np.uint8)
     if not syndrome.any():
         return zeros_vec(model.noise_matrix.cols)
-    bp = decoder if decoder is not None else BPDecoder(model.noise_matrix, model.priors)
+    bp = decoder if decoder is not None else BPDecoder.for_model(model)
     result = bp.decode(syndrome, max_iters)
     if result.converged:
         return result.hard_decision.copy()

@@ -205,7 +205,10 @@ def cmd_sweep(args) -> int:
               "give each a distinct 'name'", file=sys.stderr)
         return 2
     partial = False
-    for entry, label in zip(entries, labels):
+    for index, (entry, label) in enumerate(zip(entries, labels)):
+        name = entry.get("name")
+        # an entry that builds no config is named by its name, else its index
+        tag = label or (name if isinstance(name, str) and name else f"codes[{index}]")
         points: list[tuple[float, float]] = []
         series_rows: list[str] = []
         for p in probabilities:
@@ -213,7 +216,7 @@ def cmd_sweep(args) -> int:
                 config = _build_config({**defaults, **entry, "p": p})
                 result = run_experiment(config, threads=args.threads)
             except (OSError, ValueError, yaml.YAMLError) as exc:
-                print(f"sweep point {label or entry.get('name', '')} p={p}: {exc}", file=sys.stderr)
+                print(f"sweep point {tag} p={p}: {exc}", file=sys.stderr)
                 partial = True
                 continue
             append_csv(out_csv, [result_row(config, result)])

@@ -158,11 +158,7 @@ class _ShotRunner:
             models = [("x", load_detector_model(config.dem_path))]
         self.sectors: list[tuple[str, DetectorModel, BPDecoder | None]] = []
         for sector, model in models:
-            bp = None
-            if config.decoder == "bp+cb":
-                # zero priors (q = 0 measurement columns, say) get a tiny floor so
-                # belief propagation stays defined; their llrs clamp to the maximum
-                bp = BPDecoder(model.noise_matrix, np.clip(model.priors, 1e-12, 0.5))
+            bp = BPDecoder.for_model(model) if config.decoder == "bp+cb" else None
             self.sectors.append((sector, model, bp))
 
     def _decode(self, model: DetectorModel, bp: BPDecoder | None, syndrome: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 from cbdecode.bp import BPDecoder, bp_cb_decode, event_weights
 from cbdecode.cb import CBParams, run_schedule
 from cbdecode.gf2 import BinaryMatrix, mat_vec_mod2
-from cbdecode.noise import data_qubit_model, sample_shot, shot_rng
+from cbdecode.noise import data_qubit_model, phenomenological_model, sample_shot, shot_rng
 
 
 def chain_code():
@@ -92,6 +92,26 @@ def test_shot_path_needs_no_dense_matrix(bb72, monkeypatch):
         if res.converged:
             parity = mat_vec_mod2(model.noise_matrix, res.hard_decision)
             assert np.array_equal(parity, shot.syndrome)
+
+
+def test_bp_cb_decode_without_a_decoder_floors_zero_priors(bb72):
+    # q = 0 gives the measurement-error columns zero priors, which BPDecoder
+    # rejects; the decoder bp_cb_decode builds floors them, as the harness's does
+    model = phenomenological_model(bb72, 0.04, 0.0, 3)
+    assert (model.priors == 0.0).any()
+    params = CBParams(6, 36, 3)
+    decoded = 0
+    for i in range(12):
+        syndrome = sample_shot(model, shot_rng(21, i)).syndrome
+        if not syndrome.any():
+            continue
+        out = bp_cb_decode(syndrome, params, model)
+        ref = bp_cb_decode(syndrome, params, model, decoder=BPDecoder.for_model(model))
+        assert np.array_equal(out, ref)
+        if out.any():
+            assert np.array_equal(mat_vec_mod2(model.noise_matrix, out), syndrome)
+        decoded += 1
+    assert decoded > 0
 
 
 def test_event_weights_examples():

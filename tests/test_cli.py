@@ -278,6 +278,22 @@ def test_sweep_entry_with_a_null_name_is_a_point_error(tmp_path, capsys):
     assert not (tmp_path / "o_None.dat").exists()
 
 
+def test_sweep_point_error_of_an_unnamed_entry_names_its_index(tmp_path, capsys):
+    sweep = tmp_path / "s.yaml"
+    sweep.write_text(
+        "probabilities: [0.05]\n"
+        f"output: {tmp_path / 'o.csv'}\n"
+        "codes:\n"
+        "  - {name: nocode, max_shots: 5}\n"
+        "  - {name: null, code: bb72, max_shots: 5}\n"
+    )
+    assert main(["sweep", str(sweep)]) == 1
+    err = capsys.readouterr().err
+    assert "sweep point nocode p=0.05: config needs a 'code' entry" in err
+    assert "sweep point codes[1] p=0.05: config key 'name' cannot take the value None" in err
+    assert "None p=" not in err
+
+
 @pytest.mark.parametrize("probabilities", ["[null]", "0.05", "[0.05, abc]"])
 def test_sweep_rejects_probabilities_that_are_not_numbers(tmp_path, capsys, probabilities):
     sweep = tmp_path / "s.yaml"
