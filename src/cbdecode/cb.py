@@ -557,9 +557,10 @@ def run_schedule(
     for step in steps:
         budget = budget_for_step(step)
         cluster = Cluster(m.rows, m.cols)
+        # a version the cleanup leaves unchanged, and the rejections it counts there
         idle_version, idle_rejected = -1, 0
 
-        def cleanup_pass(tcts: int) -> None:
+        def non_dest_pass(tcts: int) -> None:
             nonlocal idle_version, idle_rejected
             version, rejected = cluster.version, stats.instances_rejected
             non_dest_branch_growth(
@@ -571,7 +572,7 @@ def run_schedule(
 
         weight_1_errors(syndrome, cluster, m, stats=stats)
         for tcts in range(1, params.max_tcts + 1):
-            cleanup_pass(tcts)
+            non_dest_pass(tcts)
         # once the cluster explains the full syndrome the remaining passes
         # are no-ops, so the early returns below are pure shortcuts
         if cluster.matches(syndrome):
@@ -585,7 +586,7 @@ def run_schedule(
                 stats.instances_rejected += idle_rejected
             else:
                 weight_1_errors(syndrome, cluster, m, stats=stats)
-                cleanup_pass(1)
+                non_dest_pass(1)
             if cluster.matches(syndrome):
                 return cluster.error.copy()
     return zeros_vec(m.cols)
