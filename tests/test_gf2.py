@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from cbdecode.bbcodes import STANDARD_CODES, build_bb_code
 from cbdecode.gf2 import (
     BinaryMatrix,
     kernel_basis_mod2,
@@ -12,7 +15,8 @@ from cbdecode.gf2 import (
     vec_from_support,
 )
 
-from conftest import dense_rank_oracle
+from conftest import dense_rank_oracle, dense_rref
+from test_bbcodes import LOGICAL_DIGESTS
 
 
 def test_entry_bounds_checked():
@@ -142,6 +146,105 @@ def test_quotient_gives_k_logical_representatives(bb72):
     hx_rows = list(bb72.hx.to_dense())
     reps = quotient_basis(hx_rows, kernel_basis_mod2(bb72.hz))
     assert len(reps) == 12
+
+
+# --- exact outputs against dense oracles --------------------------------------
+
+
+def dense_kernel_oracle(a: np.ndarray) -> list[np.ndarray]:
+    """The kernel basis read off the dense reduced row echelon form: per free
+    column, ascending, a 1 there and the free column's entry of each pivot
+    row at that row's pivot column."""
+    reduced, pivots = dense_rref(a)
+    cols = reduced.shape[1]
+    basis = []
+    for free in sorted(set(range(cols)) - set(pivots)):
+        v = np.zeros(cols, dtype=np.uint8)
+        v[free] = 1
+        v[pivots] = reduced[: len(pivots), free]
+        basis.append(v)
+    return basis
+
+
+def stacked_rank(vectors: list[np.ndarray], cols: int) -> int:
+    return dense_rank_oracle(np.array(vectors, dtype=np.uint8).reshape(len(vectors), cols))
+
+
+def dense_quotient_oracle(small, large, cols: int) -> list[np.ndarray]:
+    """The vectors of large, in order, that raise the rank of small plus the
+    vectors taken before them."""
+    taken: list[np.ndarray] = []
+    rank = stacked_rank(small, cols)
+    for v in large:
+        if stacked_rank(small + taken + [v], cols) > rank:
+            taken.append(v)
+            rank += 1
+    return taken
+
+
+def seeded_matrices(count: int) -> list[np.ndarray]:
+    """Random dense 0/1 matrices with an empty row, an empty column and a
+    dependent row where the shape allows, after the 0xn, nx0 and 0x0 shapes."""
+    rng = np.random.default_rng(2024)
+    shapes = [(0, 6), (6, 0), (0, 0), (1, 1), (1, 9), (9, 1)]
+    shapes += [
+        (int(rng.integers(1, 13)), int(rng.integers(1, 21))) for _ in range(count - len(shapes))
+    ]
+    out = []
+    for rows, cols in shapes:
+        a = (rng.random((rows, cols)) < rng.uniform(0.1, 0.6)).astype(np.uint8)
+        if rows > 1 and cols > 1:
+            a[rng.integers(rows)] = 0
+            a[:, rng.integers(cols)] = 0
+        if rows > 2:
+            a[-1] = a[0] ^ a[1]
+        out.append(a)
+    return out
+
+
+def test_rank_kernel_and_quotient_match_dense_oracles():
+    rng = np.random.default_rng(7)
+    for i, a in enumerate(seeded_matrices(400)):
+        rows, cols = a.shape
+        m = BinaryMatrix.from_dense(a)
+        assert rank_mod2(m) == dense_rank_oracle(a)
+        basis = kernel_basis_mod2(m)
+        expected = dense_kernel_oracle(a)
+        assert len(basis) == len(expected)
+        for v, w in zip(basis, expected):
+            assert v.dtype == np.uint8 and v.shape == (cols,)
+            assert np.array_equal(v, w)
+        if i % 4:
+            continue
+        # quotients of the row space (rows shuffled, so dependent and zero
+        # rows come anywhere) by random subspaces of it
+        large = [a[r] for r in rng.permutation(rows)]
+        small = [np.bitwise_xor.reduce(a[rng.random(rows) < 0.4], axis=0) for _ in range(3)]
+        out = quotient_basis(small, large)
+        expected = dense_quotient_oracle(small, large, cols)
+        assert len(out) == len(expected)
+        for v, w in zip(out, expected):
+            assert v.dtype == np.uint8 and np.array_equal(v, w)
+        outside = [e for e in np.eye(cols, dtype=np.uint8) if stacked_rank(large + [e], cols)
+                   > stacked_rank(large, cols)]
+        if outside:
+            with pytest.raises(ValueError):
+                quotient_basis(outside[:1], large)
+
+
+@pytest.mark.parametrize("name", sorted(LOGICAL_DIGESTS))
+def test_standard_code_bases_match_dense_oracles(name):
+    code = build_bb_code(STANDARD_CODES[name])
+    kernels = {}
+    for label, m in (("hx", code.hx), ("hz", code.hz)):
+        kernels[label] = kernel_basis_mod2(m)
+        expected = dense_kernel_oracle(m.to_dense())
+        assert len(kernels[label]) == len(expected)
+        assert all(np.array_equal(v, w) for v, w in zip(kernels[label], expected))
+    hx_rows, hz_rows = list(code.hx.to_dense()), list(code.hz.to_dense())
+    bases = (quotient_basis(hx_rows, kernels["hz"]), quotient_basis(hz_rows, kernels["hx"]))
+    for basis, digest in zip(bases, LOGICAL_DIGESTS[name]):
+        assert hashlib.sha256(b"".join(v.tobytes() for v in basis)).hexdigest() == digest
 
 
 def test_sparse_text_round_trip(tmp_path):
