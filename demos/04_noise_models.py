@@ -17,6 +17,7 @@ from cbdecode import (
     build_bb_code,
     data_qubit_model,
     load_detector_model,
+    mat_vec_mod2,
     phenomenological_model,
     sample_shot,
     save_detector_model,
@@ -40,11 +41,13 @@ print(f"  data columns: {rounds * code.n} at prior 2p/3; "
 print(f"  detector row weights per layer: first {set(weights[0].tolist())}, "
       f"bulk {set(weights[1:-1].ravel().tolist())}, last {set(weights[-1].tolist())}")
 
-# sampling a shot gives the fired mechanisms, their syndrome and observable flips
+# sampling a shot gives the fired mechanisms and their syndrome; the
+# observables they flip are one more product, through the observable matrix
 shot = sample_shot(ph, shot_rng(3, 0))
+flips = mat_vec_mod2(ph.observables, shot.mechanisms)
 print(f"  sample: {int(shot.mechanisms.sum())} mechanisms fired, "
       f"syndrome weight {int(shot.syndrome.sum())}, "
-      f"observables flipped {np.flatnonzero(shot.observable_flips).tolist()}")
+      f"observables flipped {np.flatnonzero(flips).tolist()}")
 
 # models round-trip through the text format: 'error <p> D... L...' per column
 with tempfile.TemporaryDirectory() as tmp:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cb import CBParams, DecodeStats, run_schedule
-from .gf2 import BinaryMatrix, zeros_vec
+from .gf2 import BinaryMatrix
 from .noise import DetectorModel
 
 LLR_CLAMP = 25.0
@@ -177,12 +177,10 @@ def bp_cb_decode(
 ) -> np.ndarray:
     """BP first; on mismatch, the closed-branch schedule in weighted mode.
 
-    Without a decoder, BPDecoder.for_model(model) builds one.  Returns the
+    Without a decoder, BPDecoder.for_model(model) builds one.  A zero
+    syndrome is BP's converged zero decision at iteration 0.  Returns the
     zero vector when neither stage reproduces the syndrome.
     """
-    syndrome = np.asarray(syndrome, dtype=np.uint8)
-    if not syndrome.any():
-        return zeros_vec(model.noise_matrix.cols)
     bp = decoder if decoder is not None else BPDecoder.for_model(model)
     result = bp.decode(syndrome, max_iters)
     if result.converged:

@@ -83,20 +83,19 @@ class DecodeStats:
 class Cluster:
     """Accumulates closed branches and the checks/mechanisms they cover.
 
-    Maintains flipped_checks = noise_matrix . error (mod 2) incrementally;
-    each flipped check and each used mechanism is owned by exactly one live
-    branch, which is what destructive growth needs to dismantle precisely.
-    Live branches are kept by id, with the row bitmask of their checks;
-    owners in the lists row_owner and col_owner indexed by row and by column
-    (None: no owner); and the ids of live non-destructive branches, the ones
-    destructive growth may dismantle, in a set.  flipped_rows is flipped as
-    a row bitmask.  version counts the adds and dismantlings, so an
-    unchanged version means an unchanged cluster.
+    Maintains flipped_rows, the row bitmask of noise_matrix . error (mod 2),
+    incrementally; each flipped check and each used mechanism is owned by
+    exactly one live branch, which is what destructive growth needs to
+    dismantle precisely.  Live branches are kept by id, with the row bitmask
+    of their checks; owners in the lists row_owner and col_owner indexed by
+    row and by column (None: no owner); and the ids of live non-destructive
+    branches, the ones destructive growth may dismantle, in a set.  version
+    counts the adds and dismantlings, so an unchanged version means an
+    unchanged cluster.  The vectors flipped and error are computed from
+    flipped_rows and col_owner when read.
     """
 
     def __init__(self, n_rows: int, n_cols: int):
-        self.flipped = zeros_vec(n_rows)
-        self.error = zeros_vec(n_cols)
         self.flipped_rows = 0
         self.version = 0
         self._next_id = 0
@@ -115,13 +114,11 @@ class Cluster:
             self._destructible.add(bid)
         rows = 0
         for r in branch.checks_flipped:
-            self.flipped[r] ^= 1
             self.row_owner[r] = bid
             rows |= 1 << r
         self._rows[bid] = rows
         self.flipped_rows ^= rows
         for c in branch.mechanisms:
-            self.error[c] ^= 1
             self.col_owner[c] = bid
         return bid
 
@@ -134,10 +131,8 @@ class Cluster:
         self.flipped_rows ^= self._rows.pop(branch_id)
         self._destructible.remove(branch_id)
         for r in branch.checks_flipped:
-            self.flipped[r] ^= 1
             self.row_owner[r] = None
         for c in branch.mechanisms:
-            self.error[c] ^= 1
             self.col_owner[c] = None
         return branch
 
@@ -145,8 +140,19 @@ class Cluster:
         """The live branches in id order (ids rise as branches are added)."""
         return list(self._by_id.values())
 
+    @property
+    def flipped(self) -> np.ndarray:
+        """The flipped checks as a uint8 vector."""
+        rows = self.flipped_rows
+        return np.array([rows >> r & 1 for r in range(len(self.row_owner))], dtype=np.uint8)
+
+    @property
+    def error(self) -> np.ndarray:
+        """The live branches' mechanisms as a uint8 vector."""
+        return np.array([owner is not None for owner in self.col_owner], dtype=np.uint8)
+
     def matches(self, syndrome: np.ndarray) -> bool:
-        return bool(np.array_equal(self.flipped, syndrome))
+        return _vec_to_int(syndrome) == self.flipped_rows
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -231,10 +237,10 @@ class _Path:
 class _Grower:
     """Depth-first growth of branch instances against one cluster.
 
-    The effective syndrome eff (updated as branches commit) and the syndrome
-    are row bitmasks, and the mechanism weights one float per column (1.0 in
-    plain mode), so a candidate's rows split into explained, loop-closed and
-    newly opened checks with a few mask operations.
+    The syndrome and the effective syndrome eff, syndrome ^ the cluster's
+    flipped_rows, are row bitmasks, and the mechanism weights one float per
+    column (1.0 in plain mode), so a candidate's rows split into explained,
+    loop-closed and newly opened checks with a few mask operations.
     """
 
     def __init__(
@@ -247,7 +253,6 @@ class _Grower:
         self.max_gr = params.max_gr
         self.cluster = cluster
         self.syndrome = syndrome
-        self.eff = syndrome ^ cluster.flipped_rows
         self.m = m
         self.col_masks = m.col_masks()
         if weights is None:
@@ -273,7 +278,8 @@ class _Grower:
         """Whether destructive growth clears frontier row by dismantling its owner."""
         owner = self.cluster.row_owner[row]
         destructible = owner in self.cluster._destructible
-        return destructible and owner not in destroyed and not self.eff >> row & 1
+        eff = self.syndrome ^ self.cluster.flipped_rows
+        return destructible and owner not in destroyed and not eff >> row & 1
 
     def _activate_frontier(self, st: _Path) -> str:
         """Pick st's next frontier; destructively clear owned ones.
@@ -320,7 +326,8 @@ class _Grower:
         growths = st.growths + 1
         if growths > self.max_gr:
             return []
-        cluster, eff, syndrome, weights = self.cluster, self.eff, self.syndrome, self.weights
+        cluster, syndrome, weights = self.cluster, self.syndrome, self.weights
+        eff = syndrome ^ cluster.flipped_rows
         col_owner, row_owner, owned_rows = cluster.col_owner, cluster.row_owner, cluster._rows
         col_masks, budget, destructive = self.col_masks, self.budget, self.destructive
         frontier, fcts, fmask = st.frontier, st.fcts, st.fmask
@@ -424,13 +431,11 @@ class _Grower:
 
     def _commit(self, st: _Path) -> ClosedBranch:
         for bid in sorted(st.destroyed):
-            self.eff ^= self.cluster._rows[bid]
             self.cluster.dismantle(bid)
             self.stats.dismantled += 1
         mode = DESTRUCTIVE if self.destructive else NON_DESTRUCTIVE
         branch = ClosedBranch(frozenset(_bits(st.mechanisms)), _bits(st.satisfied), mode)
         self.cluster.add(branch)
-        self.eff ^= st.satisfied
         self.stats.branches_closed += 1
         self.stats.observe_growths(st.growths)
         return branch
@@ -464,7 +469,7 @@ def _branch_growth_pass(
         mode, weight, params, cluster, syndrome_rows, m, event_weights, stats or DecodeStats()
     )
     for c in columns:
-        eff = grower.eff
+        eff = syndrome_rows ^ cluster.flipped_rows
         if not eff:
             break
         trivial = _seed(masks[c], tcts, eff) if cluster.col_owner[c] is None else 0
@@ -576,7 +581,7 @@ def run_schedule(
         # once the cluster explains the full syndrome the remaining passes
         # are no-ops, so the early returns below are pure shortcuts
         if cluster.matches(syndrome):
-            return cluster.error.copy()
+            return cluster.error
         for tcts in range(1, params.max_tcts + 1):
             dest_branch_growth(
                 tcts, cluster, syndrome, budget, params, m,
@@ -588,7 +593,7 @@ def run_schedule(
                 weight_1_errors(syndrome, cluster, m, stats=stats)
                 non_dest_pass(1)
             if cluster.matches(syndrome):
-                return cluster.error.copy()
+                return cluster.error
     return zeros_vec(m.cols)
 
 

@@ -61,11 +61,11 @@ def cmd_build_code(args) -> int:
     try:
         spec = _resolve_code(args.spec)
         code = build_bb_code(spec)
+        save_matrix(code.hx, args.out + ".hx.txt")
+        save_matrix(code.hz, args.out + ".hz.txt")
     except (OSError, ValueError, yaml.YAMLError) as exc:
         print(f"build-code: {exc}", file=sys.stderr)
         return 2
-    save_matrix(code.hx, args.out + ".hx.txt")
-    save_matrix(code.hz, args.out + ".hz.txt")
     print(f"n={code.n} k={code.k}")
     print(f"hx rows: {_weight_summary(code.hx.row_weights())}  cols: {_weight_summary(code.hx.col_weights())}")
     print(f"hz rows: {_weight_summary(code.hz.row_weights())}  cols: {_weight_summary(code.hz.col_weights())}")
@@ -155,11 +155,11 @@ def cmd_run(args) -> int:
         data.update((key, value) for key, value in flags.items() if value is not None)
         config = _build_config(data)
         result = run_experiment(config, threads=args.threads)
+        if args.csv:
+            append_csv(args.csv, [result_row(config, result)])
     except (OSError, ValueError, yaml.YAMLError) as exc:
         print(f"run: {exc}", file=sys.stderr)
         return 2
-    if args.csv:
-        append_csv(args.csv, [result_row(config, result)])
     print(
         f"{config.label()} noise={config.noise} p={config.p} rounds={config.rounds} "
         f"decoder={config.decoder} shots={result.shots_run} failures={result.logical_failures} "
@@ -205,36 +205,40 @@ def cmd_sweep(args) -> int:
               "give each a distinct 'name'", file=sys.stderr)
         return 2
     partial = False
-    for index, (entry, label) in enumerate(zip(entries, labels)):
-        name = entry.get("name")
-        # an entry that builds no config is named by its name, else its index
-        tag = label or (name if isinstance(name, str) and name else f"codes[{index}]")
-        points: list[tuple[float, float]] = []
-        series_rows: list[str] = []
-        for p in probabilities:
-            try:
-                config = _build_config({**defaults, **entry, "p": p})
-                result = run_experiment(config, threads=args.threads)
-            except (OSError, ValueError, yaml.YAMLError) as exc:
-                print(f"sweep point {tag} p={p}: {exc}", file=sys.stderr)
-                partial = True
-                continue
-            append_csv(out_csv, [result_row(config, result)])
-            points.append((p, result.p_l_per_cycle))
-            series_rows.append(f"{p!r} {result.p_l_per_cycle!r}")
-            print(
-                f"{label} p={p} shots={result.shots_run} "
-                f"failures={result.logical_failures} PL_per_cycle={result.p_l_per_cycle:.6g}"
-            )
-        if label is None:
-            continue  # the entry builds no config; its points reported why
-        with open(f"{os.path.splitext(out_csv)[0]}_{label}.dat", "w", encoding="utf-8") as fh:
-            fh.write("\n".join(series_rows) + ("\n" if series_rows else ""))
-        crossing = crossing_estimate(points)
-        if crossing is None:
-            print(f"{label}: no p = P_L crossing bracketed")
-        else:
-            print(f"{label}: p = P_L crossing at {crossing:.4g}")
+    try:  # a result file that cannot be written ends the sweep
+        for index, (entry, label) in enumerate(zip(entries, labels)):
+            name = entry.get("name")
+            # an entry that builds no config is named by its name, else its index
+            tag = label or (name if isinstance(name, str) and name else f"codes[{index}]")
+            points: list[tuple[float, float]] = []
+            series_rows: list[str] = []
+            for p in probabilities:
+                try:
+                    config = _build_config({**defaults, **entry, "p": p})
+                    result = run_experiment(config, threads=args.threads)
+                except (OSError, ValueError, yaml.YAMLError) as exc:
+                    print(f"sweep point {tag} p={p}: {exc}", file=sys.stderr)
+                    partial = True
+                    continue
+                append_csv(out_csv, [result_row(config, result)])
+                points.append((p, result.p_l_per_cycle))
+                series_rows.append(f"{p!r} {result.p_l_per_cycle!r}")
+                print(
+                    f"{label} p={p} shots={result.shots_run} "
+                    f"failures={result.logical_failures} PL_per_cycle={result.p_l_per_cycle:.6g}"
+                )
+            if label is None:
+                continue  # the entry builds no config; its points reported why
+            with open(f"{os.path.splitext(out_csv)[0]}_{label}.dat", "w", encoding="utf-8") as fh:
+                fh.write("\n".join(series_rows) + ("\n" if series_rows else ""))
+            crossing = crossing_estimate(points)
+            if crossing is None:
+                print(f"{label}: no p = P_L crossing bracketed")
+            else:
+                print(f"{label}: p = P_L crossing at {crossing:.4g}")
+    except OSError as exc:
+        print(f"sweep: {exc}", file=sys.stderr)
+        return 2
     return 1 if partial else 0
 
 

@@ -98,13 +98,7 @@ class BinaryMatrix:
         """Each column's rows as a Python int bitmask (bit r set iff entry
         (r, c) is nonzero).  Built on first use and kept, like row_slots."""
         if self._col_masks is None:
-            masks = []
-            for rs in self.col_support:
-                x = 0
-                for r in rs:
-                    x |= 1 << r
-                masks.append(x)
-            self._col_masks = tuple(masks)
+            self._col_masks = tuple(_masks(self.col_support))
         return self._col_masks
 
     def transpose(self) -> "BinaryMatrix":
@@ -166,12 +160,13 @@ def mat_vec_mod2(m: BinaryMatrix, v: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(padded[m.row_slots()], axis=0) & 1
 
 
-def _rows_as_ints(m: BinaryMatrix) -> list[int]:
+def _masks(supports: Sequence[Sequence[int]]) -> list[int]:
+    """One Python int bitmask per index tuple, bit i set for each index i."""
     out = []
-    for cs in m.row_support:
+    for indices in supports:
         x = 0
-        for c in cs:
-            x |= 1 << c
+        for i in indices:
+            x |= 1 << i
         out.append(x)
     return out
 
@@ -179,7 +174,7 @@ def _rows_as_ints(m: BinaryMatrix) -> list[int]:
 def rank_mod2(m: BinaryMatrix) -> int:
     """GF(2) rank by Gaussian elimination on bit-packed rows."""
     pivots: dict[int, int] = {}  # lowest set bit -> row bitmask
-    return sum(_add_pivot(x, pivots) for x in _rows_as_ints(m))
+    return sum(_add_pivot(x, pivots) for x in _masks(m.row_support))
 
 
 def kernel_basis_mod2(m: BinaryMatrix) -> list[np.ndarray]:
@@ -189,32 +184,28 @@ def kernel_basis_mod2(m: BinaryMatrix) -> list[np.ndarray]:
     of the reduced row echelon form, in ascending free-column order.
     """
     n = m.cols
-    rows = [x for x in _rows_as_ints(m) if x]
-    # reduced row echelon form with pivot = lowest set bit per row
-    pivot_col: list[int] = []
-    reduced: list[int] = []
-    for x in rows:
-        for pc, pr in zip(pivot_col, reduced):
-            if (x >> pc) & 1:
-                x ^= pr
-        if x == 0:
-            continue
-        pc = (x & -x).bit_length() - 1
-        for i, qr in enumerate(reduced):
-            if (qr >> pc) & 1:
-                reduced[i] = qr ^ x
-        pivot_col.append(pc)
-        reduced.append(x)
-    pivot_set = set(pivot_col)
+    pivots: dict[int, int] = {}  # lowest set bit -> row bitmask
+    for x in _masks(m.row_support):
+        _add_pivot(x, pivots)
+    # back-substitution from the highest pivot down clears every other pivot
+    # column from each row: the reduced row echelon form, which is unique
+    reduced: dict[int, int] = {}
+    for low in sorted(pivots, reverse=True):
+        x = pivots[low]
+        for high, row in reduced.items():
+            if x & high:
+                x ^= row
+        reduced[low] = x
     basis: list[np.ndarray] = []
     for free in range(n):
-        if free in pivot_set:
+        bit = 1 << free
+        if bit in reduced:
             continue
         v = np.zeros(n, dtype=np.uint8)
         v[free] = 1
-        for pc, pr in zip(pivot_col, reduced):
-            if (pr >> free) & 1:
-                v[pc] = 1
+        for low, row in reduced.items():
+            if row & bit:
+                v[low.bit_length() - 1] = 1
         basis.append(v)
     return basis
 

@@ -59,11 +59,10 @@ class DetectorModel:
 
 @dataclass
 class Shot:
-    """One sampled error with its syndrome and observable flips."""
+    """One sampled error with its syndrome."""
 
     mechanisms: np.ndarray
     syndrome: np.ndarray
-    observable_flips: np.ndarray
 
 
 def shot_rng(seed: int, shot_index: int) -> np.random.Generator:
@@ -152,11 +151,7 @@ def phenomenological_model(
 def sample_shot(model: DetectorModel, rng: np.random.Generator) -> Shot:
     """Fire each mechanism independently with its prior."""
     mechanisms = (rng.random(model.noise_matrix.cols) < model.priors).astype(np.uint8)
-    return Shot(
-        mechanisms=mechanisms,
-        syndrome=mat_vec_mod2(model.noise_matrix, mechanisms),
-        observable_flips=mat_vec_mod2(model.observables, mechanisms),
-    )
+    return Shot(mechanisms=mechanisms, syndrome=mat_vec_mod2(model.noise_matrix, mechanisms))
 
 
 class DemParseError(ValueError):

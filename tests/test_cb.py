@@ -462,22 +462,41 @@ def small_problems(draw):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(small_problems())
 def test_schedule_invariants(problem):
-    """Sound outputs, budgets kept, and every branch closed when committed:
-    its oddly-touched checks violated and its evenly-touched ones trivial
-    under the effective syndrome of that moment."""
+    """Sound outputs, budgets kept, every branch closed when committed (its
+    oddly-touched checks violated and its evenly-touched ones trivial under
+    the effective syndrome of that moment), and after every add and every
+    dismantling the cluster's vector views agree with its row mask and with
+    each other."""
     m, syndrome, params, weights = problem
     unclosed = []
-    add = Cluster.add
+    inconsistent = []
+    add, dismantle = Cluster.add, Cluster.dismantle
+
+    def check_views(cluster):
+        flipped = cluster.flipped
+        packed = sum(1 << int(r) for r in np.flatnonzero(flipped))
+        if packed != cluster.flipped_rows or not np.array_equal(
+            mat_vec_mod2(m, cluster.error), flipped
+        ):
+            inconsistent.append(cluster.version)
 
     def checked_add(cluster, branch):
         eff = syndrome ^ cluster.flipped
         if not verify_closed_branch(branch.mechanisms, eff, m):
             unclosed.append(branch)
-        return add(cluster, branch)
+        bid = add(cluster, branch)
+        check_views(cluster)
+        return bid
+
+    def checked_dismantle(cluster, branch_id):
+        branch = dismantle(cluster, branch_id)
+        check_views(cluster)
+        return branch
 
     stats = DecodeStats()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Cluster, "add", checked_add)
+        mp.setattr(Cluster, "dismantle", checked_dismantle)
         if weights is None:
             out = cb_decode(syndrome, params, m, stats=stats)
         else:
@@ -486,7 +505,7 @@ def test_schedule_invariants(problem):
                 syndrome, params, m, range(1, params.max_gr + 1), lambda step: step * w_max,
                 event_weights=weights, stats=stats,
             )
-    assert unclosed == []
+    assert unclosed == [] and inconsistent == []
     if out.any():
         assert np.array_equal(mat_vec_mod2(m, out), syndrome)
     assert stats.max_spawned <= params.max_br

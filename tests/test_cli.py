@@ -51,6 +51,12 @@ def test_build_code_missing_file(tmp_path, capsys):
     assert capsys.readouterr().err != ""
 
 
+def test_build_code_reports_an_unwritable_output(tmp_path, capsys):
+    assert main(["build-code", "bb72", "--out", str(tmp_path / "missing" / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("build-code: ") and "missing" in err
+
+
 def test_build_noise_data_qubit(tmp_path, capsys):
     out = tmp_path / "m.dem"
     assert main(["build-noise", "--code", "bb72", "--p", "0.06", "--out", str(out)]) == 0
@@ -112,6 +118,13 @@ def test_run_unreadable_dem(tmp_path, capsys):
     cfg.write_text(f"noise: circuit-file\ndem: {bad}\np: 0.01\nmax_shots: 5\n")
     assert main(["run", str(cfg)]) == 2
     assert "outside (0, 1)" in capsys.readouterr().err
+
+
+def test_run_reports_an_unwritable_csv(tmp_path, capsys):
+    cfg = run_config(tmp_path, max_shots=3)
+    assert main(["run", str(cfg), "--csv", str(tmp_path / "missing" / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run: ") and "missing" in err
 
 
 def test_run_missing_config(tmp_path):
@@ -208,6 +221,22 @@ def test_sweep_partial_failure(tmp_path, capsys):
     )
     assert main(["sweep", str(sweep)]) == 1
     assert "sweep point" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [
+    "{name: ok, code: bb72, max_shots: 3}",
+    "{name: broken, noise: circuit-file, dem: /does/not/exist.dem, max_shots: 3}",
+], ids=["csv", "series"])
+def test_sweep_reports_an_unwritable_output(tmp_path, capsys, entry):
+    # the first write is the CSV row of a point, or the series file of an
+    # entry whose points all fail
+    sweep = tmp_path / "s.yaml"
+    sweep.write_text(
+        f"probabilities: [0.02]\noutput: {tmp_path / 'missing' / 's.csv'}\ncodes:\n  - {entry}\n"
+    )
+    assert main(["sweep", str(sweep)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("sweep: ") and "missing" in err[-1]
 
 
 def test_sweep_entry_honours_bp_iters(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -200,3 +202,20 @@ def test_unsound_output_raises_on_every_noise_model(noise, bb72, tmp_path, monke
     monkeypatch.setattr(harness, "bp_cb_decode", stub)
     with pytest.raises(ValueError, match="nonzero syndrome"):
         run_experiment(config)
+
+
+def test_detector_model_shot_makes_three_mat_vecs(monkeypatch):
+    """A phenomenological shot takes one mat-vec for its syndrome and two to
+    score its residual (syndrome and observables), counted through every
+    cbdecode module that holds mat_vec_mod2."""
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cbdecode") and hasattr(module, "mat_vec_mod2"):
+            original = module.mat_vec_mod2
+            counted = lambda m, v, original=original: calls.append(m) or original(m, v)
+            monkeypatch.setattr(module, "mat_vec_mod2", counted)
+    runner = harness._ShotRunner(_config(noise="phenomenological", p=0.01, rounds=3))
+    for index in range(10):
+        calls.clear()
+        failed, _ = runner.run_shot(index)
+        assert not failed and len(calls) == 3

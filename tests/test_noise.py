@@ -110,9 +110,6 @@ def test_sample_shot_invariants(bb72):
         assert np.array_equal(
             shot.syndrome, mat_vec_mod2(model.noise_matrix, shot.mechanisms)
         )
-        assert np.array_equal(
-            shot.observable_flips, mat_vec_mod2(model.observables, shot.mechanisms)
-        )
 
 
 def test_sample_shot_trivial_priors(bb72):
