@@ -24,15 +24,14 @@ from .harness import (
     ExperimentConfig,
     append_csv,
     crossing_estimate,
+    detector_models,
     result_row,
     run_experiment,
 )
-from .noise import (
-    data_qubit_model,
-    load_detector_model,
-    phenomenological_model,
-    save_detector_model,
-)
+from .noise import load_detector_model, save_detector_model
+
+# the errors bad input raises; `main` reports them as usage errors (exit 2)
+_INPUT_ERRORS = (OSError, ValueError, yaml.YAMLError)
 
 
 def _env_seed() -> int | None:
@@ -58,14 +57,9 @@ def _weight_summary(weights: list[int]) -> str:
 
 
 def cmd_build_code(args) -> int:
-    try:
-        spec = _resolve_code(args.spec)
-        code = build_bb_code(spec)
-        save_matrix(code.hx, args.out + ".hx.txt")
-        save_matrix(code.hz, args.out + ".hz.txt")
-    except (OSError, ValueError, yaml.YAMLError) as exc:
-        print(f"build-code: {exc}", file=sys.stderr)
-        return 2
+    code = build_bb_code(_resolve_code(args.spec))
+    save_matrix(code.hx, args.out + ".hx.txt")
+    save_matrix(code.hz, args.out + ".hz.txt")
     print(f"n={code.n} k={code.k}")
     print(f"hx rows: {_weight_summary(code.hx.row_weights())}  cols: {_weight_summary(code.hx.col_weights())}")
     print(f"hz rows: {_weight_summary(code.hz.row_weights())}  cols: {_weight_summary(code.hz.col_weights())}")
@@ -74,20 +68,12 @@ def cmd_build_code(args) -> int:
 
 
 def cmd_build_noise(args) -> int:
-    try:
-        spec = _resolve_code(args.code)
-        code = build_bb_code(spec)
-        if args.model == DATA_QUBIT:
-            mx, mz = data_qubit_model(code, args.p)
-            model = mx if args.sector == "x" else mz
-        else:
-            q = args.q if args.q is not None else args.p
-            rounds = args.rounds if args.rounds else (spec.distance or 1)
-            model = phenomenological_model(code, args.p, q, rounds)
-        save_detector_model(model, args.out)
-    except (OSError, ValueError, yaml.YAMLError) as exc:
-        print(f"build-noise: {exc}", file=sys.stderr)
-        return 2
+    # --rounds 0 and no --q leave the run-file defaults; --q 0 is q = 0
+    flags = {"code": args.code, "noise": args.model, "p": args.p, "q": args.q,
+             "rounds": args.rounds or None, "sector": args.sector}
+    config = _build_config({key: value for key, value in flags.items() if value is not None})
+    _, [(_, model)] = detector_models(config)
+    save_detector_model(model, args.out)
     print(
         f"wrote {args.out}: detectors={model.noise_matrix.rows} "
         f"mechanisms={model.noise_matrix.cols} observables={model.observables.rows}"
@@ -147,19 +133,22 @@ def _load_mapping(path: str, what: str) -> dict:
     return data
 
 
+def _check_writable(path: str) -> None:
+    """Open `path` for append, as its writer will, so that a bad path fails first."""
+    open(path, "a", encoding="utf-8").close()
+
+
 def cmd_run(args) -> int:
-    try:
-        data = _load_mapping(args.config, "experiment config")
-        flags = {"p": args.p, "seed": args.seed, "max_shots": args.shots,
-                 "max_failures": args.failures, "decoder": args.decoder}
-        data.update((key, value) for key, value in flags.items() if value is not None)
-        config = _build_config(data)
-        result = run_experiment(config, threads=args.threads)
-        if args.csv:
-            append_csv(args.csv, [result_row(config, result)])
-    except (OSError, ValueError, yaml.YAMLError) as exc:
-        print(f"run: {exc}", file=sys.stderr)
-        return 2
+    data = _load_mapping(args.config, "experiment config")
+    flags = {"p": args.p, "seed": args.seed, "max_shots": args.shots,
+             "max_failures": args.failures, "decoder": args.decoder}
+    data.update((key, value) for key, value in flags.items() if value is not None)
+    config = _build_config(data)
+    if args.csv:
+        _check_writable(args.csv)
+    result = run_experiment(config, threads=args.threads)
+    if args.csv:
+        append_csv(args.csv, [result_row(config, result)])
     print(
         f"{config.label()} noise={config.noise} p={config.p} rounds={config.rounds} "
         f"decoder={config.decoder} shots={result.shots_run} failures={result.logical_failures} "
@@ -170,92 +159,85 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    data = _load_mapping(args.sweep, "sweep spec")
     try:
-        data = _load_mapping(args.sweep, "sweep spec")
-        try:
-            probabilities = [float(p) for p in data.get("probabilities") or []]
-        except (TypeError, ValueError):
-            raise ValueError("'probabilities' must be a list of numbers") from None
-        if not probabilities:
-            raise ValueError("sweep needs a non-empty 'probabilities' list")
-        if any(not 0.0 < p < 1.0 for p in probabilities):
-            raise ValueError("probabilities must lie in (0, 1)")
-        if any(b <= a for a, b in zip(probabilities, probabilities[1:])):
-            raise ValueError("probabilities must be strictly increasing")
-        entries = data.get("codes", [])
-        if not entries:
-            raise ValueError("sweep needs a non-empty 'codes' list")
-        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-            raise ValueError("'codes' must be a list of mappings, e.g. [{code: bb72}]")
-        out_csv = data.get("output", "sweep.csv")
-        if not isinstance(out_csv, str):
-            raise ValueError(f"'output' must be a file path, got {out_csv!r}")
-    except (OSError, ValueError, yaml.YAMLError) as exc:
-        print(f"sweep: {exc}", file=sys.stderr)
-        return 2
+        probabilities = [float(p) for p in data.get("probabilities") or []]
+    except (TypeError, ValueError):
+        raise ValueError("'probabilities' must be a list of numbers") from None
+    if not probabilities:
+        raise ValueError("sweep needs a non-empty 'probabilities' list")
+    if any(not 0.0 < p < 1.0 for p in probabilities):
+        raise ValueError("probabilities must lie in (0, 1)")
+    if any(b <= a for a, b in zip(probabilities, probabilities[1:])):
+        raise ValueError("probabilities must be strictly increasing")
+    entries = data.get("codes", [])
+    if not entries:
+        raise ValueError("sweep needs a non-empty 'codes' list")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError("'codes' must be a list of mappings, e.g. [{code: bb72}]")
+    out_csv = data.get("output", "sweep.csv")
+    if not isinstance(out_csv, str):
+        raise ValueError(f"'output' must be a file path, got {out_csv!r}")
 
-    # an entry's own values beat the sweep defaults and --seed
+    # an entry's own values beat the sweep defaults and --seed; an entry
+    # that builds no config keeps its error, and each of its points reports it
     defaults = {"max_shots": 100_000}
     if args.seed is not None:
         defaults["seed"] = args.seed
-    labels = [_entry_label({**defaults, **entry, "p": probabilities[0]}) for entry in entries]
-    repeated = sorted({label for label in labels if label is not None and labels.count(label) > 1})
+    configs: list[ExperimentConfig | Exception] = []
+    for entry in entries:
+        try:
+            configs.append(_build_config({**defaults, **entry, "p": probabilities[0]}))
+        except _INPUT_ERRORS as exc:
+            configs.append(exc)
+    labels = [c.label() for c in configs if isinstance(c, ExperimentConfig)]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
-        print(f"sweep: entries share the label {', '.join(repeated)} and so one series file; "
-              "give each a distinct 'name'", file=sys.stderr)
-        return 2
+        raise ValueError(f"entries share the label {', '.join(repeated)} and so one series file; "
+                         "give each a distinct 'name'")
+    series_path = {label: f"{os.path.splitext(out_csv)[0]}_{label}.dat" for label in labels}
+    for path in [out_csv, *series_path.values()]:
+        _check_writable(path)
+
     partial = False
-    try:  # a result file that cannot be written ends the sweep
-        for index, (entry, label) in enumerate(zip(entries, labels)):
+    for index, (entry, config) in enumerate(zip(entries, configs)):
+        if not isinstance(config, ExperimentConfig):
             name = entry.get("name")
-            # an entry that builds no config is named by its name, else its index
-            tag = label or (name if isinstance(name, str) and name else f"codes[{index}]")
-            points: list[tuple[float, float]] = []
-            series_rows: list[str] = []
+            tag = name if isinstance(name, str) and name else f"codes[{index}]"
             for p in probabilities:
-                try:
-                    config = _build_config({**defaults, **entry, "p": p})
-                    result = run_experiment(config, threads=args.threads)
-                except (OSError, ValueError, yaml.YAMLError) as exc:
-                    print(f"sweep point {tag} p={p}: {exc}", file=sys.stderr)
-                    partial = True
-                    continue
-                append_csv(out_csv, [result_row(config, result)])
-                points.append((p, result.p_l_per_cycle))
-                series_rows.append(f"{p!r} {result.p_l_per_cycle!r}")
-                print(
-                    f"{label} p={p} shots={result.shots_run} "
-                    f"failures={result.logical_failures} PL_per_cycle={result.p_l_per_cycle:.6g}"
-                )
-            if label is None:
-                continue  # the entry builds no config; its points reported why
-            with open(f"{os.path.splitext(out_csv)[0]}_{label}.dat", "w", encoding="utf-8") as fh:
-                fh.write("\n".join(series_rows) + ("\n" if series_rows else ""))
-            crossing = crossing_estimate(points)
-            if crossing is None:
-                print(f"{label}: no p = P_L crossing bracketed")
-            else:
-                print(f"{label}: p = P_L crossing at {crossing:.4g}")
-    except OSError as exc:
-        print(f"sweep: {exc}", file=sys.stderr)
-        return 2
+                print(f"sweep point {tag} p={p}: {config}", file=sys.stderr)
+            partial = True
+            continue
+        label = config.label()
+        points: list[tuple[float, float]] = []
+        series_rows: list[str] = []
+        for p in probabilities:
+            point = replace(config, p=p)
+            try:
+                result = run_experiment(point, threads=args.threads)
+            except _INPUT_ERRORS as exc:
+                print(f"sweep point {label} p={p}: {exc}", file=sys.stderr)
+                partial = True
+                continue
+            append_csv(out_csv, [result_row(point, result)])
+            points.append((p, result.p_l_per_cycle))
+            series_rows.append(f"{p!r} {result.p_l_per_cycle!r}")
+            print(
+                f"{label} p={p} shots={result.shots_run} "
+                f"failures={result.logical_failures} PL_per_cycle={result.p_l_per_cycle:.6g}"
+            )
+        with open(series_path[label], "w", encoding="utf-8") as fh:
+            fh.write("\n".join(series_rows) + ("\n" if series_rows else ""))
+        crossing = crossing_estimate(points)
+        if crossing is None:
+            print(f"{label}: no p = P_L crossing bracketed")
+        else:
+            print(f"{label}: p = P_L crossing at {crossing:.4g}")
     return 1 if partial else 0
 
 
-def _entry_label(data: dict) -> str | None:
-    """The label a sweep entry's CSV rows and series file take; None if it has none."""
-    try:
-        return _build_config(data).label()
-    except (OSError, ValueError, yaml.YAMLError):
-        return None
-
-
 def cmd_dem_info(args) -> int:
-    try:
-        model = load_detector_model(args.path)
-    except (OSError, ValueError) as exc:
-        print(f"dem-info: {exc}", file=sys.stderr)
-        return 2
+    model = load_detector_model(args.path)
     nm = model.noise_matrix
     rw = nm.row_weights() or [0]
     cw = nm.col_weights() or [0]
@@ -313,9 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except _INPUT_ERRORS as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,9 +14,9 @@ Results report the total logical error rate and its per-cycle normalization.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
 
@@ -139,23 +139,26 @@ def logical_failure(model: DetectorModel, actual: np.ndarray, recovered: np.ndar
     return bool(mat_vec_mod2(model.observables, residual).any())
 
 
+def detector_models(config: ExperimentConfig) -> tuple[CSSCode | None, list[tuple[str, DetectorModel]]]:
+    """The code (None for circuit-file noise) and the (sector, model) pairs decoded;
+    only data-qubit noise has a sector "z", and q = p when `config.q` is None."""
+    if config.noise == CIRCUIT_FILE:
+        return None, [("x", load_detector_model(config.dem_path))]
+    code = build_bb_code(config.code_spec)
+    if config.noise == PHENOMENOLOGICAL:
+        q = config.q if config.q is not None else config.p
+        return code, [("x", phenomenological_model(code, config.p, q, config.rounds))]
+    mx, mz = data_qubit_model(code, config.p)
+    wanted = {"x": [("x", mx)], "z": [("z", mz)], "both": [("x", mx), ("z", mz)]}
+    return code, wanted[config.sector]
+
+
 class _ShotRunner:
     """Per-process experiment state: models, decoders, scoring."""
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
-        self.code: CSSCode | None = None
-        if config.noise == DATA_QUBIT:
-            self.code = build_bb_code(config.code_spec)
-            mx, mz = data_qubit_model(self.code, config.p)
-            wanted = {"x": [("x", mx)], "z": [("z", mz)], "both": [("x", mx), ("z", mz)]}
-            models = wanted[config.sector]
-        elif config.noise == PHENOMENOLOGICAL:
-            self.code = build_bb_code(config.code_spec)
-            q = config.q if config.q is not None else config.p
-            models = [("x", phenomenological_model(self.code, config.p, q, config.rounds))]
-        else:
-            models = [("x", load_detector_model(config.dem_path))]
+        self.code, models = detector_models(config)
         self.sectors: list[tuple[str, DetectorModel, BPDecoder | None]] = []
         for sector, model in models:
             bp = BPDecoder.for_model(model) if config.decoder == "bp+cb" else None
@@ -209,14 +212,16 @@ def _worker_shot(index: int) -> tuple[bool, float]:
 def _shot_outcomes(config: ExperimentConfig, threads: int):
     """Per-shot (failed, decode seconds) in shot-index order.
 
-    Pool workers build their runner once; closing the generator cancels the
-    shots not yet handed to a worker.
+    Pool workers build their runner once.  An early close or an error
+    terminates them; a pool that runs to its end lets them exit normally.
     """
     if threads <= 1:
         yield from map(_ShotRunner(config).run_shot, range(config.max_shots))
         return
-    with ProcessPoolExecutor(threads, initializer=_init_worker, initargs=(config,)) as pool:
-        yield from pool.map(_worker_shot, range(config.max_shots), chunksize=_CHUNK_SHOTS)
+    with multiprocessing.Pool(threads, initializer=_init_worker, initargs=(config,)) as pool:
+        yield from pool.imap(_worker_shot, range(config.max_shots), chunksize=_CHUNK_SHOTS)
+        pool.close()
+        pool.join()
 
 
 def run_experiment(config: ExperimentConfig, *, threads: int = 1) -> ExperimentResult:

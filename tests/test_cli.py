@@ -8,7 +8,7 @@ from cbdecode.bbcodes import STANDARD_CODES
 from cbdecode.cli import main
 from cbdecode.harness import CSV_COLUMNS, ExperimentConfig, ExperimentResult
 from cbdecode.gf2 import load_matrix
-from cbdecode.noise import load_detector_model
+from cbdecode.noise import data_qubit_model, load_detector_model, phenomenological_model
 
 
 def test_build_code_registry_name(tmp_path, capsys):
@@ -402,3 +402,93 @@ def test_dem_info(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "detectors=2 mechanisms=2 observables=1" in out
     assert main(["dem-info", str(tmp_path / "nope.dem")]) == 2
+
+
+@pytest.mark.parametrize("command", ["build-code", "build-noise", "run", "sweep", "dem-info"])
+def test_every_command_reports_a_missing_input(tmp_path, capsys, command):
+    missing = str(tmp_path / "nope.yaml")
+    argv = {
+        "build-code": ["build-code", missing, "--out", str(tmp_path / "c")],
+        "build-noise": ["build-noise", "--code", missing, "--p", "0.05", "--out", str(tmp_path / "m")],
+        "run": ["run", missing],
+        "sweep": ["sweep", missing],
+        "dem-info": ["dem-info", missing],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command}: ") and "nope.yaml" in err
+
+
+def _record_runs(monkeypatch):
+    calls = []
+
+    def fake_run(config, threads=1):
+        calls.append(config)
+        return ExperimentResult(1, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run)
+    return calls
+
+
+def test_run_checks_its_csv_before_any_shot(tmp_path, capsys, monkeypatch):
+    calls = _record_runs(monkeypatch)
+    cfg = run_config(tmp_path)
+    assert main(["run", str(cfg), "--csv", str(tmp_path / "missing" / "r.csv")]) == 2
+    assert capsys.readouterr().err.startswith("run: ")
+    assert calls == []
+
+
+@pytest.mark.parametrize("output, name, missing", [
+    ("missing/s.csv", "ok", "missing"), ("s.csv", "sub/ok", "s_sub"),
+], ids=["csv", "series"])
+def test_sweep_checks_its_outputs_before_any_point(tmp_path, capsys, monkeypatch, output, name,
+                                                   missing):
+    # the series file of the entry named sub/ok is s_sub/ok.dat, in a missing directory
+    calls = _record_runs(monkeypatch)
+    sweep = tmp_path / "s.yaml"
+    sweep.write_text(
+        f"probabilities: [0.02, 0.04]\noutput: {tmp_path / output}\n"
+        f"codes:\n  - {{name: first, code: bb72}}\n  - {{name: {name}, code: bb72}}\n"
+    )
+    assert main(["sweep", str(sweep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sweep: ") and missing in err
+    assert calls == []
+
+
+def test_sweep_builds_each_entry_once(tmp_path, capsys, monkeypatch):
+    _record_runs(monkeypatch)
+    resolved = []
+    resolve = cli._resolve_code
+    monkeypatch.setattr(cli, "_resolve_code", lambda value: resolved.append(value) or resolve(value))
+    sweep = tmp_path / "s.yaml"
+    sweep.write_text(
+        f"probabilities: [0.02, 0.04, 0.06]\noutput: {tmp_path / 'o.csv'}\n"
+        "codes:\n  - {name: a, code: bb72}\n  - {name: b, code: bb72, decoder: cb}\n"
+    )
+    assert main(["sweep", str(sweep)]) == 0
+    capsys.readouterr()
+    assert resolved == ["bb72", "bb72"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--model", "phenomenological", "--p", "0.03", "--q", "0", "--rounds", "2"], ["--p", "0"],
+], ids=["q-zero", "p-zero"])
+def test_build_noise_rejects_a_zero_prior(tmp_path, capsys, flags):
+    out = tmp_path / "m.dem"
+    assert main(["build-noise", "--code", "bb72", "--out", str(out)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("build-noise: mechanism column ") and "prior 0.0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, expected", [
+    (["--model", "phenomenological"], lambda code: phenomenological_model(code, 0.03, 0.03, 6)),
+    (["--sector", "z"], lambda code: data_qubit_model(code, 0.03)[1]),
+], ids=["phenomenological", "sector-z"])
+def test_build_noise_shares_the_run_file_defaults(tmp_path, capsys, bb72, flags, expected):
+    # with no --rounds or --q, a phenomenological model takes the code's
+    # distance (6 for bb72) and q = p
+    out = tmp_path / "m.dem"
+    assert main(["build-noise", "--code", "bb72", "--p", "0.03", "--out", str(out)] + flags) == 0
+    assert load_detector_model(str(out)) == expected(bb72)

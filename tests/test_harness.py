@@ -1,4 +1,5 @@
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -186,6 +187,24 @@ def test_threads_reproduce_serial_counts(max_failures):
     if max_failures is not None:
         assert serial.logical_failures == max_failures
         assert serial.shots_run < config.max_shots
+
+
+def test_pool_stops_at_the_failure_target(monkeypatch):
+    # the first pool task fails at once; a worker that went on to the next
+    # task would spend 100 x 50 ms on it
+    def run_shot(self, index):
+        if index < 100:
+            return True, 0.0
+        time.sleep(0.05)
+        return False, 0.0
+
+    monkeypatch.setattr(harness._ShotRunner, "run_shot", run_shot)
+    config = _config(max_shots=1000, max_failures=5)
+    start = time.perf_counter()
+    parallel = run_experiment(config, threads=2)
+    assert time.perf_counter() - start < 2.5
+    assert parallel == run_experiment(config, threads=1)
+    assert parallel.shots_run == parallel.logical_failures == 5
 
 
 @pytest.mark.parametrize("noise", ["data-qubit", "phenomenological", "circuit-file"])
