@@ -72,7 +72,7 @@ def cmd_build_noise(args) -> int:
     flags = {"code": args.code, "noise": args.model, "p": args.p, "q": args.q,
              "rounds": args.rounds or None, "sector": args.sector}
     config = _build_config({key: value for key, value in flags.items() if value is not None})
-    _, [(_, model)] = detector_models(config)
+    [(_, model)] = detector_models(config)
     save_detector_model(model, args.out)
     print(
         f"wrote {args.out}: detectors={model.noise_matrix.rows} "

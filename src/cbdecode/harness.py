@@ -17,12 +17,13 @@ import math
 import multiprocessing
 import os
 import time
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bbcodes import BBCodeSpec, CSSCode, build_bb_code
+from .bbcodes import BBCodeSpec, build_bb_code
 from .bp import BPDecoder, bp_cb_decode
 from .cb import CBParams, cb_decode
 from .gf2 import mat_vec_mod2
@@ -139,18 +140,18 @@ def logical_failure(model: DetectorModel, actual: np.ndarray, recovered: np.ndar
     return bool(mat_vec_mod2(model.observables, residual).any())
 
 
-def detector_models(config: ExperimentConfig) -> tuple[CSSCode | None, list[tuple[str, DetectorModel]]]:
-    """The code (None for circuit-file noise) and the (sector, model) pairs decoded;
-    only data-qubit noise has a sector "z", and q = p when `config.q` is None."""
+def detector_models(config: ExperimentConfig) -> list[tuple[str, DetectorModel]]:
+    """The (sector, model) pairs decoded; only data-qubit noise has a sector
+    "z", and q = p when `config.q` is None."""
     if config.noise == CIRCUIT_FILE:
-        return None, [("x", load_detector_model(config.dem_path))]
+        return [("x", load_detector_model(config.dem_path))]
     code = build_bb_code(config.code_spec)
     if config.noise == PHENOMENOLOGICAL:
         q = config.q if config.q is not None else config.p
-        return code, [("x", phenomenological_model(code, config.p, q, config.rounds))]
+        return [("x", phenomenological_model(code, config.p, q, config.rounds))]
     mx, mz = data_qubit_model(code, config.p)
     wanted = {"x": [("x", mx)], "z": [("z", mz)], "both": [("x", mx), ("z", mz)]}
-    return code, wanted[config.sector]
+    return wanted[config.sector]
 
 
 class _ShotRunner:
@@ -158,9 +159,8 @@ class _ShotRunner:
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
-        self.code, models = detector_models(config)
         self.sectors: list[tuple[str, DetectorModel, BPDecoder | None]] = []
-        for sector, model in models:
+        for sector, model in detector_models(config):
             bp = BPDecoder.for_model(model) if config.decoder == "bp+cb" else None
             self.sectors.append((sector, model, bp))
 
@@ -175,7 +175,7 @@ class _ShotRunner:
         """Returns (logical failure?, decode seconds)."""
         rng = shot_rng(self.config.seed, index)
         if self.config.noise == DATA_QUBIT:
-            err = sample_depolarizing(self.code.n, self.config.p, rng)
+            err = sample_depolarizing(self.sectors[0][1].noise_matrix.cols, self.config.p, rng)
             parts = {"x": err.x_part, "z": err.z_part}
             samples = [
                 (parts[sector], mat_vec_mod2(model.noise_matrix, parts[sector]))
@@ -200,26 +200,40 @@ class _ShotRunner:
 _WORKER_RUNNER: _ShotRunner | None = None
 
 
-def _init_worker(config: ExperimentConfig) -> None:
+def _init_worker(runner: _ShotRunner) -> None:
     global _WORKER_RUNNER
-    _WORKER_RUNNER = _ShotRunner(config)
+    _WORKER_RUNNER = runner
 
 
-def _worker_shot(index: int) -> tuple[bool, float]:
-    return _WORKER_RUNNER.run_shot(index)
+def _worker_shots(start: int) -> list[tuple[bool, float]]:
+    stop = min(start + _CHUNK_SHOTS, _WORKER_RUNNER.config.max_shots)
+    return [_WORKER_RUNNER.run_shot(index) for index in range(start, stop)]
 
 
 def _shot_outcomes(config: ExperimentConfig, threads: int):
     """Per-shot (failed, decode seconds) in shot-index order.
 
-    Pool workers build their runner once.  An early close or an error
-    terminates them; a pool that runs to its end lets them exit normally.
+    Bad input raises here, before any pool starts, and a worker that dies
+    raises BrokenProcessPool.  An early close or an error terminates the
+    workers; a pool run to its end lets them exit.
     """
+    runner = _ShotRunner(config)
     if threads <= 1:
-        yield from map(_ShotRunner(config).run_shot, range(config.max_shots))
+        yield from map(runner.run_shot, range(config.max_shots))
         return
-    with multiprocessing.Pool(threads, initializer=_init_worker, initargs=(config,)) as pool:
-        yield from pool.imap(_worker_shot, range(config.max_shots), chunksize=_CHUNK_SHOTS)
+    others = set(multiprocessing.active_children())
+    with multiprocessing.Pool(threads, initializer=_init_worker, initargs=(runner,)) as pool:
+        workers = set(multiprocessing.active_children()) - others
+        chunks = pool.imap(_worker_shots, range(0, config.max_shots, _CHUNK_SHOTS))
+        while True:
+            try:
+                yield from chunks.next(timeout=1.0)
+            except StopIteration:
+                break
+            except multiprocessing.TimeoutError:
+                # the pool hands a dead worker's task to no one, so wait no longer
+                if any(worker.exitcode is not None for worker in workers):
+                    raise BrokenProcessPool("a pool worker exited abruptly") from None
         pool.close()
         pool.join()
 

@@ -227,11 +227,11 @@ def load_detector_model(path: str) -> DetectorModel:
 
 
 def save_detector_model(model: DetectorModel, path: str) -> None:
-    """Write one error statement per mechanism column, targets sorted; a prior
-    outside the loader's (0, 0.5] raises ValueError before the file opens."""
-    for c, p in enumerate(model.priors.tolist()):
-        if not 0.0 < p <= 0.5:
-            raise ValueError(f"mechanism column {c} has prior {p!r}, outside (0, 0.5]")
+    """Write one error statement per mechanism column, targets sorted; a zero
+    prior, which the loader rejects, raises ValueError before the file opens."""
+    zero = np.flatnonzero(model.priors == 0.0)
+    if zero.size:
+        raise ValueError(f"mechanism column {zero[0]} has prior 0.0, outside (0, 0.5]")
     noise_t = model.noise_matrix.transpose()
     obs_t = model.observables.transpose()
     with open(path, "w", encoding="utf-8") as fh:

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -492,3 +495,19 @@ def test_build_noise_shares_the_run_file_defaults(tmp_path, capsys, bb72, flags,
     out = tmp_path / "m.dem"
     assert main(["build-noise", "--code", "bb72", "--p", "0.03", "--out", str(out)] + flags) == 0
     assert load_detector_model(str(out)) == expected(bb72)
+
+
+@pytest.mark.parametrize("dem", ["nope.dem", "bad.dem"], ids=["missing", "malformed"])
+def test_pooled_run_reports_a_bad_dem(tmp_path, dem):
+    # the shot runner is built before the pool starts, so a bad input
+    # fails as in a serial run instead of killing each worker as it starts
+    (tmp_path / "bad.dem").write_text("error 2.0 D0\n")
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"noise: circuit-file\ndem: {tmp_path / dem}\np: 0.01\nmax_shots: 5\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cbdecode.cli", "run", str(cfg), "--threads", "2"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("run: ") and dem in proc.stderr

@@ -1,5 +1,8 @@
+import os
+import signal
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -205,6 +208,36 @@ def test_pool_stops_at_the_failure_target(monkeypatch):
     assert time.perf_counter() - start < 2.5
     assert parallel == run_experiment(config, threads=1)
     assert parallel.shots_run == parallel.logical_failures == 5
+
+
+def test_a_dead_pool_worker_raises(monkeypatch):
+    # the worker that takes shots 100-199 dies hard; the pool hands its task
+    # to no one, so a run that waited for those shots would never return
+    def run_shot(self, index):
+        if index == 150:
+            os._exit(1)
+        return False, 0.0
+
+    def give_up(signum, frame):
+        raise TimeoutError("still waiting for the dead worker's shots")
+
+    monkeypatch.setattr(harness._ShotRunner, "run_shot", run_shot)
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(30)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            run_experiment(_config(max_shots=400), threads=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_bad_input_raises_before_the_pool_starts(tmp_path, monkeypatch):
+    # a pool whose workers failed to build their inputs would restart them forever
+    monkeypatch.setattr(harness.multiprocessing, "Pool", None)
+    config = _config(noise="circuit-file", code_spec=None, dem_path=str(tmp_path / "nope.dem"))
+    with pytest.raises(FileNotFoundError):
+        run_experiment(config, threads=2)
 
 
 @pytest.mark.parametrize("noise", ["data-qubit", "phenomenological", "circuit-file"])
