@@ -32,9 +32,11 @@ print(f"syndrome weight {int(syndrome.sum())}: checks {np.flatnonzero(syndrome).
 
 params = CBParams(max_gr=6, max_br=10, max_tcts=3)
 
+# a cluster holds one decoding problem: the matrix and the syndrome it explains
+cluster = Cluster(m, syndrome)
+
 # stage 1: isolated mechanisms whose checks are all violated close immediately
-cluster = Cluster(m.rows, m.cols)
-weight_1_errors(syndrome, cluster, m)
+weight_1_errors(cluster)
 closed = [sorted(b.mechanisms) for b in cluster.branches()]
 print(f"\nweight-1 sweep closed {len(closed)} branches: {closed}")
 
@@ -42,10 +44,10 @@ print(f"\nweight-1 sweep closed {len(closed)} branches: {closed}")
 # branches, here at the last growth budget of the schedule
 for tcts in range(1, params.max_tcts + 1):
     seen = len(cluster.branches())
-    non_dest_branch_growth(tcts, cluster, syndrome, float(params.max_gr), params, m)
+    non_dest_branch_growth(tcts, cluster, float(params.max_gr), params)
     closed = [sorted(b.mechanisms) for b in cluster.branches()[seen:]]
     print(f"tcts={tcts} pass closed {len(closed)} branches: {closed}")
-print(f"cluster explains the syndrome: {cluster.matches(syndrome)}")
+print(f"cluster explains the syndrome: {cluster.eff == 0}")
 
 # the full schedule: growth budgets 2..max_gr, non-destructive then destructive
 stats = DecodeStats()

@@ -19,12 +19,16 @@ branches a separation may spawn, and the weight budget caps the accumulated
 mechanism weight (mechanism count in plain mode, event weights when driven
 by belief-propagation marginals).
 
-The schedule (run_schedule) is built from three stage passes, each acting on
-a Cluster in place: weight_1_errors closes every mechanism whose checks are
-all violated, non_dest_branch_growth grows every seed with a given number of
-trivial checks (tcts) into a closed branch, and dest_branch_growth does the
-same while dismantling earlier closed branches it collides with.  They are
-the stage API: a caller observes a stage by running it on its own cluster.
+A Cluster(m, syndrome, event_weights) holds one decoding problem: the noise
+matrix, the syndrome and the weights are checked and packed once, when it is
+built.  The schedule (run_schedule) is built from three stage passes, each
+acting on a cluster in place and taking only what varies per pass:
+weight_1_errors(cluster) closes every mechanism whose checks are all
+violated, non_dest_branch_growth(tcts, cluster, weight, params) grows every
+seed with tcts trivial checks into a closed branch within the weight budget,
+and dest_branch_growth, with the same parameters, does the same while
+dismantling earlier closed branches it collides with.  They are the stage
+API: a caller observes a stage by running it on its own cluster.
 """
 
 from __future__ import annotations
@@ -81,29 +85,57 @@ class DecodeStats:
 
 
 class Cluster:
-    """Accumulates closed branches and the checks/mechanisms they cover.
+    """One decoding problem and the closed branches that explain it so far.
 
-    Maintains flipped_rows, the row bitmask of noise_matrix . error (mod 2),
-    incrementally; each flipped check and each used mechanism is owned by
-    exactly one live branch, which is what destructive growth needs to
-    dismantle precisely.  Live branches are kept by id, with the row bitmask
-    of their checks; owners in the lists row_owner and col_owner indexed by
-    row and by column (None: no owner); and the ids of live non-destructive
-    branches, the ones destructive growth may dismantle, in a set.  version
-    counts the adds and dismantlings, so an unchanged version means an
-    unchanged cluster.  The vectors flipped and error are computed from
-    flipped_rows and col_owner when read.
+    Takes the noise matrix m, the syndrome (one entry per row) and, in
+    weighted mode, the event weights (one per column); a wrong shape raises
+    ValueError.  The syndrome is packed once into the row bitmask
+    syndrome_rows, and the weights into the float list weights (all 1.0 in
+    plain mode) and their minimum min_weight.
+
+    Maintains flipped_rows, the row bitmask of m . error (mod 2),
+    incrementally; eff, syndrome_rows ^ flipped_rows, is 0 once the cluster
+    explains the syndrome.  Each flipped check and each used mechanism is
+    owned by exactly one live branch, which is what destructive growth needs
+    to dismantle precisely.  Live branches are kept by id, with the row
+    bitmask of their checks; owners in the lists row_owner and col_owner
+    indexed by row and by column (None: no owner); and the ids of live
+    non-destructive branches, the ones destructive growth may dismantle, in
+    a set.  version counts the adds and dismantlings, so an unchanged
+    version means an unchanged cluster.  The vectors flipped and error are
+    computed from flipped_rows and col_owner when read.
     """
 
-    def __init__(self, n_rows: int, n_cols: int):
+    def __init__(
+        self, m: BinaryMatrix, syndrome: np.ndarray, event_weights: np.ndarray | None = None
+    ):
+        syndrome = np.asarray(syndrome, dtype=np.uint8)
+        if syndrome.shape != (m.rows,):
+            raise ValueError("syndrome length must equal the matrix row count")
+        if event_weights is None:
+            self.weights = [1.0] * m.cols
+            self.min_weight = 1.0
+        else:
+            weights = np.asarray(event_weights, dtype=np.float64)
+            if weights.shape != (m.cols,):
+                raise ValueError("event weights length must equal the matrix column count")
+            self.weights = weights.tolist()
+            self.min_weight = float(weights.min()) if weights.size else 0.0
+        self.m = m
+        self.syndrome_rows = _vec_to_int(syndrome)
         self.flipped_rows = 0
         self.version = 0
         self._next_id = 0
         self._by_id: dict[int, ClosedBranch] = {}
         self._rows: dict[int, int] = {}
-        self.row_owner: list[int | None] = [None] * n_rows
-        self.col_owner: list[int | None] = [None] * n_cols
+        self.row_owner: list[int | None] = [None] * m.rows
+        self.col_owner: list[int | None] = [None] * m.cols
         self._destructible: set[int] = set()
+
+    @property
+    def eff(self) -> int:
+        """The effective syndrome: the violated checks no branch explains yet."""
+        return self.syndrome_rows ^ self.flipped_rows
 
     def add(self, branch: ClosedBranch) -> int:
         bid = self._next_id
@@ -144,15 +176,12 @@ class Cluster:
     def flipped(self) -> np.ndarray:
         """The flipped checks as a uint8 vector."""
         rows = self.flipped_rows
-        return np.array([rows >> r & 1 for r in range(len(self.row_owner))], dtype=np.uint8)
+        return np.array([rows >> r & 1 for r in range(self.m.rows)], dtype=np.uint8)
 
     @property
     def error(self) -> np.ndarray:
         """The live branches' mechanisms as a uint8 vector."""
         return np.array([owner is not None for owner in self.col_owner], dtype=np.uint8)
-
-    def matches(self, syndrome: np.ndarray) -> bool:
-        return _vec_to_int(syndrome) == self.flipped_rows
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -169,15 +198,9 @@ def _candidate_columns(eff: int, m: BinaryMatrix) -> list[int]:
     return sorted({c for r in _bits(eff) for c in m.row_support[r]})
 
 
-def weight_1_errors(
-    syndrome: np.ndarray,
-    cluster: Cluster,
-    m: BinaryMatrix,
-    *,
-    stats: DecodeStats | None = None,
-) -> Cluster:
+def weight_1_errors(cluster: Cluster, *, stats: DecodeStats | None = None) -> Cluster:
     """Close every mechanism whose adjacent checks are all effectively violated."""
-    eff = _vec_to_int(syndrome) ^ cluster.flipped_rows
+    m, eff = cluster.m, cluster.eff
     masks = m.col_masks()
     for c in _candidate_columns(eff, m):
         rows = masks[c]
@@ -237,31 +260,20 @@ class _Path:
 class _Grower:
     """Depth-first growth of branch instances against one cluster.
 
-    The syndrome and the effective syndrome eff, syndrome ^ the cluster's
-    flipped_rows, are row bitmasks, and the mechanism weights one float per
-    column (1.0 in plain mode), so a candidate's rows split into explained,
-    loop-closed and newly opened checks with a few mask operations.
+    The syndrome and the effective syndrome come off the cluster as row
+    bitmasks, so a candidate's rows split into explained, loop-closed and
+    newly opened checks with a few mask operations.
     """
 
     def __init__(
-        self, mode: str, budget: float, params: CBParams, cluster: Cluster, syndrome: int,
-        m: BinaryMatrix, weights: np.ndarray | None, stats: DecodeStats,
+        self, mode: str, budget: float, params: CBParams, cluster: Cluster, stats: DecodeStats
     ):
         self.destructive = mode == DESTRUCTIVE
         self.budget = budget
         self.max_br = params.max_br
         self.max_gr = params.max_gr
         self.cluster = cluster
-        self.syndrome = syndrome
-        self.m = m
-        self.col_masks = m.col_masks()
-        if weights is None:
-            self.weights = [1.0] * m.cols
-            self.min_weight = 1.0
-        else:
-            weights = np.asarray(weights, dtype=np.float64)
-            self.weights = weights.tolist()
-            self.min_weight = float(weights.min()) if weights.size else 0.0
+        self.col_masks = cluster.m.col_masks()
         self.stats = stats
         self.spawned = 1
 
@@ -278,8 +290,7 @@ class _Grower:
         """Whether destructive growth clears frontier row by dismantling its owner."""
         owner = self.cluster.row_owner[row]
         destructible = owner in self.cluster._destructible
-        eff = self.syndrome ^ self.cluster.flipped_rows
-        return destructible and owner not in destroyed and not eff >> row & 1
+        return destructible and owner not in destroyed and not self.cluster.eff >> row & 1
 
     def _activate_frontier(self, st: _Path) -> str:
         """Pick st's next frontier; destructively clear owned ones.
@@ -326,8 +337,8 @@ class _Grower:
         growths = st.growths + 1
         if growths > self.max_gr:
             return []
-        cluster, syndrome, weights = self.cluster, self.syndrome, self.weights
-        eff = syndrome ^ cluster.flipped_rows
+        cluster = self.cluster
+        m, syndrome, eff, weights = cluster.m, cluster.syndrome_rows, cluster.eff, cluster.weights
         col_owner, row_owner, owned_rows = cluster.col_owner, cluster.row_owner, cluster._rows
         col_masks, budget, destructive = self.col_masks, self.budget, self.destructive
         frontier, fcts, fmask = st.frontier, st.fcts, st.fmask
@@ -337,8 +348,8 @@ class _Grower:
         fbit = 1 << frontier
         blocked = satisfied | fmask
         moves: list[tuple] = []
-        fewest = self.m.rows  # more new checks than any candidate opens
-        for c in self.m.row_support[frontier]:
+        fewest = m.rows  # more new checks than any candidate opens
+        for c in m.row_support[frontier]:
             owner = col_owner[c]
             if mechanisms >> c & 1 or (owner is not None and owner not in destroyed):
                 continue
@@ -383,7 +394,7 @@ class _Grower:
             moves.sort()  # by weight, then column (columns differ)
             self._count_spawned(len(moves))
         touched = touched_even | fbit
-        last, min_weight = growths == self.max_gr, self.min_weight
+        last, min_weight = growths == self.max_gr, cluster.min_weight
         children = []
         for weight, c, explains, loop_closed, new_opens, destroy, auto, path_dmask in moves:
             gone = loop_closed | auto  # deferred checks this move resolves
@@ -442,34 +453,24 @@ class _Grower:
 
 
 def _branch_growth_pass(
-    mode: str,
-    tcts: int,
-    cluster: Cluster,
-    syndrome: np.ndarray,
-    weight: float,
-    params: CBParams,
-    m: BinaryMatrix,
-    event_weights: np.ndarray | None,
+    mode: str, tcts: int, cluster: Cluster, weight: float, params: CBParams,
     stats: DecodeStats | None,
 ) -> Cluster:
     """Grow, in column order, every column that qualifies as a seed both at
     the start of the pass and, under the then-current eff, when reached."""
     if tcts < 1:
         raise ValueError("tcts must be >= 1")
-    syndrome_rows = _vec_to_int(syndrome)
-    eff = syndrome_rows ^ cluster.flipped_rows
+    eff = cluster.eff
     if not eff:
         return cluster
-    masks = m.col_masks()
+    masks = cluster.m.col_masks()
     columns = [
-        c for c in _candidate_columns(eff, m)
+        c for c in _candidate_columns(eff, cluster.m)
         if cluster.col_owner[c] is None and _seed(masks[c], tcts, eff)
     ]
-    grower = _Grower(
-        mode, weight, params, cluster, syndrome_rows, m, event_weights, stats or DecodeStats()
-    )
+    grower = _Grower(mode, weight, params, cluster, stats or DecodeStats())
     for c in columns:
-        eff = syndrome_rows ^ cluster.flipped_rows
+        eff = cluster.eff
         if not eff:
             break
         trivial = _seed(masks[c], tcts, eff) if cluster.col_owner[c] is None else 0
@@ -479,7 +480,7 @@ def _branch_growth_pass(
         frontier = trivial & -trivial
         grower.grow(_Path(
             1 << c, masks[c] & eff, 0, frontier.bit_length() - 1, _bits(trivial ^ frontier),
-            trivial ^ frontier, grower.weights[c], 0, frozenset(), 0,
+            trivial ^ frontier, cluster.weights[c], 0, frozenset(), 0,
         ))
     return cluster
 
@@ -487,37 +488,29 @@ def _branch_growth_pass(
 def non_dest_branch_growth(
     tcts: int,
     cluster: Cluster,
-    syndrome: np.ndarray,
     weight: float,
     params: CBParams,
-    m: BinaryMatrix,
     *,
-    event_weights: np.ndarray | None = None,
     stats: DecodeStats | None = None,
 ) -> Cluster:
     """Grow every seed with tcts trivial checks into a closed branch, without
     touching the cluster's earlier branches.
 
     A seed is an unowned column with >= 1 violated and exactly tcts trivial
-    checks.  Each path keeps its mechanism weight within `weight` and its
-    growths within params.max_gr, and an instance that spawns more than
-    params.max_br branches is abandoned.  Closed branches are added to the
-    cluster, which is returned.
+    checks.  Each path keeps its mechanism weight, summed from the cluster's
+    weights, within `weight` and its growths within params.max_gr, and an
+    instance that spawns more than params.max_br branches is abandoned.
+    Closed branches are added to the cluster, which is returned.
     """
-    return _branch_growth_pass(
-        NON_DESTRUCTIVE, tcts, cluster, syndrome, weight, params, m, event_weights, stats
-    )
+    return _branch_growth_pass(NON_DESTRUCTIVE, tcts, cluster, weight, params, stats)
 
 
 def dest_branch_growth(
     tcts: int,
     cluster: Cluster,
-    syndrome: np.ndarray,
     weight: float,
     params: CBParams,
-    m: BinaryMatrix,
     *,
-    event_weights: np.ndarray | None = None,
     stats: DecodeStats | None = None,
 ) -> Cluster:
     """non_dest_branch_growth, except that a path may dismantle up to
@@ -525,9 +518,7 @@ def dest_branch_growth(
 
     The dismantling happens only when the path closes.
     """
-    return _branch_growth_pass(
-        DESTRUCTIVE, tcts, cluster, syndrome, weight, params, m, event_weights, stats
-    )
+    return _branch_growth_pass(DESTRUCTIVE, tcts, cluster, weight, params, stats)
 
 
 def run_schedule(
@@ -546,53 +537,47 @@ def run_schedule(
     tcts = 1..max_tcts, then destructive sweeps each followed by a weight-1
     sweep and a tcts=1 non-destructive cleanup.  Returns the cluster error
     once its flipped checks reproduce the syndrome, the zero vector after
-    the last step otherwise.
+    the last step otherwise.  The cluster checks the syndrome and weights
+    against m (ValueError) before any step; a zero syndrome returns zeros.
 
     A tcts=1 pass right after a weight-1 sweep that adds no branch leaves a
     cluster on which both change nothing.  While the cluster's version stays
     at that value, a cleanup is skipped, and only the rejections it would
     have counted again are added to stats.
     """
-    syndrome = np.asarray(syndrome, dtype=np.uint8)
-    if syndrome.shape != (m.rows,):
-        raise ValueError("syndrome length must equal the matrix row count")
-    if not syndrome.any():
-        return zeros_vec(m.cols)
+    cluster = Cluster(m, syndrome, event_weights)
+    if not cluster.eff:
+        return cluster.error
     stats = stats if stats is not None else DecodeStats()
     for step in steps:
+        if cluster.version:  # each step starts from a cluster with no branches
+            cluster = Cluster(m, syndrome, event_weights)
         budget = budget_for_step(step)
-        cluster = Cluster(m.rows, m.cols)
         # a version the cleanup leaves unchanged, and the rejections it counts there
         idle_version, idle_rejected = -1, 0
 
         def non_dest_pass(tcts: int) -> None:
             nonlocal idle_version, idle_rejected
             version, rejected = cluster.version, stats.instances_rejected
-            non_dest_branch_growth(
-                tcts, cluster, syndrome, budget, params, m,
-                event_weights=event_weights, stats=stats,
-            )
+            non_dest_branch_growth(tcts, cluster, budget, params, stats=stats)
             if tcts == 1 and cluster.version == version:
                 idle_version, idle_rejected = version, stats.instances_rejected - rejected
 
-        weight_1_errors(syndrome, cluster, m, stats=stats)
+        weight_1_errors(cluster, stats=stats)
         for tcts in range(1, params.max_tcts + 1):
             non_dest_pass(tcts)
         # once the cluster explains the full syndrome the remaining passes
         # are no-ops, so the early returns below are pure shortcuts
-        if cluster.matches(syndrome):
+        if not cluster.eff:
             return cluster.error
         for tcts in range(1, params.max_tcts + 1):
-            dest_branch_growth(
-                tcts, cluster, syndrome, budget, params, m,
-                event_weights=event_weights, stats=stats,
-            )
+            dest_branch_growth(tcts, cluster, budget, params, stats=stats)
             if cluster.version == idle_version:
                 stats.instances_rejected += idle_rejected
             else:
-                weight_1_errors(syndrome, cluster, m, stats=stats)
+                weight_1_errors(cluster, stats=stats)
                 non_dest_pass(1)
-            if cluster.matches(syndrome):
+            if not cluster.eff:
                 return cluster.error
     return zeros_vec(m.cols)
 

@@ -227,15 +227,22 @@ def load_detector_model(path: str) -> DetectorModel:
 
 
 def save_detector_model(model: DetectorModel, path: str) -> None:
-    """Write one error statement per mechanism column, targets sorted; a zero
-    prior, which the loader rejects, raises ValueError before the file opens."""
+    """Write one error statement per mechanism column, targets sorted.
+
+    What the loader rejects raises ValueError before the file opens: a zero
+    prior, and two columns with the same detectors and observables.
+    """
     zero = np.flatnonzero(model.priors == 0.0)
     if zero.size:
         raise ValueError(f"mechanism column {zero[0]} has prior 0.0, outside (0, 0.5]")
-    noise_t = model.noise_matrix.transpose()
-    obs_t = model.observables.transpose()
+    targets = list(zip(model.noise_matrix.col_support, model.observables.col_support))
+    first: dict[tuple, int] = {}
+    for c, key in enumerate(targets):
+        if first.setdefault(key, c) != c:
+            raise ValueError(
+                f"mechanism columns {first[key]} and {c} have the same detectors and observables"
+            )
     with open(path, "w", encoding="utf-8") as fh:
-        for c in range(model.noise_matrix.cols):
-            bits = [f"D{d}" for d in noise_t.row_support[c]]
-            bits += [f"L{o}" for o in obs_t.row_support[c]]
+        for c, (dets, obs) in enumerate(targets):
+            bits = [f"D{d}" for d in dets] + [f"L{o}" for o in obs]
             fh.write(" ".join(["error", repr(float(model.priors[c]))] + bits) + "\n")

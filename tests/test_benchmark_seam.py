@@ -56,3 +56,18 @@ def test_every_hook_resolves_and_the_traced_schedule_counts_cb_work(tracing, bb7
     assert tracer.calls["cb.schedule"] == 1
     assert tracer.counts["cb.branches_closed"] > 0
     assert tracer.counts.get("check.unsound", 0) == 0
+
+
+def test_a_traced_destructive_decode_records_every_stage_span(tracing, bb72):
+    # seed 0 draws a weight-7 error whose decode reaches destructive growth
+    rng = np.random.default_rng(0)
+    syndrome = mat_vec_mod2(bb72.hz, (rng.random(72) < 0.06).astype(np.uint8))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        cb.cb_decode(syndrome, CBParams(6, 10, 3), bb72.hz)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    for span in ("cb.weight1", "cb.nondest", "cb.dest"):
+        assert tracer.calls.get(span, 0) > 0, span

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cbdecode import cb
 from cbdecode.cb import (
     CBParams,
     ClosedBranch,
@@ -78,8 +79,8 @@ def test_verify_requires_columns():
 
 def test_weight1_zero_syndrome_noop():
     m = BinaryMatrix.from_dense(np.eye(3, dtype=int))
-    cluster = Cluster(3, 3)
-    weight_1_errors(np.zeros(3, dtype=np.uint8), cluster, m)
+    cluster = Cluster(m, np.zeros(3, dtype=np.uint8))
+    weight_1_errors(cluster)
     assert not cluster.branches()
     assert not cluster.error.any()
 
@@ -87,10 +88,10 @@ def test_weight1_zero_syndrome_noop():
 def test_weight1_full_column():
     m = BinaryMatrix(3, 2, [(0, 0), (1, 0), (2, 0), (2, 1)])
     s = np.array([1, 1, 1], dtype=np.uint8)
-    cluster = Cluster(3, 2)
-    weight_1_errors(s, cluster, m)
+    cluster = Cluster(m, s)
+    weight_1_errors(cluster)
     assert cluster.error.tolist() == [1, 0]
-    assert cluster.matches(s)
+    assert cluster.eff == 0
 
 
 def test_weight1_disjoint_columns_order_independent():
@@ -99,10 +100,10 @@ def test_weight1_disjoint_columns_order_independent():
     swapped = BinaryMatrix(4, 2, [(r, 1 - c) for r, c in entries])
     s = np.array([1, 1, 1, 1], dtype=np.uint8)
     for mat in (m, swapped):
-        cluster = Cluster(4, 2)
-        weight_1_errors(s, cluster, mat)
+        cluster = Cluster(mat, s)
+        weight_1_errors(cluster)
         assert cluster.error.tolist() == [1, 1]
-        assert cluster.matches(s)
+        assert cluster.eff == 0
         assert len(cluster.branches()) == 2
 
 
@@ -121,9 +122,9 @@ def test_seed_classification():
     s = np.array([1, 1, 1, 0], dtype=np.uint8)
     weights = np.array([2.0, 1.0, 1.0, 1.0])
     params = CBParams(max_gr=6, max_br=10, max_tcts=3)
-    cluster = Cluster(4, 4)
+    cluster = Cluster(m, s, weights)
     stats = DecodeStats()
-    non_dest_branch_growth(1, cluster, s, 3.0, params, m, event_weights=weights, stats=stats)
+    non_dest_branch_growth(1, cluster, 3.0, params, stats=stats)
     (branch,) = cluster.branches()
     assert branch.mechanisms == frozenset({2, 3})
     assert branch.checks_flipped == (1, 2)
@@ -131,7 +132,7 @@ def test_seed_classification():
     assert stats.branches_closed == 1 and stats.max_growths == 1
     for syndrome in (s, np.zeros(4, dtype=np.uint8)):
         with pytest.raises(ValueError):
-            non_dest_branch_growth(0, Cluster(4, 4), syndrome, 3.0, params, m)
+            non_dest_branch_growth(0, Cluster(m, syndrome), 3.0, params)
 
 
 def test_seed_tcts_two():
@@ -143,14 +144,14 @@ def test_seed_tcts_two():
     m = BinaryMatrix(3, 3, [(0, 0), (1, 0), (2, 0), (2, 1), (1, 2), (2, 2)])
     s = np.array([1, 0, 0], dtype=np.uint8)
     params = CBParams(max_gr=6, max_br=1, max_tcts=3)
-    cluster = Cluster(3, 3)
+    cluster = Cluster(m, s)
     stats = DecodeStats()
-    non_dest_branch_growth(2, cluster, s, 3.0, params, m, stats=stats)
+    non_dest_branch_growth(2, cluster, 3.0, params, stats=stats)
     assert [b.mechanisms for b in cluster.branches()] == [frozenset({0, 2})]
     assert cluster.branches()[0].checks_flipped == (0,)
     assert stats.instances_rejected == 0 and stats.max_growths == 1
-    cluster = Cluster(3, 3)
-    non_dest_branch_growth(1, cluster, s, 3.0, params, m)
+    cluster = Cluster(m, s)
+    non_dest_branch_growth(1, cluster, 3.0, params)
     assert cluster.branches() == []
     assert not cluster.error.any()
 
@@ -164,10 +165,10 @@ def test_pass_grows_only_seeds_that_qualify_at_start_and_when_reached():
         6, 5, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (2, 4), (5, 4)]
     )
     s = np.array([1, 0, 1, 0, 0, 1], dtype=np.uint8)
-    cluster = Cluster(m.rows, m.cols)
+    cluster = Cluster(m, s)
     stats = DecodeStats()
     params = CBParams(max_gr=6, max_br=10, max_tcts=3)
-    non_dest_branch_growth(1, cluster, s, 3.0, params, m, stats=stats)
+    non_dest_branch_growth(1, cluster, 3.0, params, stats=stats)
     assert [b.mechanisms for b in cluster.branches()] == [frozenset({0, 1})]
     assert cluster.error.tolist() == [1, 1, 0, 0, 0]
     assert cluster.flipped.tolist() == [1, 0, 1, 0, 0, 0]
@@ -185,14 +186,14 @@ def chain_matrix():
 def test_grow_immediate_closure():
     m = chain_matrix()
     s = syndrome_of(m, [0, 1])
-    cluster = Cluster(m.rows, m.cols)
+    cluster = Cluster(m, s)
     params = CBParams(max_gr=6, max_br=10, max_tcts=3)
     stats = DecodeStats()
-    non_dest_branch_growth(1, cluster, s, 2.0, params, m, stats=stats)
+    non_dest_branch_growth(1, cluster, 2.0, params, stats=stats)
     (closed,) = cluster.branches()
     assert closed.mechanisms == frozenset({0, 1})
     assert set(closed.checks_flipped) == {0, 1, 3, 4}
-    assert cluster.matches(s)
+    assert cluster.eff == 0
     assert stats.branches_closed == 1
     assert stats.max_growths == 1
     assert stats.max_spawned <= 1
@@ -202,14 +203,14 @@ def test_grow_separation_rejected_at_max_br_one():
     # frontier row 1 has two equally minimal candidates, both non-closing
     m = BinaryMatrix(4, 3, [(0, 0), (1, 0), (1, 1), (2, 1), (1, 2), (3, 2)])
     s = np.array([1, 0, 0, 0], dtype=np.uint8)
-    cluster = Cluster(m.rows, m.cols)
+    cluster = Cluster(m, s)
     stats = DecodeStats()
-    non_dest_branch_growth(1, cluster, s, 3.0, CBParams(6, 1, 3), m, stats=stats)
+    non_dest_branch_growth(1, cluster, 3.0, CBParams(6, 1, 3), stats=stats)
     assert cluster.branches() == []
     assert stats.instances_rejected == 1
     # with room for both branches the growth dead-ends instead of rejecting
     stats = DecodeStats()
-    non_dest_branch_growth(1, cluster, s, 3.0, CBParams(6, 2, 3), m, stats=stats)
+    non_dest_branch_growth(1, cluster, 3.0, CBParams(6, 2, 3), stats=stats)
     assert cluster.branches() == []
     assert stats.instances_rejected == 0
     assert stats.max_spawned == 2
@@ -224,13 +225,13 @@ def test_grow_loop_closure_through_deferred_check():
         [(0, 0), (1, 0), (2, 0), (1, 1), (3, 1), (3, 2), (2, 2)],
     )
     s = np.array([1, 0, 0, 0], dtype=np.uint8)
-    cluster = Cluster(m.rows, m.cols)
+    cluster = Cluster(m, s)
     params = CBParams(max_gr=6, max_br=10, max_tcts=3)
-    non_dest_branch_growth(2, cluster, s, 3.0, params, m)
+    non_dest_branch_growth(2, cluster, 3.0, params)
     (closed,) = cluster.branches()
     assert closed.mechanisms == frozenset({0, 1, 2})
     assert closed.checks_flipped == (0,)
-    assert cluster.matches(s)
+    assert cluster.eff == 0
     assert verify_closed_branch(set(closed.mechanisms), s, m)
 
 
@@ -247,31 +248,31 @@ def test_destructive_growth_dismantles_blocking_branch():
     m = fig6_matrix()
     s = syndrome_of(m, [1, 2, 3])
     assert s.tolist() == [1] * 9
-    cluster = Cluster(m.rows, m.cols)
-    weight_1_errors(s, cluster, m)
+    cluster = Cluster(m, s)
+    weight_1_errors(cluster)
     # the central mechanism is claimed first and blocks everything
     assert cluster.error.tolist() == [1, 0, 0, 0]
     params = CBParams(max_gr=6, max_br=10, max_tcts=3)
-    non_dest_branch_growth(1, cluster, s, 2.0, params, m)
-    assert not cluster.matches(s)
+    non_dest_branch_growth(1, cluster, 2.0, params)
+    assert not cluster.eff == 0
     stats = DecodeStats()
-    dest_branch_growth(1, cluster, s, 2.0, params, m, stats=stats)
-    weight_1_errors(s, cluster, m)
+    dest_branch_growth(1, cluster, 2.0, params, stats=stats)
+    weight_1_errors(cluster)
     assert stats.dismantled == 1
-    assert cluster.matches(s)
+    assert cluster.eff == 0
     assert cluster.error.tolist() == [0, 1, 1, 1]
 
 
 def test_destructive_growth_without_prior_branches_matches_non_destructive():
     m = chain_matrix()
     s = syndrome_of(m, [0, 1])
-    c1 = Cluster(m.rows, m.cols)
-    c2 = Cluster(m.rows, m.cols)
+    c1 = Cluster(m, s)
+    c2 = Cluster(m, s)
     params = CBParams(max_gr=6, max_br=10, max_tcts=3)
-    non_dest_branch_growth(1, c1, s, 2.0, params, m)
-    dest_branch_growth(1, c2, s, 2.0, params, m)
+    non_dest_branch_growth(1, c1, 2.0, params)
+    dest_branch_growth(1, c2, 2.0, params)
     assert c1.error.tolist() == c2.error.tolist()
-    assert c1.matches(s) and c2.matches(s)
+    assert c1.eff == 0 and c2.eff == 0
 
 
 def five_ary_tree_matrix(depth=3, fan=5):
@@ -302,16 +303,16 @@ def test_branch_budget_counts_explored_tree():
     m = five_ary_tree_matrix()
     s = np.zeros(m.rows, dtype=np.uint8)
     s[0] = 1
-    cluster = Cluster(m.rows, m.cols)  # c0 is the only seed
+    cluster = Cluster(m, s)  # c0 is the only seed
 
     stats = DecodeStats()
-    non_dest_branch_growth(1, cluster, s, 4.0, CBParams(6, 125, 3), m, stats=stats)
+    non_dest_branch_growth(1, cluster, 4.0, CBParams(6, 125, 3), stats=stats)
     assert cluster.branches() == []
     assert stats.instances_rejected == 0
     assert stats.max_spawned == 125  # 5^3 explored branches fit exactly
 
     stats = DecodeStats()
-    non_dest_branch_growth(1, cluster, s, 4.0, CBParams(6, 124, 3), m, stats=stats)
+    non_dest_branch_growth(1, cluster, 4.0, CBParams(6, 124, 3), stats=stats)
     assert cluster.branches() == []
     assert stats.instances_rejected == 1
 
@@ -322,9 +323,9 @@ def test_branch_budget_counts_explored_tree():
 # pass in which exactly one rule stops a path that would otherwise close.
 
 
-def primed(m, s):
-    cluster = Cluster(m.rows, m.cols)
-    weight_1_errors(s, cluster, m)
+def primed(m, s, weights=None):
+    cluster = Cluster(m, s, weights)
+    weight_1_errors(cluster)
     return cluster
 
 
@@ -335,14 +336,14 @@ def test_frontier_dismantling_stops_at_max_br():
     m = BinaryMatrix(3, 3, [(0, 0), (2, 1), (0, 2), (1, 2), (2, 2)])
     s = np.array([1, 1, 1], dtype=np.uint8)
     cluster = primed(m, s)
-    dest_branch_growth(2, cluster, s, 3.0, CBParams(6, 1, 3), m)
+    dest_branch_growth(2, cluster, 3.0, CBParams(6, 1, 3))
     assert [b.mechanisms for b in cluster.branches()] == [frozenset({0}), frozenset({1})]
     stats = DecodeStats()
     cluster = primed(m, s)
-    dest_branch_growth(2, cluster, s, 3.0, CBParams(6, 2, 3), m, stats=stats)
+    dest_branch_growth(2, cluster, 3.0, CBParams(6, 2, 3), stats=stats)
     assert [b.mechanisms for b in cluster.branches()] == [frozenset({2})]
     assert cluster.branches()[0].checks_flipped == (0, 1, 2)
-    assert stats.dismantled == 2 and cluster.matches(s)
+    assert stats.dismantled == 2 and cluster.eff == 0
 
 
 def test_dead_path_is_dropped_not_grown():
@@ -354,7 +355,7 @@ def test_dead_path_is_dropped_not_grown():
     s = np.array([1, 1, 1], dtype=np.uint8)
     cluster = primed(m, s)
     stats = DecodeStats()
-    dest_branch_growth(2, cluster, s, 2.0, CBParams(6, 1, 3), m, stats=stats)
+    dest_branch_growth(2, cluster, 2.0, CBParams(6, 1, 3), stats=stats)
     assert [b.mechanisms for b in cluster.branches()] == [frozenset({0}), frozenset({3})]
     assert stats.branches_closed == 0 and stats.dismantled == 0
 
@@ -368,13 +369,13 @@ def test_candidate_whose_destroy_set_exceeds_max_br_is_skipped():
     )
     s = np.array([1, 1, 0, 1], dtype=np.uint8)
     cluster = primed(m, s)
-    dest_branch_growth(1, cluster, s, 2.0, CBParams(6, 1, 3), m)
+    dest_branch_growth(1, cluster, 2.0, CBParams(6, 1, 3))
     assert [b.mechanisms for b in cluster.branches()] == [frozenset({0}), frozenset({3})]
     stats = DecodeStats()
     cluster = primed(m, s)
-    dest_branch_growth(1, cluster, s, 2.0, CBParams(6, 2, 3), m, stats=stats)
+    dest_branch_growth(1, cluster, 2.0, CBParams(6, 2, 3), stats=stats)
     assert [b.mechanisms for b in cluster.branches()] == [frozenset({1, 2})]
-    assert stats.dismantled == 2 and cluster.matches(s)
+    assert stats.dismantled == 2 and cluster.eff == 0
 
 
 def test_seed_heavier_than_the_budget_is_not_grown():
@@ -384,11 +385,11 @@ def test_seed_heavier_than_the_budget_is_not_grown():
     s = np.array([1, 1], dtype=np.uint8)
     weights = np.array([2.0, 3.0])
     params = CBParams(6, 10, 3)
-    cluster = primed(m, s)
-    dest_branch_growth(1, cluster, s, 2.5, params, m, event_weights=weights)
+    cluster = primed(m, s, weights)
+    dest_branch_growth(1, cluster, 2.5, params)
     assert [b.mechanisms for b in cluster.branches()] == [frozenset({0})]
-    cluster = primed(m, s)
-    dest_branch_growth(1, cluster, s, 3.0, params, m, event_weights=weights)
+    cluster = primed(m, s, weights)
+    dest_branch_growth(1, cluster, 3.0, params)
     assert [b.mechanisms for b in cluster.branches()] == [frozenset({1})]
 
 
@@ -401,7 +402,7 @@ def test_dismantling_may_not_violate_a_loop_closed_check():
     s = np.array([1, 0, 1, 1], dtype=np.uint8)
     cluster = primed(m, s)
     assert [b.mechanisms for b in cluster.branches()] == [frozenset({3})]
-    dest_branch_growth(3, cluster, s, 4.0, CBParams(6, 10, 3), m)
+    dest_branch_growth(3, cluster, 4.0, CBParams(6, 10, 3))
     assert [b.mechanisms for b in cluster.branches()] == [frozenset({3})]
 
 
@@ -417,7 +418,7 @@ def test_candidate_may_not_violate_a_loop_closed_check():
     s = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
     cluster = primed(m, s)
     assert [b.mechanisms for b in cluster.branches()] == [frozenset({3})]
-    dest_branch_growth(2, cluster, s, 3.0, CBParams(6, 10, 3), m)
+    dest_branch_growth(2, cluster, 3.0, CBParams(6, 10, 3))
     assert [b.mechanisms for b in cluster.branches()] == [frozenset({3})]
 
 
@@ -430,12 +431,12 @@ def test_path_at_the_budget_closes_by_dismantling():
     s = np.array([1, 0, 1], dtype=np.uint8)
     params = CBParams(6, 10, 3)
     cluster = primed(m, s)
-    non_dest_branch_growth(2, cluster, s, 2.0, params, m)
+    non_dest_branch_growth(2, cluster, 2.0, params)
     assert [b.mechanisms for b in cluster.branches()] == [frozenset({2})]
     stats = DecodeStats()
-    dest_branch_growth(2, cluster, s, 2.0, params, m, stats=stats)
+    dest_branch_growth(2, cluster, 2.0, params, stats=stats)
     assert [b.mechanisms for b in cluster.branches()] == [frozenset({0, 1})]
-    assert stats.dismantled == 1 and cluster.matches(s)
+    assert stats.dismantled == 1 and cluster.eff == 0
 
 
 # --- invariants on small random problems ------------------------------------
@@ -581,6 +582,19 @@ def test_decode_soundness_random_shots(bb72):
     assert stats.max_growths <= params.max_gr
 
 
+def test_a_first_step_win_packs_the_syndrome_once(bb72, monkeypatch):
+    # the cluster packs its syndrome when built; no stage pass packs it again
+    packs, sweeps = [], []
+    pack, sweep = cb._vec_to_int, cb.weight_1_errors
+    monkeypatch.setattr(cb, "_vec_to_int", lambda v: packs.append(1) or pack(v))
+    monkeypatch.setattr(cb, "weight_1_errors", lambda *a, **k: sweeps.append(1) or sweep(*a, **k))
+    e = vec_from_support(72, [0, 17])
+    out = cb_decode(mat_vec_mod2(bb72.hz, e), CBParams(6, 10, 3), bb72.hz)
+    assert np.array_equal(out, e)
+    assert len(sweeps) == 1  # won at the first step, before any destructive pass
+    assert len(packs) == 1
+
+
 def test_decode_monotone_in_max_gr(bb72):
     rng = np.random.default_rng(8)
     small = CBParams(3, 8, 3)
@@ -599,7 +613,7 @@ def test_decode_monotone_in_max_gr(bb72):
 
 def test_cluster_add_dismantle_consistency():
     m = chain_matrix()
-    cluster = Cluster(m.rows, m.cols)
+    cluster = Cluster(m, np.zeros(m.rows, dtype=np.uint8))
     b1 = ClosedBranch(frozenset({0}), (0, 1, 2), NON_DESTRUCTIVE)
     bid = cluster.add(b1)
     assert cluster.flipped.tolist() == [1, 1, 1, 0, 0]
@@ -612,7 +626,7 @@ def test_cluster_add_dismantle_consistency():
 
 
 def test_cluster_rejects_dismantling_destructive_branches():
-    cluster = Cluster(3, 3)
+    cluster = Cluster(BinaryMatrix.from_dense(np.eye(3, dtype=int)), np.zeros(3, dtype=np.uint8))
     bid = cluster.add(ClosedBranch(frozenset({1}), (1,), "destructive"))
     before = cluster.branches()
     # a refused dismantling leaves the cluster as it was, so it is refused again
@@ -622,3 +636,23 @@ def test_cluster_rejects_dismantling_destructive_branches():
         assert cluster.branches() == before
         assert cluster.flipped.tolist() == [0, 1, 0]
         assert cluster.row_owner[1] == bid and cluster.col_owner[1] == bid
+
+
+@pytest.mark.parametrize("syndrome_len, weights_len", [
+    (None, 10), (None, 71), (None, 200), (5, None), (5, 72),
+], ids=["weights-10", "weights-71", "weights-200", "syndrome-5", "syndrome-5-weighted"])
+def test_cluster_and_schedule_check_the_problem_shapes(bb72, syndrome_len, weights_len):
+    # weights of the wrong length used to raise a stray IndexError on some
+    # syndromes and decode the rest, and a stage pass took a short syndrome
+    m = bb72.hz
+    weights = None if weights_len is None else np.linspace(1.0, 2.0, weights_len)
+    rng = np.random.default_rng(5)
+    syndromes = [mat_vec_mod2(m, (rng.random(m.cols) < 0.06).astype(np.uint8)) for _ in range(20)]
+    syndromes = [s[:syndrome_len] for s in syndromes if s.any()]
+    syndromes.append(np.zeros(syndrome_len or m.rows, dtype=np.uint8))
+    for s in syndromes:
+        with pytest.raises(ValueError):
+            Cluster(m, s, weights)
+        for steps in (range(1, 7), range(0)):  # checked even when no step runs
+            with pytest.raises(ValueError):
+                run_schedule(s, CBParams(6, 10, 3), m, steps, float, event_weights=weights)

@@ -485,6 +485,18 @@ def test_build_noise_rejects_a_zero_prior(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+def test_build_noise_rejects_duplicate_columns(tmp_path, capsys):
+    # l = m = 1 gives n = 2 qubits on one check: both columns touch detector
+    # 0 and no observable, two statements the loader refuses as duplicates
+    spec = tmp_path / "deg.yaml"
+    spec.write_text("l: 1\nm: 1\na_terms: [x, y, x^2]\nb_terms: [y, x, y^2]\n")
+    out = tmp_path / "m.dem"
+    assert main(["build-noise", "--code", str(spec), "--p", "0.05", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("build-noise: mechanism columns 0 and 1 have the same detectors")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, expected", [
     (["--model", "phenomenological"], lambda code: phenomenological_model(code, 0.03, 0.03, 6)),
     (["--sector", "z"], lambda code: data_qubit_model(code, 0.03)[1]),

@@ -1,4 +1,8 @@
+import inspect
+
 import cbdecode
+from cbdecode import cb
+from cbdecode.bp import bp_cb_decode
 
 # the package's public names; removing or adding one edits this list on purpose
 PUBLIC_NAMES = [
@@ -45,6 +49,20 @@ PUBLIC_NAMES = [
     "weight_1_errors",
 ]
 
+# the parameters of the decoder's stage API and entry points; perfbench's
+# tracer binds the entry points' arguments by name
+PARAMETERS = [
+    (cb.Cluster, ["m", "syndrome", "event_weights"]),
+    (cb.weight_1_errors, ["cluster", "stats"]),
+    (cb.non_dest_branch_growth, ["tcts", "cluster", "weight", "params", "stats"]),
+    (cb.dest_branch_growth, ["tcts", "cluster", "weight", "params", "stats"]),
+    (cb.run_schedule, [
+        "syndrome", "params", "m", "steps", "budget_for_step", "event_weights", "stats",
+    ]),
+    (cb.cb_decode, ["syndrome", "params", "m", "stats"]),
+    (bp_cb_decode, ["syndrome", "params", "model", "max_iters", "decoder", "stats"]),
+]
+
 
 def test_all_is_the_pinned_public_surface():
     assert len(PUBLIC_NAMES) == 41
@@ -54,3 +72,8 @@ def test_all_is_the_pinned_public_surface():
 def test_every_public_name_resolves():
     for name in cbdecode.__all__:
         assert getattr(cbdecode, name) is not None
+
+
+def test_the_decoder_api_takes_the_pinned_parameters():
+    for fn, expected in PARAMETERS:
+        assert list(inspect.signature(fn).parameters) == expected, fn.__name__
