@@ -45,10 +45,17 @@ class BPDecoder:
     iteration, and point padding slots at one neutral element appended to
     the source: 0.0 among check-to-variable messages, tanh 1.0 among
     variable-to-check ones.  The variable-to-check gather fills the check
-    slots twice, in order and in reverse slot order side by side, so one
-    running product down the slots gives both the prefix and the suffix
-    products.  The convergence check gathers the hard decision through the
-    check slots' column indexes and XORs down each row's slots.
+    slots twice, in order and in reverse slot order side by side, each
+    shifted down by one slot behind a leading padding slot.  One running
+    product down the slots then holds, in row k of the in-order half, the
+    product over the slots before slot k, and in row W-1-k of the reversed
+    half the product over the slots after it (W slot rows), so a row-wise
+    product of the two halves gives every slot's exclusive product; a
+    padding factor is an exact 1.0.  The first iteration's variable-to-check
+    messages are the priors alone, so its check-to-variable messages before
+    the syndrome's sign are a table built here.  The convergence check
+    gathers the hard decision through the check slots' column indexes and
+    XORs down each row's slots.
     """
 
     def __init__(self, m: BinaryMatrix, priors: np.ndarray):
@@ -75,13 +82,15 @@ class BPDecoder:
         self.var_from_check = var_from_check.reshape(m.cols, var_width)
         check_from_var = np.full(width * rows, m.cols * var_width, dtype=np.intp)
         check_from_var[check_slot] = var_slot
-        check_from_var = check_from_var.reshape(width, rows)
-        self.check_from_var = np.hstack([check_from_var, check_from_var[::-1]])
+        self.check_from_var = _running_slots(
+            check_from_var.reshape(width, rows), m.cols * var_width
+        )
         # the first iteration's variable-to-check tanh messages carry the priors
         prior_t = np.tanh(np.clip(self.prior_llr, -LLR_CLAMP, LLR_CLAMP) / 2.0)
-        self.prior_t = np.append(prior_t, 1.0)[
-            np.hstack([self.check_cols, self.check_cols[::-1]])
-        ]
+        self.first_c2v = _exclusive_atanh(
+            np.append(prior_t, 1.0)[_running_slots(self.check_cols, m.cols)],
+            np.empty(self.check_cols.shape),
+        )
 
     @classmethod
     def for_model(cls, model: DetectorModel) -> "BPDecoder":
@@ -118,18 +127,13 @@ class BPDecoder:
         t = np.empty(self.var_from_check.size + 1, dtype=np.float64)
         t[-1] = 1.0
         t_vars = t[:-1].reshape(self.var_from_check.shape)
-        rows = self.check_cols.shape[1]
-        products = self.prior_t
+        unsigned = self.first_c2v
         converged = False
         it = 0
         for it in range(1, max_iters + 1):
-            products = np.multiply.accumulate(products, axis=0)
-            prefix, suffix = products[:, :rows], products[::-1, rows:]
-            excl = np.ones_like(prefix)
-            excl[1:] = prefix[:-1]
-            excl[:-1] *= suffix[1:]
-            excl.clip(-1.0 + 1e-12, 1.0 - 1e-12, out=excl)
-            np.multiply(sign2, np.arctanh(excl, out=excl), out=c2v_checks)
+            if it > 1:
+                unsigned = _exclusive_atanh(t[self.check_from_var], c2v_checks)
+            np.multiply(sign2, unsigned, out=c2v_checks)
 
             incoming = c2v[self.var_from_check]
             posterior = self.prior_llr + incoming.sum(axis=1)
@@ -141,7 +145,6 @@ class BPDecoder:
             v2c = np.subtract(posterior[:, None], incoming, out=incoming)
             v2c.clip(-LLR_CLAMP, LLR_CLAMP, out=v2c)
             np.tanh(np.divide(v2c, 2.0, out=v2c), out=t_vars)
-            products = t[self.check_from_var]
         return self._result(posterior, hard[:cols], converged, it)
 
     def _result(
@@ -156,6 +159,23 @@ class BPDecoder:
             converged=converged,
             iterations=iterations,
         )
+
+
+def _running_slots(slots: np.ndarray, pad: int) -> np.ndarray:
+    """The slots in order and reversed side by side, shifted down one row
+    behind a leading row of `pad`, for `_exclusive_atanh`."""
+    both = np.hstack([slots, slots[::-1]])
+    return np.vstack([np.full((1, both.shape[1]), pad, dtype=np.intp), both[:-1]])
+
+
+def _exclusive_atanh(t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """arctanh of each check slot's exclusive product of tanh messages `t`,
+    gathered through `_running_slots`, written to `out` (width x rows)."""
+    products = np.multiply.accumulate(t, axis=0, out=t)
+    rows = out.shape[1]
+    np.multiply(products[:, :rows], products[::-1, rows:], out=out)
+    out.clip(-1.0 + 1e-12, 1.0 - 1e-12, out=out)
+    return np.arctanh(out, out=out)
 
 
 def event_weights(llrs: np.ndarray) -> np.ndarray:

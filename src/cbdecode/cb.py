@@ -593,8 +593,10 @@ def cb_decode(
 
     Iterates the growth budget from 2 up to max_gr; the first cluster whose
     flipped checks equal the syndrome wins, so lower-weight explanations are
-    preferred.
+    preferred.  A max_gr below 2 leaves no step to run and raises ValueError.
     """
+    if params.max_gr < 2:
+        raise ValueError("cb_decode needs max_gr >= 2: its schedule starts at step 2")
     return run_schedule(
         syndrome, params, m, range(2, params.max_gr + 1), lambda step: float(step), stats=stats
     )

@@ -121,8 +121,8 @@ def _build_config(data: dict) -> ExperimentConfig:
         if kwargs["noise"] == PHENOMENOLOGICAL and "rounds" not in kwargs and spec.distance:
             kwargs["rounds"] = spec.distance
     config = ExperimentConfig(**kwargs)
-    config.params = replace(config.params, **params)
-    return config
+    # replace() checks the config again, now with its budgets
+    return replace(config, params=replace(config.params, **params))
 
 
 def _load_mapping(path: str, what: str) -> dict:

@@ -93,6 +93,8 @@ class ExperimentConfig:
                 raise ValueError(f"{self.noise} noise takes a code spec and no dem_path")
         if self.decoder not in ("cb", "bp+cb"):
             raise ValueError(f"unknown decoder {self.decoder!r}")
+        if self.decoder == "cb" and self.params.max_gr < 2:
+            raise ValueError("decoder cb needs max_gr >= 2: its schedule starts at step 2")
         if self.sector not in ("x", "z", "both"):
             raise ValueError("sector must be x, z or both")
         if self.max_shots < 1:
@@ -131,13 +133,26 @@ def required_shots(target_pl_d: float) -> int:
 def logical_failure(model: DetectorModel, actual: np.ndarray, recovered: np.ndarray) -> bool:
     """True iff the residual actual + recovered flips any logical observable.
 
-    A residual outside the check kernel raises, since the decoder should
-    never emit such an estimate.
+    Both vectors must have one entry per noise-matrix column (else
+    ValueError); an entry counts by its parity, as in `mat_vec_mod2`.  The
+    residual's syndrome and observable flips are the XOR of its set
+    columns' cached bitmasks (`BinaryMatrix.col_masks`).  A residual outside
+    the check kernel raises, since the decoder should never emit such an
+    estimate.
     """
-    residual = (np.asarray(actual, dtype=np.uint8) ^ np.asarray(recovered, dtype=np.uint8))
-    if mat_vec_mod2(model.noise_matrix, residual).any():
+    actual = np.asarray(actual, dtype=np.uint8)
+    recovered = np.asarray(recovered, dtype=np.uint8)
+    shape = (model.noise_matrix.cols,)
+    if actual.shape != shape or recovered.shape != shape:
+        raise ValueError(f"error vectors must have shape {shape}")
+    checks, observables = model.noise_matrix.col_masks(), model.observables.col_masks()
+    syndrome = flips = 0
+    for c in np.flatnonzero((actual ^ recovered) & 1).tolist():
+        syndrome ^= checks[c]
+        flips ^= observables[c]
+    if syndrome:
         raise ValueError("residual error has a nonzero syndrome")
-    return bool(mat_vec_mod2(model.observables, residual).any())
+    return flips != 0
 
 
 def detector_models(config: ExperimentConfig) -> list[tuple[str, DetectorModel]]:

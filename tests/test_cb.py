@@ -595,6 +595,16 @@ def test_a_first_step_win_packs_the_syndrome_once(bb72, monkeypatch):
     assert len(packs) == 1
 
 
+def test_cb_decode_rejects_a_schedule_with_no_step(bb72):
+    # the plain schedule starts at step 2, so max_gr=1 would run no step and
+    # return zeros for every nonzero syndrome
+    e = vec_from_support(72, [5])
+    s = mat_vec_mod2(bb72.hz, e)
+    with pytest.raises(ValueError, match="max_gr >= 2"):
+        cb_decode(s, CBParams(1, 10, 3), bb72.hz)
+    assert np.array_equal(cb_decode(s, CBParams(2, 10, 3), bb72.hz), e)
+
+
 def test_decode_monotone_in_max_gr(bb72):
     rng = np.random.default_rng(8)
     small = CBParams(3, 8, 3)

@@ -150,6 +150,13 @@ def test_run_rejects_a_value_of_the_wrong_type(tmp_path, capsys, key, value):
     assert f"run: config key '{key}' cannot take the value" in capsys.readouterr().err
 
 
+def test_run_rejects_cb_with_no_schedule_step(tmp_path, capsys):
+    cfg = run_config(tmp_path, decoder="cb", max_gr=1, p=0.05)
+    assert main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "run: decoder cb needs max_gr >= 2" in captured.err and "shots=" not in captured.out
+
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 

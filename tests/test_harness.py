@@ -10,7 +10,7 @@ import pytest
 from cbdecode import harness
 from cbdecode.bbcodes import STANDARD_CODES
 from cbdecode.cb import CBParams
-from cbdecode.gf2 import vec_from_support
+from cbdecode.gf2 import kernel_basis_mod2, mat_vec_mod2, vec_from_support
 from cbdecode.harness import (
     ExperimentConfig,
     append_csv,
@@ -21,7 +21,7 @@ from cbdecode.harness import (
     run_experiment,
     CSV_COLUMNS,
 )
-from cbdecode.noise import data_qubit_model, save_detector_model
+from cbdecode.noise import data_qubit_model, phenomenological_model, save_detector_model
 
 
 def test_required_shots():
@@ -67,6 +67,57 @@ def test_logical_failure_residual_check(bb72):
     bad = np.zeros(72, dtype=np.uint8)
     with pytest.raises(ValueError):
         logical_failure(model, actual, bad)
+
+
+@pytest.mark.parametrize("noise", ["data-qubit", "phenomenological"])
+def test_mask_scoring_matches_the_mat_vecs(bb72, noise):
+    """logical_failure against the two mat-vecs it replaces, on seeded
+    random residuals: sparse and dense, in and out of the check kernel."""
+    if noise == "data-qubit":
+        model = data_qubit_model(bb72, 0.05)[0]
+    else:
+        model = phenomenological_model(bb72, 0.03, 0.03, 3)
+    kernel = kernel_basis_mod2(model.noise_matrix)
+    rng = np.random.default_rng(41)
+    cols = model.noise_matrix.cols
+    verdicts = []
+    for trial in range(200):
+        actual = (rng.random(cols) < rng.choice([0.01, 0.1, 0.5])).astype(np.uint8)
+        recovered = actual.copy()
+        if trial % 2:
+            # a stabilizer-like residual: an XOR of kernel vectors
+            for _ in range(rng.integers(1, 4)):
+                recovered ^= kernel[rng.integers(len(kernel))]
+        else:
+            recovered ^= (rng.random(cols) < 0.05).astype(np.uint8)
+        residual = actual ^ recovered
+        if mat_vec_mod2(model.noise_matrix, residual).any():
+            with pytest.raises(ValueError, match="nonzero syndrome"):
+                logical_failure(model, actual, recovered)
+        else:
+            flips = bool(mat_vec_mod2(model.observables, residual).any())
+            assert logical_failure(model, actual, recovered) == flips
+            verdicts.append(flips)
+    assert 50 <= len(verdicts) <= 150 and 0 < sum(verdicts) < len(verdicts)
+
+
+def test_logical_failure_rejects_misshapen_vectors(bb72):
+    model, _ = data_qubit_model(bb72, 0.1)
+    good = np.zeros(72, dtype=np.uint8)
+    for bad in (np.zeros(71, np.uint8), np.zeros(73, np.uint8), np.zeros((1, 72), np.uint8),
+                np.zeros(1, np.uint8), np.uint8(0)):
+        with pytest.raises(ValueError, match="shape"):
+            logical_failure(model, good, bad)
+        with pytest.raises(ValueError, match="shape"):
+            logical_failure(model, bad, good)
+
+
+def test_logical_failure_counts_entries_by_parity(bb72):
+    model, _ = data_qubit_model(bb72, 0.1)
+    actual = np.zeros(72, dtype=np.uint8)
+    # 2 is even: no residual; 3 is odd: the logical representative survives
+    assert not logical_failure(model, actual, bb72.logical_x[0] * 2)
+    assert logical_failure(model, actual, bb72.logical_x[0] * 3)
 
 
 def _config(**kw):
@@ -139,6 +190,13 @@ def test_config_validation():
             _config(max_failures=max_failures)
     with pytest.raises(ValueError):
         ExperimentConfig(noise="data-qubit", p=0.1, code_spec=None)
+
+
+def test_config_rejects_cb_without_a_step():
+    with pytest.raises(ValueError, match="max_gr >= 2"):
+        _config(decoder="cb", params=CBParams(1, 10, 3))
+    # BP+CB's schedule starts at step 1
+    assert _config(decoder="bp+cb", params=CBParams(1, 10, 3)).params.max_gr == 1
 
 
 def test_pl_statistically_monotone_in_budgets():
@@ -256,10 +314,10 @@ def test_unsound_output_raises_on_every_noise_model(noise, bb72, tmp_path, monke
         run_experiment(config)
 
 
-def test_detector_model_shot_makes_three_mat_vecs(monkeypatch):
-    """A phenomenological shot takes one mat-vec for its syndrome and two to
-    score its residual (syndrome and observables), counted through every
-    cbdecode module that holds mat_vec_mod2."""
+def test_detector_model_shot_makes_one_mat_vec(monkeypatch):
+    """A phenomenological shot takes one mat-vec, for its syndrome; scoring
+    XORs column bitmasks.  Counted through every cbdecode module that holds
+    mat_vec_mod2."""
     calls = []
     for name, module in list(sys.modules.items()):
         if name.startswith("cbdecode") and hasattr(module, "mat_vec_mod2"):
@@ -270,4 +328,4 @@ def test_detector_model_shot_makes_three_mat_vecs(monkeypatch):
     for index in range(10):
         calls.clear()
         failed, _ = runner.run_shot(index)
-        assert not failed and len(calls) == 3
+        assert not failed and len(calls) == 1
