@@ -8,11 +8,11 @@ and column, run for a fixed 40 iterations.  The sha256 of every result's
 `llrs`, `marginals` and `hard_decision` bytes, its iteration count and its
 `converged` flag is pinned, together with the total iteration count and the
 number of converged results, so any change in a float operation or its order
-shows up here.  `GOLDEN_SHORT` pins the same digests for the short schedules
-(`max_iters` 0, 1, 2 and 7, with and without `stop_on_match`), which end on
-or right after the first iteration, on those three matrices and on two edge
-matrices: one whose rows all have weight 1, and one with no rows.  A declared
-change of decoder behaviour regenerates the constants.
+shows up here.  `GOLDEN_SHORT` pins the same digests for short schedules
+(`max_iters` 0, 1, 2 and 7, with and without `stop_on_match`), so that the
+first iterations are checked on their own, on those three matrices and on two
+edge matrices: one whose rows all have weight 1, and one with no rows.  A
+declared change of decoder behaviour regenerates the constants.
 """
 
 import hashlib
@@ -359,8 +359,9 @@ SHORT_PROBLEMS = {
 
 
 def test_edge_matrix_shapes():
-    assert weight_1_rows_problem(None)[0].m.row_weights() == [1] * 9
-    assert sorted(set(weight_1_rows_problem(None)[0].m.col_weights())) == [0, 1, 2, 3]
+    m = weight_1_rows_problem(None)[0].m
+    assert m.row_weights() == [1] * 9
+    assert sorted(set(m.col_weights())) == [0, 1, 2, 3]
     assert no_rows_problem(None)[0].m.rows == 0
 
 

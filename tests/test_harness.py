@@ -85,7 +85,7 @@ def test_mask_scoring_matches_the_mat_vecs(bb72, noise):
         actual = (rng.random(cols) < rng.choice([0.01, 0.1, 0.5])).astype(np.uint8)
         recovered = actual.copy()
         if trial % 2:
-            # a stabilizer-like residual: an XOR of kernel vectors
+            # a residual in the check kernel: an XOR of kernel basis vectors
             for _ in range(rng.integers(1, 4)):
                 recovered ^= kernel[rng.integers(len(kernel))]
         else:
