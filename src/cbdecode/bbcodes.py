@@ -106,18 +106,22 @@ class CSSCode:
     name: str = ""
 
     def validate(self) -> None:
-        """Check the CSS invariants; raises AssertionError on violation."""
-        assert self.hx.cols == self.hz.cols == self.n
+        """Check the CSS invariants; raises AssertionError, even under `python -O`."""
+        _check(self.hx.cols == self.hz.cols == self.n, "hx and hz must have n columns")
         for cs in self.hz.row_support:
-            assert not mat_vec_mod2(self.hx, vec_from_support(self.n, cs)).any(), (
-                "hx hz^T != 0 (mod 2)"
-            )
-        assert self.k == self.n - rank_mod2(self.hx) - rank_mod2(self.hz)
-        assert len(self.logical_x) == len(self.logical_z) == self.k
+            _check(not mat_vec_mod2(self.hx, vec_from_support(self.n, cs)).any(),
+                   "hx hz^T != 0 (mod 2)")
+        _check(self.k == self.n - rank_mod2(self.hx) - rank_mod2(self.hz), "k != n - ranks")
+        _check(len(self.logical_x) == len(self.logical_z) == self.k, "need k logical pairs")
         for v in self.logical_z:
-            assert not mat_vec_mod2(self.hx, v).any(), "logical_z outside ker(hx)"
+            _check(not mat_vec_mod2(self.hx, v).any(), "logical_z outside ker(hx)")
         for v in self.logical_x:
-            assert not mat_vec_mod2(self.hz, v).any(), "logical_x outside ker(hz)"
+            _check(not mat_vec_mod2(self.hz, v).any(), "logical_x outside ker(hz)")
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise AssertionError(message)
 
 
 def _polynomial(terms: tuple[Monomial, ...], l: int, m: int) -> set[tuple[int, int]]:

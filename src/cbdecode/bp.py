@@ -19,17 +19,26 @@ from .gf2 import BinaryMatrix
 from .noise import DetectorModel
 
 LLR_CLAMP = 25.0
+MAX_ITERS = 30  # the default BP iteration cap
 
 
 @dataclass
 class BPResult:
-    """Posterior marginals and the hard decision they imply."""
+    """BP's posterior LLRs and the hard decision they imply; the marginals
+    and the clamped llrs are computed from the posterior when read."""
 
-    marginals: np.ndarray
-    llrs: np.ndarray
+    posterior: np.ndarray
     hard_decision: np.ndarray
     converged: bool
     iterations: int
+
+    @property
+    def marginals(self) -> np.ndarray:
+        return 1.0 / (1.0 + np.exp(self.posterior.clip(-700.0, 700.0)))
+
+    @property
+    def llrs(self) -> np.ndarray:
+        return self.posterior.clip(-LLR_CLAMP, LLR_CLAMP)
 
 
 class BPDecoder:
@@ -66,6 +75,7 @@ class BPDecoder:
             raise ValueError("priors must lie in (0, 0.5]")
         self.m = m
         self.prior_llr = np.log((1.0 - priors) / priors)
+        self.prior_llr.flags.writeable = False  # a result may hold it as its posterior
 
         self.check_cols = m.row_slots()
         width, rows = self.check_cols.shape
@@ -104,10 +114,12 @@ class BPDecoder:
     def decode(
         self,
         syndrome: np.ndarray,
-        max_iters: int = 30,
+        max_iters: int = MAX_ITERS,
         *,
         stop_on_match: bool = True,
     ) -> BPResult:
+        if max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
         syndrome = np.asarray(syndrome, dtype=np.uint8)
         if syndrome.shape != (self.m.rows,):
             raise ValueError("syndrome length must equal the matrix row count")
@@ -117,7 +129,7 @@ class BPDecoder:
         hard = np.zeros(cols + 1, dtype=bool)
         posterior = self.prior_llr
         if stop_on_match and not syndrome.any():
-            return self._result(posterior, hard[:cols], True, 0)
+            return BPResult(posterior, hard[:cols].astype(np.uint8), True, 0)
 
         target = syndrome.astype(bool).tobytes()
         sign2 = np.where(syndrome, -2.0, 2.0)
@@ -145,20 +157,7 @@ class BPDecoder:
             v2c = np.subtract(posterior[:, None], incoming, out=incoming)
             v2c.clip(-LLR_CLAMP, LLR_CLAMP, out=v2c)
             np.tanh(np.divide(v2c, 2.0, out=v2c), out=t_vars)
-        return self._result(posterior, hard[:cols], converged, it)
-
-    def _result(
-        self, posterior: np.ndarray, hard: np.ndarray, converged: bool, iterations: int
-    ) -> BPResult:
-        marginals = 1.0 / (1.0 + np.exp(posterior.clip(-700.0, 700.0)))
-        llrs = posterior.clip(-LLR_CLAMP, LLR_CLAMP)
-        return BPResult(
-            marginals=marginals,
-            llrs=llrs,
-            hard_decision=hard.astype(np.uint8),
-            converged=converged,
-            iterations=iterations,
-        )
+        return BPResult(posterior, hard[:cols].astype(np.uint8), converged, it)
 
 
 def _running_slots(slots: np.ndarray, pad: int) -> np.ndarray:
@@ -190,7 +189,7 @@ def bp_cb_decode(
     syndrome: np.ndarray,
     params: CBParams,
     model: DetectorModel,
-    max_iters: int = 30,
+    max_iters: int = MAX_ITERS,
     *,
     decoder: BPDecoder | None = None,
     stats: DecodeStats | None = None,
@@ -204,7 +203,7 @@ def bp_cb_decode(
     bp = decoder if decoder is not None else BPDecoder.for_model(model)
     result = bp.decode(syndrome, max_iters)
     if result.converged:
-        return result.hard_decision.copy()
+        return result.hard_decision
     weights = event_weights(result.llrs)
     w_max = float(weights.max())
     return run_schedule(

@@ -37,10 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import BinaryMatrix, _vec_to_int, zeros_vec
-
-NON_DESTRUCTIVE = "non-destructive"
-DESTRUCTIVE = "destructive"
+from .gf2 import BinaryMatrix, _vec_to_int
 
 
 @dataclass(frozen=True)
@@ -58,11 +55,11 @@ class CBParams:
 
 @dataclass
 class ClosedBranch:
-    """A committed closed branch: its mechanisms and the checks it explains."""
+    """A committed closed branch: its mechanisms, its checks, whether it grew destructively."""
 
     mechanisms: frozenset[int]
     checks_flipped: tuple[int, ...]
-    mode: str
+    destructive: bool
 
 
 @dataclass
@@ -142,7 +139,7 @@ class Cluster:
         self._next_id += 1
         self.version += 1
         self._by_id[bid] = branch
-        if branch.mode == NON_DESTRUCTIVE:
+        if not branch.destructive:
             self._destructible.add(bid)
         rows = 0
         for r in branch.checks_flipped:
@@ -201,14 +198,14 @@ def _candidate_columns(eff: int, m: BinaryMatrix) -> list[int]:
 def weight_1_errors(cluster: Cluster, *, stats: DecodeStats | None = None) -> Cluster:
     """Close every mechanism whose adjacent checks are all effectively violated."""
     m, eff = cluster.m, cluster.eff
+    stats = stats or DecodeStats()
     masks = m.col_masks()
     for c in _candidate_columns(eff, m):
         rows = masks[c]
         if cluster.col_owner[c] is None and rows and rows & eff == rows:
-            cluster.add(ClosedBranch(frozenset((c,)), m.col_support[c], NON_DESTRUCTIVE))
+            cluster.add(ClosedBranch(frozenset((c,)), m.col_support[c], False))
             eff ^= rows
-            if stats is not None:
-                stats.branches_closed += 1
+            stats.branches_closed += 1
     return cluster
 
 
@@ -266,9 +263,10 @@ class _Grower:
     """
 
     def __init__(
-        self, mode: str, budget: float, params: CBParams, cluster: Cluster, stats: DecodeStats
+        self, destructive: bool, budget: float, params: CBParams, cluster: Cluster,
+        stats: DecodeStats,
     ):
-        self.destructive = mode == DESTRUCTIVE
+        self.destructive = destructive
         self.budget = budget
         self.max_br = params.max_br
         self.max_gr = params.max_gr
@@ -444,8 +442,8 @@ class _Grower:
         for bid in sorted(st.destroyed):
             self.cluster.dismantle(bid)
             self.stats.dismantled += 1
-        mode = DESTRUCTIVE if self.destructive else NON_DESTRUCTIVE
-        branch = ClosedBranch(frozenset(_bits(st.mechanisms)), _bits(st.satisfied), mode)
+        mechanisms = frozenset(_bits(st.mechanisms))
+        branch = ClosedBranch(mechanisms, _bits(st.satisfied), self.destructive)
         self.cluster.add(branch)
         self.stats.branches_closed += 1
         self.stats.observe_growths(st.growths)
@@ -453,7 +451,7 @@ class _Grower:
 
 
 def _branch_growth_pass(
-    mode: str, tcts: int, cluster: Cluster, weight: float, params: CBParams,
+    destructive: bool, tcts: int, cluster: Cluster, weight: float, params: CBParams,
     stats: DecodeStats | None,
 ) -> Cluster:
     """Grow, in column order, every column that qualifies as a seed both at
@@ -468,7 +466,7 @@ def _branch_growth_pass(
         c for c in _candidate_columns(eff, cluster.m)
         if cluster.col_owner[c] is None and _seed(masks[c], tcts, eff)
     ]
-    grower = _Grower(mode, weight, params, cluster, stats or DecodeStats())
+    grower = _Grower(destructive, weight, params, cluster, stats or DecodeStats())
     for c in columns:
         eff = cluster.eff
         if not eff:
@@ -502,7 +500,7 @@ def non_dest_branch_growth(
     instance that spawns more than params.max_br branches is abandoned.
     Closed branches are added to the cluster, which is returned.
     """
-    return _branch_growth_pass(NON_DESTRUCTIVE, tcts, cluster, weight, params, stats)
+    return _branch_growth_pass(False, tcts, cluster, weight, params, stats)
 
 
 def dest_branch_growth(
@@ -518,7 +516,7 @@ def dest_branch_growth(
 
     The dismantling happens only when the path closes.
     """
-    return _branch_growth_pass(DESTRUCTIVE, tcts, cluster, weight, params, stats)
+    return _branch_growth_pass(True, tcts, cluster, weight, params, stats)
 
 
 def run_schedule(
@@ -579,7 +577,7 @@ def run_schedule(
                 non_dest_pass(1)
             if not cluster.eff:
                 return cluster.error
-    return zeros_vec(m.cols)
+    return np.zeros(m.cols, dtype=np.uint8)
 
 
 def cb_decode(

@@ -133,10 +133,6 @@ class BinaryMatrix:
         return f"BinaryMatrix({self.rows}x{self.cols}, {self.entry_count()} entries)"
 
 
-def zeros_vec(n: int) -> np.ndarray:
-    return np.zeros(n, dtype=np.uint8)
-
-
 def vec_from_support(n: int, support: Iterable[int]) -> np.ndarray:
     v = np.zeros(n, dtype=np.uint8)
     for i in support:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bbcodes import BBCodeSpec, build_bb_code
-from .bp import BPDecoder, bp_cb_decode
+from .bp import MAX_ITERS, BPDecoder, bp_cb_decode
 from .cb import CBParams, cb_decode
 from .gf2 import mat_vec_mod2
 from .noise import (
@@ -77,7 +77,7 @@ class ExperimentConfig:
     max_shots: int = 10_000
     max_failures: int | None = 100
     seed: int = 0
-    bp_iters: int = 30
+    bp_iters: int = MAX_ITERS
     name: str = ""
 
     def __post_init__(self):
@@ -103,6 +103,8 @@ class ExperimentConfig:
             raise ValueError("max_failures must be >= 1")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
+        if self.bp_iters < 0:
+            raise ValueError("bp_iters must be >= 0")
 
     def label(self) -> str:
         if self.name:

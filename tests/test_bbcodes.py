@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +135,25 @@ def test_validate_rejects_anticommuting_checks():
     hz = BinaryMatrix(2, 4, [(0, 0), (0, 1), (1, 1), (1, 2)])
     with pytest.raises(AssertionError, match="hx hz"):
         CSSCode(n=4, k=1, hx=hx, hz=hz).validate()
+
+
+def test_validate_checks_under_python_optimize():
+    # the checks are explicit raises, so -O, which strips asserts, keeps them
+    script = (
+        "import dataclasses\n"
+        "from cbdecode.bbcodes import STANDARD_CODES, build_bb_code\n"
+        "bb72 = build_bb_code(STANDARD_CODES['bb72'])\n"
+        "try:\n"
+        "    dataclasses.replace(bb72, k=5).validate()\n"
+        "except AssertionError as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rejected: k != n - ranks")
 
 
 def test_monomial_parsing():

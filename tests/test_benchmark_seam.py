@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from cbdecode import cb
-from cbdecode.bp import bp_cb_decode
+from cbdecode.bp import BPDecoder, bp_cb_decode
 from cbdecode.cb import CBParams, cb_decode, run_schedule
 from cbdecode.gf2 import mat_vec_mod2, vec_from_support
-from cbdecode.noise import data_qubit_model
+from cbdecode.noise import data_qubit_model, sample_shot, shot_rng
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -71,3 +71,21 @@ def test_a_traced_destructive_decode_records_every_stage_span(tracing, bb72):
     assert tracer.missing == []
     for span in ("cb.weight1", "cb.nondest", "cb.dest"):
         assert tracer.calls.get(span, 0) > 0, span
+
+
+def test_a_traced_bp_decode_counts_the_results_iterations_and_convergence(tracing, bb72):
+    # the tracer reads both off the result with getattr(out, ..., 0), so a
+    # renamed field would blank bp.iters_mean and bp.converged_share
+    model, _ = data_qubit_model(bb72, 0.05)
+    decoder = BPDecoder.for_model(model)
+    syndromes = [sample_shot(model, shot_rng(3, i)).syndrome for i in range(40)]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        results = [decoder.decode(s) for s in syndromes]
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["bp.decode"] == len(results)
+    assert tracer.counts["bp.iters"] == sum(r.iterations for r in results) > 0
+    assert tracer.counts["bp.converged"] == sum(r.converged for r in results)
+    assert 0 < tracer.counts["bp.converged"] < len(results)

@@ -1,11 +1,13 @@
+import inspect
 import itertools
 
 import numpy as np
 import pytest
 
-from cbdecode.bp import BPDecoder, bp_cb_decode, event_weights
+from cbdecode.bp import LLR_CLAMP, MAX_ITERS, BPDecoder, bp_cb_decode, event_weights
 from cbdecode.cb import CBParams, run_schedule
 from cbdecode.gf2 import BinaryMatrix, mat_vec_mod2
+from cbdecode.harness import ExperimentConfig
 from cbdecode.noise import data_qubit_model, phenomenological_model, sample_shot, shot_rng
 
 
@@ -210,3 +212,76 @@ def test_detector_model_round_trip_through_decoder(bb72):
             assert np.array_equal(
                 mat_vec_mod2(model.noise_matrix, out), shot.syndrome
             )
+
+
+# --- The result contract ------------------------------------------------------
+
+
+def bb72_syndromes(model, dec, seed=3, shots=200):
+    """A zero syndrome, then the first syndromes BP converges and fails on."""
+    found = {"zero": np.zeros(model.noise_matrix.rows, dtype=np.uint8)}
+    for i in range(shots):
+        syndrome = sample_shot(model, shot_rng(seed, i)).syndrome
+        if syndrome.any():
+            found.setdefault("converged" if dec.decode(syndrome).converged else "failed", syndrome)
+    assert set(found) == {"zero", "converged", "failed"}
+    return found
+
+
+def test_marginals_and_llrs_are_read_from_the_posterior(bb72):
+    model, _ = data_qubit_model(bb72, 0.05)
+    dec = BPDecoder.for_model(model)
+    results = [dec.decode(s) for s in bb72_syndromes(model, dec).values()]
+    # a prior of 1e-12 gives an llr beyond the clamp
+    results.append(BPDecoder(chain_code(), np.array([1e-12, 0.1, 0.3])).decode(
+        np.array([1, 0], dtype=np.uint8), max_iters=0
+    ))
+    assert np.abs(results[-1].posterior).max() > LLR_CLAMP
+    for res in results:
+        marginals = 1.0 / (1.0 + np.exp(res.posterior.clip(-700.0, 700.0)))
+        assert np.array_equal(res.marginals, marginals)
+        assert np.array_equal(res.llrs, res.posterior.clip(-LLR_CLAMP, LLR_CLAMP))
+
+
+def test_a_zero_syndrome_result_holds_the_priors_read_only():
+    dec = BPDecoder(chain_code(), np.array([0.1, 0.2, 0.3]))
+    res = dec.decode(np.zeros(2, dtype=np.uint8))
+    assert not res.posterior.flags.writeable
+    with pytest.raises(ValueError):
+        res.posterior[0] = -1.0
+    assert np.allclose(res.posterior, np.log([9.0, 4.0, 7.0 / 3.0]))
+
+
+def test_writing_into_returned_arrays_leaves_the_next_decode_unchanged(bb72):
+    model, _ = data_qubit_model(bb72, 0.05)
+    params = CBParams(6, 10, 3)
+    dec = BPDecoder.for_model(model)
+    for name, syndrome in bb72_syndromes(model, dec).items():
+        res = dec.decode(syndrome)
+        want = [a.copy() for a in (res.posterior, res.hard_decision, res.marginals, res.llrs)]
+        want_bpcb = bp_cb_decode(syndrome, params, model, decoder=dec).copy()
+        for arr in (res.posterior, res.hard_decision, res.marginals, res.llrs,
+                    bp_cb_decode(syndrome, params, model, decoder=dec)):
+            if arr.flags.writeable:
+                arr[...] = 1
+        again = dec.decode(syndrome)
+        got = [again.posterior, again.hard_decision, again.marginals, again.llrs]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), name
+        assert np.array_equal(bp_cb_decode(syndrome, params, model, decoder=dec), want_bpcb), name
+
+
+def test_the_iteration_cap_has_one_default():
+    for fn in (BPDecoder.decode, bp_cb_decode):
+        assert inspect.signature(fn).parameters["max_iters"].default == MAX_ITERS
+    assert ExperimentConfig.bp_iters == MAX_ITERS
+
+
+def test_decode_rejects_a_negative_iteration_cap():
+    dec = BPDecoder(chain_code(), np.array([0.1, 0.2, 0.3]))
+    syndrome = np.array([1, 0], dtype=np.uint8)
+    with pytest.raises(ValueError, match="max_iters must be >= 0"):
+        dec.decode(syndrome, max_iters=-1)
+    # a cap of 0 stays valid: the priors are the posterior
+    res = dec.decode(syndrome, max_iters=0)
+    assert (res.converged, res.iterations) == (False, 0)
+    assert np.array_equal(res.posterior, dec.prior_llr)

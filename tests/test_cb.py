@@ -10,7 +10,6 @@ from cbdecode.cb import (
     ClosedBranch,
     Cluster,
     DecodeStats,
-    NON_DESTRUCTIVE,
     cb_decode,
     dest_branch_growth,
     non_dest_branch_growth,
@@ -624,7 +623,7 @@ def test_decode_monotone_in_max_gr(bb72):
 def test_cluster_add_dismantle_consistency():
     m = chain_matrix()
     cluster = Cluster(m, np.zeros(m.rows, dtype=np.uint8))
-    b1 = ClosedBranch(frozenset({0}), (0, 1, 2), NON_DESTRUCTIVE)
+    b1 = ClosedBranch(frozenset({0}), (0, 1, 2), False)
     bid = cluster.add(b1)
     assert cluster.flipped.tolist() == [1, 1, 1, 0, 0]
     assert cluster.error.tolist() == [1, 0]
@@ -637,7 +636,7 @@ def test_cluster_add_dismantle_consistency():
 
 def test_cluster_rejects_dismantling_destructive_branches():
     cluster = Cluster(BinaryMatrix.from_dense(np.eye(3, dtype=int)), np.zeros(3, dtype=np.uint8))
-    bid = cluster.add(ClosedBranch(frozenset({1}), (1,), "destructive"))
+    bid = cluster.add(ClosedBranch(frozenset({1}), (1,), True))
     before = cluster.branches()
     # a refused dismantling leaves the cluster as it was, so it is refused again
     for _ in range(2):

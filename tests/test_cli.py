@@ -157,6 +157,13 @@ def test_run_rejects_cb_with_no_schedule_step(tmp_path, capsys):
     assert "run: decoder cb needs max_gr >= 2" in captured.err and "shots=" not in captured.out
 
 
+def test_run_rejects_a_negative_bp_iteration_cap(tmp_path, capsys):
+    cfg = run_config(tmp_path, bp_iters=-5, p=0.05)
+    assert main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "run: bp_iters must be >= 0" in captured.err and "shots=" not in captured.out
+
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 

@@ -192,6 +192,13 @@ def test_config_validation():
         ExperimentConfig(noise="data-qubit", p=0.1, code_spec=None)
 
 
+def test_config_rejects_a_negative_bp_iteration_cap():
+    with pytest.raises(ValueError, match="bp_iters must be >= 0"):
+        _config(bp_iters=-5)
+    # a cap of 0 stays valid: CB then runs with the priors as weights
+    assert _config(bp_iters=0).bp_iters == 0
+
+
 def test_config_rejects_cb_without_a_step():
     with pytest.raises(ValueError, match="max_gr >= 2"):
         _config(decoder="cb", params=CBParams(1, 10, 3))

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import cbdecode
@@ -64,6 +65,10 @@ PARAMETERS = [
 ]
 
 
+# the values a BP result stores; marginals and llrs are computed from posterior
+BP_RESULT_FIELDS = ["posterior", "hard_decision", "converged", "iterations"]
+
+
 def test_all_is_the_pinned_public_surface():
     assert len(PUBLIC_NAMES) == 41
     assert sorted(cbdecode.__all__) == PUBLIC_NAMES
@@ -77,3 +82,7 @@ def test_every_public_name_resolves():
 def test_the_decoder_api_takes_the_pinned_parameters():
     for fn, expected in PARAMETERS:
         assert list(inspect.signature(fn).parameters) == expected, fn.__name__
+
+
+def test_a_bp_result_stores_the_pinned_fields():
+    assert [f.name for f in dataclasses.fields(cbdecode.BPResult)] == BP_RESULT_FIELDS
