@@ -32,16 +32,14 @@ from .noise import (
     data_qubit_model,
     load_detector_model,
     phenomenological_model,
-    sample_depolarizing,
-    sample_shot,
-    shot_rng,
+    _sample_chunk,
 )
 
 DATA_QUBIT = "data-qubit"
 PHENOMENOLOGICAL = "phenomenological"
 CIRCUIT_FILE = "circuit-file"
 
-# shots per pool task: few enough that a failure target stops the pool soon
+# shots per sampling call and pool task: few enough that a failure target stops the pool soon
 _CHUNK_SHOTS = 100
 
 CSV_COLUMNS = [
@@ -105,6 +103,8 @@ class ExperimentConfig:
             raise ValueError("rounds must be >= 1")
         if self.bp_iters < 0:
             raise ValueError("bp_iters must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def label(self) -> str:
         if self.name:
@@ -180,6 +180,8 @@ class _ShotRunner:
         for sector, model in detector_models(config):
             bp = BPDecoder.for_model(model) if config.decoder == "bp+cb" else None
             self.sectors.append((sector, model, bp))
+        model = self.sectors[0][1]  # data-qubit shots draw (x, z) pairs, others mechanisms
+        self.source = (model.noise_matrix.cols, config.p) if config.noise == DATA_QUBIT else model
 
     def _decode(self, model: DetectorModel, bp: BPDecoder | None, syndrome: np.ndarray) -> np.ndarray:
         if not syndrome.any():
@@ -188,30 +190,25 @@ class _ShotRunner:
             return cb_decode(syndrome, self.config.params, model.noise_matrix)
         return bp_cb_decode(syndrome, self.config.params, model, self.config.bp_iters, decoder=bp)
 
-    def run_shot(self, index: int) -> tuple[bool, float]:
-        """Returns (logical failure?, decode seconds)."""
-        rng = shot_rng(self.config.seed, index)
-        if self.config.noise == DATA_QUBIT:
-            err = sample_depolarizing(self.sectors[0][1].noise_matrix.cols, self.config.p, rng)
-            parts = {"x": err.x_part, "z": err.z_part}
-            samples = [
-                (parts[sector], mat_vec_mod2(model.noise_matrix, parts[sector]))
-                for sector, model, _ in self.sectors
-            ]
-        else:
-            shot = sample_shot(self.sectors[0][1], rng)
-            samples = [(shot.mechanisms, shot.syndrome)]
-        failed = False
-        spent = 0.0
-        for (_, model, bp), (actual, syndrome) in zip(self.sectors, samples):
-            t0 = time.perf_counter()
-            recovered = self._decode(model, bp, syndrome)
-            spent += time.perf_counter() - t0
-            if not recovered.any() and syndrome.any():
-                failed = True  # declared failure
-            elif logical_failure(model, actual, recovered):
-                failed = True
-        return failed, spent
+    def run_shots(self, start: int, stop: int):
+        """Yields (logical failure?, decode seconds) for shots [start, stop)
+        in order; the first request samples the whole chunk."""
+        drawn = _sample_chunk(self.source, self.config.seed, start, stop)
+        for row in zip(*drawn):
+            parts = dict(zip(("x", "z"), row))
+            failed = False
+            spent = 0.0
+            for sector, model, bp in self.sectors:
+                actual = parts[sector]
+                syndrome = mat_vec_mod2(model.noise_matrix, actual)
+                t0 = time.perf_counter()
+                recovered = self._decode(model, bp, syndrome)
+                spent += time.perf_counter() - t0
+                if not recovered.any() and syndrome.any():
+                    failed = True  # declared failure
+                elif logical_failure(model, actual, recovered):
+                    failed = True
+            yield failed, spent
 
 
 _WORKER_RUNNER: _ShotRunner | None = None
@@ -224,7 +221,7 @@ def _init_worker(runner: _ShotRunner) -> None:
 
 def _worker_shots(start: int) -> list[tuple[bool, float]]:
     stop = min(start + _CHUNK_SHOTS, _WORKER_RUNNER.config.max_shots)
-    return [_WORKER_RUNNER.run_shot(index) for index in range(start, stop)]
+    return list(_WORKER_RUNNER.run_shots(start, stop))
 
 
 def _shot_outcomes(config: ExperimentConfig, threads: int):
@@ -236,7 +233,8 @@ def _shot_outcomes(config: ExperimentConfig, threads: int):
     """
     runner = _ShotRunner(config)
     if threads <= 1:
-        yield from map(runner.run_shot, range(config.max_shots))
+        for start in range(0, config.max_shots, _CHUNK_SHOTS):
+            yield from runner.run_shots(start, min(start + _CHUNK_SHOTS, config.max_shots))
         return
     others = set(multiprocessing.active_children())
     with multiprocessing.Pool(threads, initializer=_init_worker, initargs=(runner,)) as pool:

@@ -154,6 +154,98 @@ def sample_shot(model: DetectorModel, rng: np.random.Generator) -> Shot:
     return Shot(mechanisms=mechanisms, syndrome=mat_vec_mod2(model.noise_matrix, mechanisms))
 
 
+# numpy's SeedSequence hash constants (bit_generator.pyx) and PCG64's multiplier
+_HASH_A, _HASH_B, _MIX = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED), (0xCA01F9DD, 0x4973F715)
+_PCG64_MULT, _U128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+
+
+def _raw_rows(seed: int, shots: np.ndarray, width: int) -> np.ndarray:
+    """Row j: the first `width` raw words of `shot_rng(seed, shots[j])`, shots < 2**32,
+    from `SeedSequence((seed, i))` run on uint32 lanes, one per shot, and
+    PCG64's srandom (O'Neill, PCG, 2014) setting one reused PCG64."""
+    seed_words = range(max(1, (int(seed).bit_length() + 31) // 32))
+    entropy = [np.full(len(shots), int(seed) >> 32 * k & 0xFFFFFFFF, np.uint32) for k in seed_words]
+    entropy.append(shots.astype(np.uint32))
+    const, mult = _HASH_A
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+    pool = [hashmix(entropy[k] if k < len(entropy) else np.zeros_like(entropy[0])) for k in range(4)]
+    # each pool word into the others, then the entropy past the pool into all
+    for src in range(max(4, len(entropy))):
+        for dst in range(4):
+            if src != dst:
+                out = np.uint32(_MIX[0]) * pool[dst]
+                out -= np.uint32(_MIX[1]) * hashmix(pool[src] if src < 4 else entropy[src])
+                pool[dst] = out ^ (out >> np.uint32(16))
+    const, mult = _HASH_B  # generate_state(4, uint64) hashes with its own constants
+    halves = [hashmix(pool[k % 4]).astype(np.uint64) for k in range(8)]
+    words = [(hi << np.uint64(32) | lo).tolist() for lo, hi in zip(halves[::2], halves[1::2])]
+    bits, rows = np.random.PCG64(0), np.empty((len(shots), width), np.uint64)
+    for row, a, b, c, d in zip(rows, *words):
+        inc = ((c << 64 | d) << 1 | 1) & _U128
+        pcg = {"state": ((a << 64 | b) + inc) * _PCG64_MULT + inc & _U128, "inc": inc}
+        bits.state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+        row[:] = bits.random_raw(width)
+    return rows
+
+
+def _sample_chunk(
+    source: DetectorModel | tuple[int, float], seed: int, start: int, stop: int
+) -> list[np.ndarray]:
+    """Row j of each array is shot start + j of `seed`: [mechanisms] of
+    `sample_shot(source, shot_rng(seed, i))` for a model, [x_parts, z_parts]
+    of `sample_depolarizing(n, p, ...)` for an (n, p) pair.
+
+    From raw PCG64 words, `random() < p` is `(raw >> 11) < ceil(p * 2**53)`;
+    `integers(0, 3)` is `3u >> 32` on the next words' 32-bit halves, low
+    first, redrawing u = 0 (Lemire, ACM TOMACS 2019).  Shot indexes >= 2**32
+    and redrawn shots, or all when the self-check failed or seed or p is out
+    of range, are drawn by those per-shot functions.
+    """
+    model = isinstance(source, DetectorModel)
+    n, p = (source.noise_matrix.cols, source.priors) if model else source
+    shots = np.arange(start, stop)
+    slow = (shots >= 2**32) | (not (_EXACT and seed >= 0 and (model or 0.0 <= p <= 1.0)))
+    fast = np.flatnonzero(~slow)
+    drawn = [np.empty((len(shots), n), np.uint8) for _ in range(1 if model else 2)]
+    if fast.size:
+        raw = _raw_rows(seed, shots[fast], n if model else n + (n + 1) // 2)
+        hit = (raw[:, :n] >> np.uint64(11)) < np.ceil(np.asarray(p) * 2.0**53).astype(np.uint64)
+        parts = [hit]
+        if not model:
+            u = raw[:, n:].astype("<u8").view("<u4")[:, :n]
+            slow[fast[(u == 0).any(axis=1)]] = True
+            parts = [hit & (u <= 2863311530), hit & (u >= 1431655766)]
+        for out, part in zip(drawn, parts):
+            out[fast] = part
+    for j in np.flatnonzero(slow):
+        rng = shot_rng(seed, start + int(j))
+        got = sample_shot(source, rng) if model else sample_depolarizing(n, p, rng)
+        for out, row in zip(drawn, [got.mechanisms] if model else [got.x_part, got.z_part]):
+            out[j] = row
+    return drawn
+
+
+def _raw_words_exact() -> bool:
+    """Whether `_sample_chunk`'s raw-word path draws as this numpy's
+    default_rng does, on a one-word seed and one longer than the pool."""
+    seeds = (1, 2**160 + 7)
+    errs = [[sample_depolarizing(9, 0.5, shot_rng(s, i)) for i in range(4)] for s in seeds]
+    try:
+        drawn = [_sample_chunk((9, 0.5), s, 0, 4) for s in seeds]
+    except (KeyError, TypeError, ValueError):  # e.g. a PCG64 state of another form
+        return False
+    return np.array_equal(drawn, [[[e.x_part for e in es], [e.z_part for e in es]] for es in errs])
+
+
+_EXACT = True  # while the self-check below draws through the raw-word path
+_EXACT = _raw_words_exact()
+
+
 class DemParseError(ValueError):
     """Malformed detector-model file; message carries the line number."""
 

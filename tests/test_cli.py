@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cbdecode import cli
+from cbdecode import cli, harness
 from cbdecode.bbcodes import STANDARD_CODES
 from cbdecode.cli import main
 from cbdecode.harness import CSV_COLUMNS, ExperimentConfig, ExperimentResult
@@ -162,6 +162,31 @@ def test_run_rejects_a_negative_bp_iteration_cap(tmp_path, capsys):
     assert main(["run", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert "run: bp_iters must be >= 0" in captured.err and "shots=" not in captured.out
+
+
+
+def _no_model_built(monkeypatch):
+    def build(spec):
+        raise AssertionError("a code was built for a run that was rejected")
+
+    monkeypatch.setattr(harness, "build_bb_code", build)
+
+
+def test_run_rejects_a_negative_seed_flag(tmp_path, capsys, monkeypatch):
+    _no_model_built(monkeypatch)
+    assert main(["run", str(run_config(tmp_path, p=0.05)), "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "run: seed must be >= 0" in captured.err and "shots=" not in captured.out
+
+
+def test_run_rejects_a_negative_seed_from_the_environment(tmp_path, capsys, monkeypatch):
+    _no_model_built(monkeypatch)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("code: bb72\nnoise: data-qubit\np: 0.05\nmax_shots: 40\n")
+    monkeypatch.setenv("CBDECODE_SEED", "-1")
+    assert main(["run", str(cfg), "--threads", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "run: seed must be >= 0" in captured.err and "shots=" not in captured.out
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"

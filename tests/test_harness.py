@@ -7,8 +7,9 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from cbdecode import harness
+from cbdecode import harness, noise
 from cbdecode.bbcodes import STANDARD_CODES
+from cbdecode.bp import BPDecoder, bp_cb_decode
 from cbdecode.cb import CBParams
 from cbdecode.gf2 import kernel_basis_mod2, mat_vec_mod2, vec_from_support
 from cbdecode.harness import (
@@ -21,7 +22,14 @@ from cbdecode.harness import (
     run_experiment,
     CSV_COLUMNS,
 )
-from cbdecode.noise import data_qubit_model, phenomenological_model, save_detector_model
+from cbdecode.noise import (
+    data_qubit_model,
+    phenomenological_model,
+    sample_depolarizing,
+    sample_shot,
+    save_detector_model,
+    shot_rng,
+)
 
 
 def test_required_shots():
@@ -192,6 +200,12 @@ def test_config_validation():
         ExperimentConfig(noise="data-qubit", p=0.1, code_spec=None)
 
 
+def test_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        _config(seed=-1)
+    assert _config(seed=0).seed == 0
+
+
 def test_config_rejects_a_negative_bp_iteration_cap():
     with pytest.raises(ValueError, match="bp_iters must be >= 0"):
         _config(bp_iters=-5)
@@ -260,13 +274,15 @@ def test_threads_reproduce_serial_counts(max_failures):
 def test_pool_stops_at_the_failure_target(monkeypatch):
     # the first pool task fails at once; a worker that went on to the next
     # task would spend 100 x 50 ms on it
-    def run_shot(self, index):
-        if index < 100:
-            return True, 0.0
-        time.sleep(0.05)
-        return False, 0.0
+    def run_shots(self, start, stop):
+        for index in range(start, stop):
+            if index < 100:
+                yield True, 0.0
+            else:
+                time.sleep(0.05)
+                yield False, 0.0
 
-    monkeypatch.setattr(harness._ShotRunner, "run_shot", run_shot)
+    monkeypatch.setattr(harness._ShotRunner, "run_shots", run_shots)
     config = _config(max_shots=1000, max_failures=5)
     start = time.perf_counter()
     parallel = run_experiment(config, threads=2)
@@ -278,15 +294,16 @@ def test_pool_stops_at_the_failure_target(monkeypatch):
 def test_a_dead_pool_worker_raises(monkeypatch):
     # the worker that takes shots 100-199 dies hard; the pool hands its task
     # to no one, so a run that waited for those shots would never return
-    def run_shot(self, index):
-        if index == 150:
-            os._exit(1)
-        return False, 0.0
+    def run_shots(self, start, stop):
+        for index in range(start, stop):
+            if index == 150:
+                os._exit(1)
+            yield False, 0.0
 
     def give_up(signum, frame):
         raise TimeoutError("still waiting for the dead worker's shots")
 
-    monkeypatch.setattr(harness._ShotRunner, "run_shot", run_shot)
+    monkeypatch.setattr(harness._ShotRunner, "run_shots", run_shots)
     previous = signal.signal(signal.SIGALRM, give_up)
     signal.alarm(30)
     try:
@@ -334,5 +351,74 @@ def test_detector_model_shot_makes_one_mat_vec(monkeypatch):
     runner = harness._ShotRunner(_config(noise="phenomenological", p=0.01, rounds=3))
     for index in range(10):
         calls.clear()
-        failed, _ = runner.run_shot(index)
+        [(failed, _)] = runner.run_shots(index, index + 1)
         assert not failed and len(calls) == 1
+
+
+def _per_shot_reference(config):
+    """(shots run, failures) of a loop that draws shot i from shot_rng(seed, i)
+    with the per-shot functions and stops at the exact failure target."""
+    sectors = [(sector, model, BPDecoder.for_model(model))
+               for sector, model in harness.detector_models(config)]
+    failures = 0
+    for index in range(config.max_shots):
+        rng = shot_rng(config.seed, index)
+        if config.noise == "data-qubit":
+            err = sample_depolarizing(sectors[0][1].noise_matrix.cols, config.p, rng)
+            parts = {"x": err.x_part, "z": err.z_part}
+        else:
+            parts = {"x": sample_shot(sectors[0][1], rng).mechanisms}
+        failed = False
+        for sector, model, bp in sectors:
+            syndrome = mat_vec_mod2(model.noise_matrix, parts[sector])
+            recovered = np.zeros(model.noise_matrix.cols, dtype=np.uint8)
+            if syndrome.any():
+                recovered = bp_cb_decode(syndrome, config.params, model, config.bp_iters, decoder=bp)
+            declared = syndrome.any() and not recovered.any()
+            failed |= declared or logical_failure(model, parts[sector], recovered)
+        failures += failed
+        if failures == config.max_failures:
+            return index + 1, failures
+    return config.max_shots, failures
+
+
+def _stream_configs(tmp_path, bb72):
+    dem = tmp_path / "m.dem"
+    save_detector_model(data_qubit_model(bb72, 0.07)[0], str(dem))
+    # at seed 7 each failure target is reached inside the second chunk of shots
+    run = dict(seed=7, max_shots=300)
+    return {
+        "x": _config(p=0.07, sector="x", max_failures=16, **run),
+        "z": _config(p=0.07, sector="z", max_failures=20, **run),
+        "both": _config(p=0.07, sector="both", max_failures=30, **run),
+        "phenomenological": _config(noise="phenomenological", p=0.06, rounds=2, max_failures=34,
+                                    **run),
+        "circuit-file": _config(noise="circuit-file", code_spec=None, dem_path=str(dem),
+                                max_failures=17, **run),
+    }
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("setting", ["x", "z", "both", "phenomenological", "circuit-file"])
+def test_chunked_runs_match_the_per_shot_stream(setting, threads, tmp_path, bb72):
+    config = _stream_configs(tmp_path, bb72)[setting]
+    shots, failures = _per_shot_reference(config)
+    assert 100 < shots < 200 and failures == config.max_failures
+    result = run_experiment(config, threads=threads)
+    assert (result.shots_run, result.logical_failures) == (shots, failures)
+
+
+def test_a_failed_self_check_draws_every_shot_per_shot(monkeypatch, bb72, tmp_path):
+    configs = [_stream_configs(tmp_path, bb72)[name] for name in ("both", "phenomenological")]
+    fast = [run_experiment(config) for config in configs]
+    # a wrong PCG64 multiplier stands for a numpy release with another algorithm
+    monkeypatch.setattr(noise, "_PCG64_MULT", noise._PCG64_MULT + 2)
+    assert not noise._raw_words_exact()
+    monkeypatch.setattr(noise, "_EXACT", False)
+    draws = []
+    monkeypatch.setattr(noise, "shot_rng", lambda s, i: draws.append(i) or shot_rng(s, i))
+    for config, want in zip(configs, fast):
+        draws.clear()
+        got = run_experiment(config)
+        assert (got.shots_run, got.logical_failures) == (want.shots_run, want.logical_failures)
+        assert draws == list(range(len(draws))) and len(draws) >= got.shots_run

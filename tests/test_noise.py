@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from cbdecode import noise
 from cbdecode.gf2 import mat_vec_mod2
 from cbdecode.noise import (
     DemParseError,
@@ -201,3 +204,116 @@ def test_dem_round_trip(tmp_path, bb72):
     )
     save_detector_model(loaded, str(p2))
     assert p1.read_text() == p2.read_text()
+
+
+# The chunk sampler reproduces the per-shot functions from raw PCG64 words.
+# Seeds span one to seven 32-bit words: 2**96 + 5 and 2**200 + 3 give
+# SeedSequence more entropy words than its pool of four.
+CHUNK_SEEDS = [0, 1, 65536, 2**32 - 1, 2**32, (2**32 - 1) << 16, 2**63 - 5,
+               12345678901234567890, 2**96 + 5, 2**200 + 3]
+
+
+def _per_shot_depolarizing(n, p, seed, start, stop):
+    errs = [sample_depolarizing(n, p, shot_rng(seed, i)) for i in range(start, stop)]
+    return [np.array([e.x_part for e in errs]).reshape(-1, n),
+            np.array([e.z_part for e in errs]).reshape(-1, n)]
+
+
+@pytest.mark.parametrize("n,p", [(7, 0.3), (72, 0.05), (144, 0.12), (8, 0.5), (5, 1.0), (9, 0.0)])
+@pytest.mark.parametrize("seed", CHUNK_SEEDS)
+def test_chunk_sampler_matches_sample_depolarizing(n, p, seed):
+    # a chunk whose start is not a multiple of the harness's chunk size
+    x, z = noise._sample_chunk((n, p), seed, 137, 183)
+    want_x, want_z = _per_shot_depolarizing(n, p, seed, 137, 183)
+    assert x.dtype == z.dtype == np.uint8
+    assert np.array_equal(x, want_x) and np.array_equal(z, want_z)
+
+
+@pytest.mark.parametrize("seed", [3, 2**32 + 9, 2**41 + 5, 2**130 + 1])
+def test_chunk_sampler_matches_sample_shot(bb72, seed):
+    phenom = phenomenological_model(bb72, 0.04, 0.03, 3)
+    mx, _ = data_qubit_model(bb72, 0.05)
+    priors = mx.priors.copy()
+    priors[::3] = 0.0  # zero priors never fire
+    sparse = DetectorModel(noise_matrix=mx.noise_matrix, priors=priors, observables=mx.observables)
+    for model in (phenom, sparse):
+        (mechanisms,) = noise._sample_chunk(model, seed, 250, 310)
+        want = [sample_shot(model, shot_rng(seed, i)).mechanisms for i in range(250, 310)]
+        assert mechanisms.dtype == np.uint8 and np.array_equal(mechanisms, want)
+    assert not mechanisms[:, ::3].any()
+
+
+def test_chunk_straddling_shot_index_2_32(bb72):
+    start, stop = 2**32 - 4, 2**32 + 4
+    assert np.array_equal(noise._sample_chunk((72, 0.2), 11, start, stop),
+                          _per_shot_depolarizing(72, 0.2, 11, start, stop))
+    model = phenomenological_model(bb72, 0.04, 0.04, 2)
+    (mechanisms,) = noise._sample_chunk(model, 11, start, stop)
+    want = [sample_shot(model, shot_rng(11, i)).mechanisms for i in range(start, stop)]
+    assert np.array_equal(mechanisms, want)
+
+
+def test_the_self_check_passes_on_this_numpy():
+    # otherwise every shot silently takes the slow per-shot path
+    assert noise._EXACT is True and noise._raw_words_exact()
+
+
+def _zero_u32(monkeypatch, n, row, u32):
+    """Patch the raw-word source so that u32 draw `u32` of `row` reads 0; the
+    integer draws' words follow the n words of the uniform draws."""
+    original = noise._raw_rows
+
+    def patched(seed, shots, width):
+        rows = original(seed, shots, width)
+        word = n + u32 // 2
+        rows[row, word] &= np.uint64(0xFFFFFFFF00000000 if u32 % 2 == 0 else 0xFFFFFFFF)
+        return rows
+
+    monkeypatch.setattr(noise, "_raw_rows", patched)
+    fallbacks = []
+    monkeypatch.setattr(noise, "shot_rng", lambda s, i: fallbacks.append(i) or shot_rng(s, i))
+    return fallbacks
+
+
+def test_a_zero_word_falls_back_to_the_per_shot_draw(monkeypatch):
+    # p = 1 hits every qubit; pick a qubit of shot 2 that is not X, where a
+    # zero word read without Lemire's redraw would give X
+    n, seed = 9, 4
+    want = _per_shot_depolarizing(n, 1.0, seed, 0, 5)
+    qubit = int(np.flatnonzero(want[1][2])[0])
+    fallbacks = _zero_u32(monkeypatch, n, 2, qubit)
+    assert np.array_equal(noise._sample_chunk((n, 1.0), seed, 0, 5), want)
+    assert fallbacks == [2]
+
+
+def test_a_zero_in_the_unread_half_word_keeps_the_raw_draw(monkeypatch):
+    # n = 9 reads 9 u32 from 5 words; the high half of the last is never used
+    fallbacks = _zero_u32(monkeypatch, 9, 1, 9)
+    assert np.array_equal(noise._sample_chunk((9, 0.6), 4, 0, 3),
+                          _per_shot_depolarizing(9, 0.6, 4, 0, 3))
+    assert fallbacks == []
+
+
+def test_chunk_sampler_keeps_the_per_shot_errors():
+    with pytest.raises(ValueError, match="depolarizing probability"):
+        noise._sample_chunk((4, 1.5), 0, 0, 3)
+    with pytest.raises(ValueError, match="non-negative"):
+        noise._sample_chunk((4, 0.1), -1, 0, 3)
+
+
+def test_boundary_words_draw_as_numpys_formulas(monkeypatch):
+    # random() is (raw >> 11) * 2**-53, and integers(0, 3) is (3 * u) >> 32
+    # on u32 draws; words at each threshold pin the comparisons exactly
+    p = 0.3
+    t = math.ceil(p * 2**53)
+    us = [1431655765, 1431655766, 2863311530, 2863311531]
+    ints = [us[0] | us[1] << 32, us[2] | us[3] << 32]
+    rows = np.array([[(t - 1) << 11, t << 11, (t - 1) << 11 | 0x7FF, (t + 1) << 11] + ints,
+                     [0, 0x7FF, 1 << 11, (t - 1) << 11] + ints], dtype=np.uint64)
+    monkeypatch.setattr(noise, "_raw_rows", lambda seed, shots, width: rows[: len(shots)])
+    x, z = noise._sample_chunk((4, p), 0, 0, 2)
+    hit = (rows[:, :4] >> np.uint64(11)).astype(np.float64) * 2.0**-53 < p
+    kind = np.array([(3 * u) >> 32 for u in us])
+    assert hit.tolist() == [[True, False, True, False], [True, True, True, True]]
+    assert kind.tolist() == [0, 1, 1, 2]
+    assert np.array_equal(x, hit & (kind != 2)) and np.array_equal(z, hit & (kind != 0))
