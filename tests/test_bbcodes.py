@@ -64,13 +64,18 @@ def coinciding(spec: BBCodeSpec) -> bool:
     return any(len({shift(t) for t in terms}) < 3 for terms in (spec.a_terms, spec.b_terms))
 
 
+def spec(l: int, m: int, a_terms: list[str], b_terms: list[str], **extra) -> BBCodeSpec:
+    """A spec through `spec_from_dict`, the parser spec files and the CLI use."""
+    return spec_from_dict({"l": l, "m": m, "a_terms": a_terms, "b_terms": b_terms, **extra})
+
+
 CANCELLING = [
     # x^0 and y^0 are both the identity, x^6 is x^0 on l = 6
-    BBCodeSpec.from_strings(6, 6, ["x^0", "y^0", "x"], ["y^3", "x^6", "x^0"]),
+    spec(6, 6, ["x^0", "y^0", "x"], ["y^3", "x^6", "x^0"]),
     # all three A terms are the identity: A = I
-    BBCodeSpec.from_strings(6, 4, ["x^0", "y^0", "x^12"], ["y^4", "x", "x^2"]),
+    spec(6, 4, ["x^0", "y^0", "x^12"], ["y^4", "x", "x^2"]),
     # the 1x1 lattice: every term is the identity
-    BBCodeSpec.from_strings(1, 1, ["x^3", "y", "y^2"], ["y^3", "x", "x^2"]),
+    spec(1, 1, ["x^3", "y", "y^2"], ["y^3", "x", "x^2"]),
 ]
 
 
@@ -117,6 +122,46 @@ def test_logical_basis_digests(name):
     for basis, digest in zip((code.logical_x, code.logical_z), LOGICAL_DIGESTS[name]):
         assert all(v.dtype == np.uint8 and v.shape == (code.n,) for v in basis)
         assert hashlib.sha256(b"".join(v.tobytes() for v in basis)).hexdigest() == digest
+
+
+def construction_digest(code: CSSCode) -> str:
+    """sha256 of everything a built code holds: the hx and hz row supports,
+    the logical_x and logical_z bytes in order, n, k and distance."""
+    h = hashlib.sha256()
+    for matrix in (code.hx, code.hz):
+        h.update(repr((matrix.rows, matrix.cols, matrix.row_support)).encode())
+    for basis in (code.logical_x, code.logical_z):
+        assert all(v.dtype == np.uint8 and v.shape == (code.n,) for v in basis)
+        h.update(len(basis).to_bytes(4, "little") + b"".join(v.tobytes() for v in basis))
+    h.update(repr((code.n, code.k, code.distance)).encode())
+    return h.hexdigest()
+
+
+STANDARD_A, STANDARD_B = ["x^3", "y", "y^2"], ["y^3", "x", "x^2"]
+PINNED_SPECS = {
+    "bb72": spec(6, 6, STANDARD_A, STANDARD_B, distance=6, name="bb72"),
+    "bb108": spec(9, 6, STANDARD_A, STANDARD_B, distance=10, name="bb108"),
+    "bb144": spec(12, 6, STANDARD_A, STANDARD_B, distance=12, name="bb144"),
+    "identities": CANCELLING[0],
+    "a-identity": CANCELLING[1],
+    "1x1": CANCELLING[2],
+}
+# pinned before CSSCode derived n and k and construction ran two eliminations
+CONSTRUCTION_DIGESTS = {
+    "bb72": "4d77ab7b7f53a3ff25f456740879de1e75a51da6054a591e1b20217f76204884",
+    "bb108": "3ce1da2174a740e05b39d6cb59188f0f333973a0a401db0b0240532eaf7f4c4d",
+    "bb144": "e56d972ea18213c3e45cfc1a9795522e161d06acf789807040581de31ac86854",
+    "identities": "030ce6c3b3eb21c98d13d164381e177e61d23193bb45bcfeca4bc55826c48b92",
+    "a-identity": "58a700b83df1f22b347904289149f4d9ff587da9180c27ff4c4c3af32b24a107",
+    "1x1": "6b1b22611e55ed30e4f39ec9b124bb7f4766cea8b4f6e79bea0dc8d81e3b8ba8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTION_DIGESTS))
+def test_construction_outputs_are_pinned(name):
+    assert construction_digest(build_bb_code(PINNED_SPECS[name])) == CONSTRUCTION_DIGESTS[name]
+    if name in STANDARD_CODES:
+        assert STANDARD_CODES[name] == PINNED_SPECS[name]
 
 
 def test_construction_needs_no_dense_matrix(monkeypatch):
