@@ -72,47 +72,33 @@ class BBCodeSpec:
             if len(set(terms)) != 3:
                 raise ValueError(f"duplicate monomials in {label}")
 
-    @classmethod
-    def from_strings(
-        cls,
-        l: int,
-        m: int,
-        a_terms: list[str] | tuple[str, ...],
-        b_terms: list[str] | tuple[str, ...],
-        distance: int | None = None,
-        name: str = "",
-    ) -> "BBCodeSpec":
-        return cls(
-            l,
-            m,
-            tuple(Monomial.parse(t) for t in a_terms),
-            tuple(Monomial.parse(t) for t in b_terms),
-            distance,
-            name,
-        )
-
 
 @dataclass
 class CSSCode:
-    """Paired X/Z parity-check matrices and logical operator bases."""
+    """Paired X/Z parity-check matrices and logical operator bases; n and k are derived."""
 
-    n: int
-    k: int
     hx: BinaryMatrix
     hz: BinaryMatrix
     logical_x: list[np.ndarray] = field(default_factory=list)
     logical_z: list[np.ndarray] = field(default_factory=list)
     distance: int | None = None
-    name: str = ""
+
+    @property
+    def n(self) -> int:
+        return self.hx.cols
+
+    @property
+    def k(self) -> int:
+        return len(self.logical_x)
 
     def validate(self) -> None:
         """Check the CSS invariants; raises AssertionError, even under `python -O`."""
-        _check(self.hx.cols == self.hz.cols == self.n, "hx and hz must have n columns")
+        _check(self.hx.cols == self.hz.cols, "hx and hz must have n columns")
         for cs in self.hz.row_support:
             _check(not mat_vec_mod2(self.hx, vec_from_support(self.n, cs)).any(),
                    "hx hz^T != 0 (mod 2)")
         _check(self.k == self.n - rank_mod2(self.hx) - rank_mod2(self.hz), "k != n - ranks")
-        _check(len(self.logical_x) == len(self.logical_z) == self.k, "need k logical pairs")
+        _check(len(self.logical_z) == self.k, "need k logical pairs")
         for v in self.logical_z:
             _check(not mat_vec_mod2(self.hx, v).any(), "logical_z outside ker(hx)")
         for v in self.logical_x:
@@ -144,6 +130,7 @@ def build_bb_code(spec: BBCodeSpec) -> CSSCode:
     n = 2 l m, hx = [A | B], hz = [B^T | A^T] with A and B the mod-2 sums of
     the evaluated polynomial terms.  Logical bases are completion bases: the
     kernel of one check matrix quotiented by the row space of the other.
+    k = n - rank hx - rank hz is read off the kernels as |ker hx| + |ker hz| - n.
     """
     l, m = spec.l, spec.m
     half, n = l * m, 2 * l * m
@@ -151,23 +138,15 @@ def build_bb_code(spec: BBCodeSpec) -> CSSCode:
     b = _polynomial(spec.b_terms, l, m)
     hx = BinaryMatrix(half, n, [*a, *((r, half + c) for r, c in b)])
     hz = BinaryMatrix(half, n, [*((c, r) for r, c in b), *((c, half + r) for r, c in a)])
-    k = n - rank_mod2(hx) - rank_mod2(hz)
+    ker_hx, ker_hz = kernel_basis_mod2(hx), kernel_basis_mod2(hz)
+    k = len(ker_hx) + len(ker_hz) - n
     hx_rows = [vec_from_support(n, cs) for cs in hx.row_support]
     hz_rows = [vec_from_support(n, cs) for cs in hz.row_support]
-    logical_z = quotient_basis(hz_rows, kernel_basis_mod2(hx))
-    logical_x = quotient_basis(hx_rows, kernel_basis_mod2(hz))
+    logical_z = quotient_basis(hz_rows, ker_hx)
+    logical_x = quotient_basis(hx_rows, ker_hz)
     if len(logical_z) != k or len(logical_x) != k:
         raise RuntimeError("logical basis size does not match k")
-    return CSSCode(
-        n=n,
-        k=k,
-        hx=hx,
-        hz=hz,
-        logical_x=logical_x,
-        logical_z=logical_z,
-        distance=spec.distance,
-        name=spec.name or f"bb_l{l}_m{m}",
-    )
+    return CSSCode(hx, hz, logical_x, logical_z, spec.distance)
 
 
 def spec_from_dict(data: dict) -> BBCodeSpec:
@@ -207,13 +186,7 @@ def load_code_spec(path: str) -> BBCodeSpec:
 # The three codes used throughout the experiments: [[72,12,6]], [[108,8,10]]
 # and [[144,12,12]], all sharing A = x^3 + y + y^2 and B = y^3 + x + x^2.
 STANDARD_CODES: dict[str, BBCodeSpec] = {
-    "bb72": BBCodeSpec.from_strings(
-        6, 6, ["x^3", "y", "y^2"], ["y^3", "x", "x^2"], distance=6, name="bb72"
-    ),
-    "bb108": BBCodeSpec.from_strings(
-        9, 6, ["x^3", "y", "y^2"], ["y^3", "x", "x^2"], distance=10, name="bb108"
-    ),
-    "bb144": BBCodeSpec.from_strings(
-        12, 6, ["x^3", "y", "y^2"], ["y^3", "x", "x^2"], distance=12, name="bb144"
-    ),
+    name: spec_from_dict({"l": l, "m": 6, "a_terms": ["x^3", "y", "y^2"],
+                          "b_terms": ["y^3", "x", "x^2"], "distance": distance, "name": name})
+    for name, l, distance in (("bb72", 6, 6), ("bb108", 9, 10), ("bb144", 12, 12))
 }

@@ -101,21 +101,11 @@ class BinaryMatrix:
             self._col_masks = tuple(_masks(self.col_support))
         return self._col_masks
 
-    def transpose(self) -> "BinaryMatrix":
-        return BinaryMatrix(
-            self.cols,
-            self.rows,
-            ((c, r) for r, cs in enumerate(self.row_support) for c in cs),
-        )
-
     def row_weights(self) -> list[int]:
         return [len(s) for s in self.row_support]
 
     def col_weights(self) -> list[int]:
         return [len(s) for s in self.col_support]
-
-    def entry_count(self) -> int:
-        return sum(len(s) for s in self.row_support)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BinaryMatrix):
@@ -130,7 +120,7 @@ class BinaryMatrix:
         return hash((self.rows, self.cols, self.row_support))
 
     def __repr__(self):
-        return f"BinaryMatrix({self.rows}x{self.cols}, {self.entry_count()} entries)"
+        return f"BinaryMatrix({self.rows}x{self.cols}, {sum(self.row_weights())} entries)"
 
 
 def vec_from_support(n: int, support: Iterable[int]) -> np.ndarray:

@@ -118,13 +118,12 @@ def _synthetic_circuit_dem(tmp_path) -> str:
     base = phenomenological_model(code, 0.015, 0.015, 3)
     rng = np.random.default_rng(2024)
     lines = []
-    noise_t = base.noise_matrix.transpose()
-    obs_t = base.observables.transpose()
+    det_support, obs_support = base.noise_matrix.col_support, base.observables.col_support
     seen = set()
     for c in range(base.noise_matrix.cols):
-        dets = " ".join(f"D{d}" for d in noise_t.row_support[c])
-        obs = " ".join(f"L{o}" for o in obs_t.row_support[c])
-        seen.add(noise_t.row_support[c])
+        dets = " ".join(f"D{d}" for d in det_support[c])
+        obs = " ".join(f"L{o}" for o in obs_support[c])
+        seen.add(det_support[c])
         lines.append(f"error {float(base.priors[c])!r} {dets} {obs}".strip())
     n_det = base.noise_matrix.rows
     added = 0

@@ -179,7 +179,7 @@ def test_validate_rejects_anticommuting_checks():
     hx = BinaryMatrix(1, 4, [(0, 0), (0, 1)])
     hz = BinaryMatrix(2, 4, [(0, 0), (0, 1), (1, 1), (1, 2)])
     with pytest.raises(AssertionError, match="hx hz"):
-        CSSCode(n=4, k=1, hx=hx, hz=hz).validate()
+        CSSCode(hx=hx, hz=hz).validate()
 
 
 def test_validate_checks_under_python_optimize():
@@ -189,7 +189,7 @@ def test_validate_checks_under_python_optimize():
         "from cbdecode.bbcodes import STANDARD_CODES, build_bb_code\n"
         "bb72 = build_bb_code(STANDARD_CODES['bb72'])\n"
         "try:\n"
-        "    dataclasses.replace(bb72, k=5).validate()\n"
+        "    dataclasses.replace(bb72, logical_x=bb72.logical_x[:-1]).validate()\n"
         "except AssertionError as exc:\n"
         "    print('rejected:', exc)\n"
     )
@@ -267,19 +267,18 @@ def test_logical_pairing_is_full_rank(bb72):
 
 def test_duplicate_monomials_rejected():
     with pytest.raises(ValueError):
-        BBCodeSpec.from_strings(6, 6, ["x^3", "x^3", "y"], ["y^3", "x", "x^2"])
+        spec(6, 6, ["x^3", "x^3", "y"], ["y^3", "x", "x^2"])
 
 
 def test_exponent_reduction():
     # x^9 on an l=6 lattice is x^3
-    a = BBCodeSpec.from_strings(6, 6, ["x^9", "y", "y^2"], ["y^3", "x", "x^2"])
+    a = spec(6, 6, ["x^9", "y", "y^2"], ["y^3", "x", "x^2"])
     b = STANDARD_CODES["bb72"]
     assert build_bb_code(a).hx == build_bb_code(b).hx
 
 
 def test_degenerate_code_builds():
-    spec = BBCodeSpec.from_strings(1, 1, ["x^3", "y", "y^2"], ["y^3", "x", "x^2"])
-    code = build_bb_code(spec)
+    code = build_bb_code(spec(1, 1, ["x^3", "y", "y^2"], ["y^3", "x", "x^2"]))
     assert code.n == 2 and code.k == 0
     assert code.hx.to_dense().tolist() == [[1, 1]]
 
@@ -289,9 +288,9 @@ def test_load_code_spec(tmp_path):
     path.write_text(
         "l: 6\nm: 6\na_terms: [x^3, y, y^2]\nb_terms: [y^3, x, x^2]\ndistance: 6\n"
     )
-    spec = load_code_spec(str(path))
-    assert spec == BBCodeSpec.from_strings(
-        6, 6, ["x^3", "y", "y^2"], ["y^3", "x", "x^2"], distance=6
+    assert load_code_spec(str(path)) == BBCodeSpec(
+        6, 6, (Monomial("x", 3), Monomial("y", 1), Monomial("y", 2)),
+        (Monomial("y", 3), Monomial("x", 1), Monomial("x", 2)), distance=6,
     )
     bad = tmp_path / "bad.yaml"
     bad.write_text("l: 6\nm: 6\n")

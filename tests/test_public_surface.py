@@ -1,6 +1,8 @@
 import dataclasses
 import inspect
 
+import pytest
+
 import cbdecode
 from cbdecode import cb
 from cbdecode.bp import bp_cb_decode
@@ -68,6 +70,9 @@ PARAMETERS = [
 # the values a BP result stores; marginals and llrs are computed from posterior
 BP_RESULT_FIELDS = ["posterior", "hard_decision", "converged", "iterations"]
 
+# the values a built code stores; n and k are computed from hx and logical_x
+CSS_CODE_FIELDS = ["hx", "hz", "logical_x", "logical_z", "distance"]
+
 
 def test_all_is_the_pinned_public_surface():
     assert len(PUBLIC_NAMES) == 41
@@ -86,3 +91,11 @@ def test_the_decoder_api_takes_the_pinned_parameters():
 
 def test_a_bp_result_stores_the_pinned_fields():
     assert [f.name for f in dataclasses.fields(cbdecode.BPResult)] == BP_RESULT_FIELDS
+
+
+def test_a_css_code_stores_the_pinned_fields(bb72):
+    assert [f.name for f in dataclasses.fields(cbdecode.CSSCode)] == CSS_CODE_FIELDS
+    assert (bb72.n, bb72.k) == (bb72.hx.cols, len(bb72.logical_x))
+    for name in ("n", "k"):
+        with pytest.raises(AttributeError):
+            setattr(bb72, name, 5)
