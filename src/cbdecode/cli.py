@@ -2,8 +2,9 @@
 
 All commands are non-interactive.  Exit codes: 0 success, 1 partial failure
 (a sweep completed some points), 2 usage or parse errors.  Config files are
-YAML; command-line flags override file values.  The default seed comes from
-the CBDECODE_SEED environment variable when neither flag nor file sets one.
+YAML; command-line flags override file values.  The default seed of `run`
+and `sweep` comes from the CBDECODE_SEED environment variable when neither
+flag nor file sets one; a value that is not an integer is then a usage error.
 """
 
 from __future__ import annotations
@@ -34,11 +35,15 @@ from .noise import load_detector_model, save_detector_model
 _INPUT_ERRORS = (OSError, ValueError, yaml.YAMLError)
 
 
-def _env_seed() -> int | None:
+def _env_seed() -> dict:
+    """{"seed": CBDECODE_SEED} if the variable is set, else {}."""
+    value = os.environ.get("CBDECODE_SEED")
+    if value is None:
+        return {}
     try:
-        return int(os.environ["CBDECODE_SEED"])
-    except (KeyError, ValueError):
-        return None
+        return {"seed": int(value)}
+    except ValueError:
+        raise ValueError(f"CBDECODE_SEED must be an integer, got {value!r}") from None
 
 
 def _resolve_code(value) -> BBCodeSpec:
@@ -108,8 +113,6 @@ def _build_config(data: dict) -> ExperimentConfig:
                 raise ValueError(f"config key {key!r} cannot take the value {data[key]!r}") from None
     params = {key: kwargs.pop(key) for key in _PARAM_KEYS if key in kwargs}
     kwargs.setdefault("noise", DATA_QUBIT)
-    if "seed" not in kwargs and _env_seed() is not None:
-        kwargs["seed"] = _env_seed()
     if kwargs["noise"] == CIRCUIT_FILE:
         if data.get("dem") is None:
             raise ValueError("circuit-file noise needs a 'dem' path")
@@ -143,6 +146,8 @@ def cmd_run(args) -> int:
     flags = {"p": args.p, "seed": args.seed, "max_shots": args.shots,
              "max_failures": args.failures, "decoder": args.decoder}
     data.update((key, value) for key, value in flags.items() if value is not None)
+    if "seed" not in data:
+        data.update(_env_seed())
     config = _build_config(data)
     if args.csv:
         _check_writable(args.csv)
@@ -184,6 +189,8 @@ def cmd_sweep(args) -> int:
     defaults = {"max_shots": 100_000}
     if args.seed is not None:
         defaults["seed"] = args.seed
+    elif not all("seed" in entry for entry in entries):
+        defaults.update(_env_seed())
     configs: list[ExperimentConfig | Exception] = []
     for entry in entries:
         try:

@@ -95,6 +95,8 @@ class ExperimentConfig:
             raise ValueError("decoder cb needs max_gr >= 2: its schedule starts at step 2")
         if self.sector not in ("x", "z", "both"):
             raise ValueError("sector must be x, z or both")
+        if self.sector != "x" and self.noise != DATA_QUBIT:
+            raise ValueError(f"{self.noise} noise has only sector x")
         if self.max_shots < 1:
             raise ValueError("max_shots must be >= 1")
         if self.max_failures is not None and self.max_failures < 1:
@@ -158,8 +160,7 @@ def logical_failure(model: DetectorModel, actual: np.ndarray, recovered: np.ndar
 
 
 def detector_models(config: ExperimentConfig) -> list[tuple[str, DetectorModel]]:
-    """The (sector, model) pairs decoded; only data-qubit noise has a sector
-    "z", and q = p when `config.q` is None."""
+    """The (sector, model) pairs decoded; q = p when `config.q` is None."""
     if config.noise == CIRCUIT_FILE:
         return [("x", load_detector_model(config.dem_path))]
     code = build_bb_code(config.code_spec)

@@ -189,6 +189,71 @@ def test_run_rejects_a_negative_seed_from_the_environment(tmp_path, capsys, monk
     assert "run: seed must be >= 0" in captured.err and "shots=" not in captured.out
 
 
+def test_run_rejects_a_non_integer_seed_from_the_environment(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("code: bb72\nnoise: data-qubit\np: 0.05\nmax_shots: 3\n")
+    monkeypatch.setenv("CBDECODE_SEED", "abc")
+    with monkeypatch.context() as m:
+        _no_model_built(m)
+        assert main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "run: CBDECODE_SEED must be an integer, got 'abc'" in captured.err
+    assert "shots=" not in captured.out
+    # a seed from the flag or the file leaves the variable unread
+    assert main(["run", str(cfg), "--seed", "4"]) == 0
+    cfg.write_text("code: bb72\nnoise: data-qubit\np: 0.05\nmax_shots: 3\nseed: 4\n")
+    assert main(["run", str(cfg)]) == 0
+    assert "shots=3" in capsys.readouterr().out
+
+
+def test_sweep_rejects_a_non_integer_seed_from_the_environment(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def fake_run(config, threads=1):
+        seen.append(config.seed)
+        return ExperimentResult(1, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run)
+    monkeypatch.setenv("CBDECODE_SEED", "1.5")
+    sweep = tmp_path / "s.yaml"
+    body = (f"probabilities: [0.05]\noutput: {tmp_path / 'o.csv'}\ncodes:\n"
+            "  - {name: own, code: bb72, seed: 3}\n")
+    sweep.write_text(body + "  - {name: env, code: bb72}\n")
+    assert main(["sweep", str(sweep)]) == 2
+    assert "sweep: CBDECODE_SEED must be an integer, got '1.5'" in capsys.readouterr().err
+    assert seen == []
+    # --seed, or a seed in every entry, leaves the variable unread
+    assert main(["sweep", str(sweep), "--seed", "7"]) == 0
+    sweep.write_text(body)
+    assert main(["sweep", str(sweep)]) == 0
+    assert seen == [3, 7, 3]
+
+
+@pytest.mark.parametrize("sector", ["z", "both"])
+@pytest.mark.parametrize("noise", ["phenomenological", "circuit-file"])
+def test_run_rejects_a_sector_the_noise_model_lacks(tmp_path, capsys, monkeypatch, noise, sector):
+    _no_model_built(monkeypatch)
+    source = f"dem: {tmp_path / 'm.dem'}" if noise == "circuit-file" else "code: bb72"
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"{source}\nnoise: {noise}\np: 0.03\nrounds: 2\nsector: {sector}\n")
+    assert main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert f"run: {noise} noise has only sector x" in captured.err
+    assert "shots=" not in captured.out
+
+
+def test_sweep_fails_each_point_of_an_entry_with_a_sector_its_noise_lacks(tmp_path, capsys):
+    sweep = tmp_path / "s.yaml"
+    sweep.write_text(
+        f"probabilities: [0.02, 0.03]\noutput: {tmp_path / 'o.csv'}\ncodes:\n"
+        "  - {name: ph, code: bb72, noise: phenomenological, rounds: 2, sector: z}\n"
+    )
+    assert main(["sweep", str(sweep)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"sweep point ph p={p}: phenomenological noise has only sector x"
+                   for p in (0.02, 0.03)]
+
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
@@ -546,6 +611,14 @@ def test_build_noise_shares_the_run_file_defaults(tmp_path, capsys, bb72, flags,
     out = tmp_path / "m.dem"
     assert main(["build-noise", "--code", "bb72", "--p", "0.03", "--out", str(out)] + flags) == 0
     assert load_detector_model(str(out)) == expected(bb72)
+
+
+def test_build_noise_rejects_sector_z_for_phenomenological_noise(tmp_path, capsys):
+    out = tmp_path / "m.dem"
+    flags = ["--model", "phenomenological", "--sector", "z", "--p", "0.03", "--out", str(out)]
+    assert main(["build-noise", "--code", "bb72"] + flags) == 2
+    assert capsys.readouterr().err.startswith("build-noise: phenomenological noise has only sector x")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("dem", ["nope.dem", "bad.dem"], ids=["missing", "malformed"])

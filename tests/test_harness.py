@@ -220,6 +220,18 @@ def test_config_rejects_cb_without_a_step():
     assert _config(decoder="bp+cb", params=CBParams(1, 10, 3)).params.max_gr == 1
 
 
+@pytest.mark.parametrize("sector", ["z", "both"])
+@pytest.mark.parametrize("noise", ["phenomenological", "circuit-file"])
+def test_config_rejects_a_sector_the_noise_model_lacks(noise, sector):
+    # these models decode one detector model, so a z or both run would
+    # silently decode the x model instead
+    source = ({"code_spec": None, "dem_path": "m.dem"} if noise == "circuit-file"
+              else {"rounds": 2})
+    with pytest.raises(ValueError, match=f"{noise} noise has only sector x"):
+        _config(noise=noise, sector=sector, **source)
+    assert _config(noise=noise, sector="x", **source).sector == "x"
+
+
 def test_pl_statistically_monotone_in_budgets():
     # paired seeds: a larger branch budget should not noticeably hurt
     small = run_experiment(
