@@ -71,7 +71,7 @@ class BPDecoder:
         priors = np.asarray(priors, dtype=np.float64)
         if priors.shape != (m.cols,):
             raise ValueError("one prior per column required")
-        if ((priors <= 0.0) | (priors > 0.5)).any():
+        if not ((priors > 0.0) & (priors <= 0.5)).all():  # NaN fails too
             raise ValueError("priors must lie in (0, 0.5]")
         self.m = m
         self.prior_llr = np.log((1.0 - priors) / priors)

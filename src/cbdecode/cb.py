@@ -15,9 +15,9 @@ deferred check).  Destructive growth may dismantle previously closed
 branches it collides with, re-exposing their checks.
 
 Two budgets bound the work per instance: max_br caps how many alternative
-branches a separation may spawn, and the weight budget caps the accumulated
-mechanism weight (mechanism count in plain mode, event weights when driven
-by belief-propagation marginals).
+branches a separation may spawn (an instance that goes past it is abandoned),
+and the weight budget caps the accumulated mechanism weight (mechanism count
+in plain mode, event weights when driven by belief-propagation marginals).
 
 A Cluster(m, syndrome, event_weights) holds one decoding problem: the noise
 matrix, the syndrome and the weights are checked and packed once, when it is
@@ -72,14 +72,6 @@ class DecodeStats:
     instances_rejected: int = 0
     dismantled: int = 0
 
-    def observe_spawned(self, value: int) -> None:
-        if value > self.max_spawned:
-            self.max_spawned = value
-
-    def observe_growths(self, value: int) -> None:
-        if value > self.max_growths:
-            self.max_growths = value
-
 
 class Cluster:
     """One decoding problem and the closed branches that explain it so far.
@@ -95,12 +87,13 @@ class Cluster:
     explains the syndrome.  Each flipped check and each used mechanism is
     owned by exactly one live branch, which is what destructive growth needs
     to dismantle precisely.  Live branches are kept by id, with the row
-    bitmask of their checks; owners in the lists row_owner and col_owner
-    indexed by row and by column (None: no owner); and the ids of live
-    non-destructive branches, the ones destructive growth may dismantle, in
-    a set.  version counts the adds and dismantlings, so an unchanged
-    version means an unchanged cluster.  The vectors flipped and error are
-    computed from flipped_rows and col_owner when read.
+    bitmask of their checks, and owners in the lists row_owner and col_owner
+    indexed by row and by column (None: no owner).  version counts the adds
+    and dismantlings, so an unchanged version means an unchanged cluster; a
+    branch's id is the version its add brings the cluster to, so ids rise.
+    Destructive growth may dismantle only the branches whose destructive
+    flag is False.  The vectors flipped and error are computed from
+    flipped_rows and col_owner when read.
     """
 
     def __init__(
@@ -122,12 +115,10 @@ class Cluster:
         self.syndrome_rows = _vec_to_int(syndrome)
         self.flipped_rows = 0
         self.version = 0
-        self._next_id = 0
         self._by_id: dict[int, ClosedBranch] = {}
         self._rows: dict[int, int] = {}
         self.row_owner: list[int | None] = [None] * m.rows
         self.col_owner: list[int | None] = [None] * m.cols
-        self._destructible: set[int] = set()
 
     @property
     def eff(self) -> int:
@@ -135,12 +126,9 @@ class Cluster:
         return self.syndrome_rows ^ self.flipped_rows
 
     def add(self, branch: ClosedBranch) -> int:
-        bid = self._next_id
-        self._next_id += 1
         self.version += 1
+        bid = self.version
         self._by_id[bid] = branch
-        if not branch.destructive:
-            self._destructible.add(bid)
         rows = 0
         for r in branch.checks_flipped:
             self.row_owner[r] = bid
@@ -153,12 +141,11 @@ class Cluster:
 
     def dismantle(self, branch_id: int) -> ClosedBranch:
         branch = self._by_id[branch_id]
-        if branch_id not in self._destructible:
+        if branch.destructive:
             raise ValueError("only non-destructively obtained branches can be dismantled")
         self.version += 1
         del self._by_id[branch_id]
         self.flipped_rows ^= self._rows.pop(branch_id)
-        self._destructible.remove(branch_id)
         for r in branch.checks_flipped:
             self.row_owner[r] = None
         for c in branch.mechanisms:
@@ -216,10 +203,6 @@ def _seed(rows: int, tcts: int, eff: int) -> int:
     return trivial if trivial != rows and trivial.bit_count() == tcts else 0
 
 
-class _Rejected(Exception):
-    """Branch instance exceeded max_br; the whole instance is abandoned."""
-
-
 class _Path:
     """One branch path of a growing instance.
 
@@ -273,22 +256,12 @@ class _Grower:
         self.cluster = cluster
         self.col_masks = cluster.m.col_masks()
         self.stats = stats
-        self.spawned = 1
-
-    def _count_spawned(self, alternatives: int) -> None:
-        if alternatives <= 1:
-            return
-        if self.spawned + alternatives - 1 > self.max_br:
-            self.stats.instances_rejected += 1
-            raise _Rejected
-        self.spawned += alternatives - 1
-        self.stats.observe_spawned(self.spawned)
 
     def _dismantlable(self, row: int, destroyed: frozenset[int]) -> bool:
         """Whether destructive growth clears frontier row by dismantling its owner."""
         owner = self.cluster.row_owner[row]
-        destructible = owner in self.cluster._destructible
-        return destructible and owner not in destroyed and not self.cluster.eff >> row & 1
+        dismantlable = owner is not None and not self.cluster._by_id[owner].destructive
+        return dismantlable and owner not in destroyed and not self.cluster.eff >> row & 1
 
     def _activate_frontier(self, st: _Path) -> str:
         """Pick st's next frontier; destructively clear owned ones.
@@ -324,13 +297,15 @@ class _Grower:
             st.destroyed = destroyed
             st.dmask |= freed
 
-    def _expand(self, st: _Path) -> list[_Path]:
+    def _expand(self, st: _Path) -> list[_Path] | None:
         """Children of st: one per candidate column at its frontier, keeping
         the candidates that open the fewest new checks, cheapest first.
 
         A child that is not closed and can grow no further (max_gr growths,
         or no column fits the budget) is left out when its activation would
-        leave it as it is: popped, it would expand to nothing.
+        leave it as it is: popped, it would expand to nothing.  Returns None,
+        and counts a rejected instance, when the kept moves would take the
+        instance's spawned branches past max_br.
         """
         growths = st.growths + 1
         if growths > self.max_gr:
@@ -361,7 +336,8 @@ class _Grower:
             if destructive:
                 owned = rows & syndrome & ~(eff | fmask | dmask)
                 if owned:
-                    destroy = {row_owner[r] for r in _bits(owned)} & cluster._destructible
+                    destroy = {row_owner[r] for r in _bits(owned)}
+                    destroy = {b for b in destroy if not cluster._by_id[b].destructive}
                 if destroy:
                     if len(destroyed) + len(destroy) > self.max_br:
                         continue
@@ -389,8 +365,14 @@ class _Grower:
         if not moves:
             return []
         if len(moves) > 1:
+            spawned = self.spawned + len(moves) - 1
+            if spawned > self.max_br:
+                self.stats.instances_rejected += 1
+                return None
+            self.spawned = spawned
+            if spawned > self.stats.max_spawned:
+                self.stats.max_spawned = spawned
             moves.sort()  # by weight, then column (columns differ)
-            self._count_spawned(len(moves))
         touched = touched_even | fbit
         last, min_weight = growths == self.max_gr, cluster.min_weight
         children = []
@@ -418,25 +400,29 @@ class _Grower:
                 mechanisms | 1 << c, satisfied | explains | auto, touched | loop_closed,
                 child_frontier, rest, child_fmask, used, growths, child_destroyed, path_dmask,
             ))
-        self.stats.observe_growths(growths)
+        if growths > self.stats.max_growths:  # every path's growths pass through here
+            self.stats.max_growths = growths
         return children
 
     def grow(self, seed: _Path) -> ClosedBranch | None:
+        """Grow seed's instance depth-first and commit the first path that
+        closes; None if no path closes or the instance goes past max_br."""
+        self.spawned = 1
         if seed.weight_used > self.budget:
             return None
-        try:
-            stack = [seed]
-            while stack:
-                st = stack.pop()
-                status = self._activate_frontier(st)
-                if status == "dead":
-                    continue
-                if status == "closed":
-                    return self._commit(st)
-                stack += self._expand(st)[::-1]  # first child on top: preorder
-            return None
-        except _Rejected:
-            return None
+        stack = [seed]
+        while stack:
+            st = stack.pop()
+            status = self._activate_frontier(st)
+            if status == "dead":
+                continue
+            if status == "closed":
+                return self._commit(st)
+            children = self._expand(st)
+            if children is None:
+                return None
+            stack += children[::-1]  # first child on top: preorder
+        return None
 
     def _commit(self, st: _Path) -> ClosedBranch:
         for bid in sorted(st.destroyed):
@@ -446,7 +432,6 @@ class _Grower:
         branch = ClosedBranch(mechanisms, _bits(st.satisfied), self.destructive)
         self.cluster.add(branch)
         self.stats.branches_closed += 1
-        self.stats.observe_growths(st.growths)
         return branch
 
 
@@ -474,7 +459,6 @@ def _branch_growth_pass(
         trivial = _seed(masks[c], tcts, eff) if cluster.col_owner[c] is None else 0
         if not trivial:
             continue
-        grower.spawned = 1
         frontier = trivial & -trivial
         grower.grow(_Path(
             1 << c, masks[c] & eff, 0, frontier.bit_length() - 1, _bits(trivial ^ frontier),

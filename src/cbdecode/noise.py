@@ -43,7 +43,7 @@ class DetectorModel:
             raise ValueError("one prior per noise-matrix column required")
         if self.observables.cols != self.noise_matrix.cols:
             raise ValueError("observable and noise matrices must share columns")
-        if ((self.priors < 0.0) | (self.priors > 0.5)).any():
+        if not ((self.priors >= 0.0) & (self.priors <= 0.5)).all():  # NaN fails too
             raise ValueError("priors must lie in [0, 0.5]")
 
     def __eq__(self, other: object) -> bool:
@@ -254,9 +254,11 @@ def load_detector_model(path: str) -> DetectorModel:
     """Parse the error-statement text format into a DetectorModel.
 
     Grammar, one statement per line: ``error <p> <targets...>`` with targets
-    ``D<int>`` (detector) or ``L<int>`` (observable); ``#`` starts a comment.
-    Dimensions are inferred from the largest indices.  Each statement becomes
-    one mechanism column, in file order.
+    ``D<int>`` (detector) or ``L<int>`` (observable), the index in ASCII
+    digits; ``#`` starts a comment.  The file is UTF-8 text.  Dimensions are
+    inferred from the largest indices.  Each statement becomes one mechanism
+    column, in file order.  Malformed input, a line that is not UTF-8
+    included, raises DemParseError naming the path and the line.
     """
     mech_dets: list[tuple[int, ...]] = []
     mech_obs: list[tuple[int, ...]] = []
@@ -264,9 +266,12 @@ def load_detector_model(path: str) -> DetectorModel:
     seen: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     max_det = -1
     max_obs = -1
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+    with open(path, "rb") as fh:  # text mode's line ends: \n, \r\n and \r
+        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
+            try:
+                line = raw.decode("utf-8").split("#", 1)[0].strip()
+            except UnicodeDecodeError as exc:
+                raise DemParseError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
             if not line:
                 continue
             parts = line.split()
@@ -287,9 +292,10 @@ def load_detector_model(path: str) -> DetectorModel:
             dets: set[int] = set()
             obs: set[int] = set()
             for tok in parts[2:]:
-                if tok.startswith("D") and tok[1:].isdigit():
+                digits = tok[1:].isascii() and tok[1:].isdigit()  # "²" passes isdigit
+                if tok.startswith("D") and digits:
                     dets.add(int(tok[1:]))
-                elif tok.startswith("L") and tok[1:].isdigit():
+                elif tok.startswith("L") and digits:
                     obs.add(int(tok[1:]))
                 else:
                     raise DemParseError(f"{path}:{lineno}: bad target {tok!r}")

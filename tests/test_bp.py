@@ -67,6 +67,8 @@ def test_prior_validation():
         BPDecoder(m, np.array([0.0, 0.1, 0.1]))
     with pytest.raises(ValueError):
         BPDecoder(m, np.array([0.6, 0.1, 0.1]))
+    with pytest.raises(ValueError):  # NaN compares false with both bounds
+        BPDecoder(m, np.array([0.1, np.nan, 0.1]))
 
 
 def test_llrs_follow_marginals_and_are_clamped():

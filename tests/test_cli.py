@@ -165,6 +165,13 @@ def test_run_rejects_a_negative_bp_iteration_cap(tmp_path, capsys):
 
 
 
+def test_run_rejects_a_nan_error_rate(tmp_path, capsys):
+    cfg = run_config(tmp_path, noise="phenomenological", rounds=2, p=0.01)
+    assert main(["run", str(cfg), "--p", "nan", "--shots", "100"]) == 2
+    captured = capsys.readouterr()
+    assert "run: priors must lie in [0, 0.5]" in captured.err and "shots=" not in captured.out
+
+
 def _no_model_built(monkeypatch):
     def build(spec):
         raise AssertionError("a code was built for a run that was rejected")

@@ -326,6 +326,12 @@ def test_a_dead_pool_worker_raises(monkeypatch):
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_a_nan_error_rate_raises_before_the_pool_starts(monkeypatch):
+    monkeypatch.setattr(harness.multiprocessing, "Pool", None)
+    with pytest.raises(ValueError, match="priors must lie"):
+        run_experiment(_config(p=float("nan")), threads=2)
+
+
 def test_bad_input_raises_before_the_pool_starts(tmp_path, monkeypatch):
     # a pool whose workers failed to build their inputs would restart them forever
     monkeypatch.setattr(harness.multiprocessing, "Pool", None)

@@ -1,7 +1,10 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cbdecode import noise
 from cbdecode.gf2 import mat_vec_mod2
@@ -101,6 +104,16 @@ def test_phenomenological_measurement_columns(bb72):
     assert (model.priors[:data_cols] == 2 * 0.02 / 3).all()
 
 
+def test_detector_model_rejects_a_nan_prior(bb72):
+    # NaN compares false with both bounds, so the check must fail on "not inside"
+    priors = np.full(bb72.n, 0.01)
+    priors[3] = np.nan
+    with pytest.raises(ValueError, match=r"priors must lie in \[0, 0.5\]"):
+        DetectorModel(noise_matrix=bb72.hz, priors=priors, observables=bb72.hz)
+    with pytest.raises(ValueError, match="priors must lie"):
+        phenomenological_model(bb72, 0.01, float("nan"), 2)
+
+
 def test_phenomenological_rejects_zero_rounds(bb72):
     with pytest.raises(ValueError):
         phenomenological_model(bb72, 0.01, 0.01, 0)
@@ -179,16 +192,59 @@ def test_dem_comments_and_blank_lines(tmp_path):
         ("error 0.0 D0\n", "outside (0, 1)"),
         ("error 0.7 D0\n", "above 0.5"),
         ("error 0.1 Q0\n", "bad target"),
+        ("error 0.1 D0\nerror 0.2 D\u00b2\n", ":2: bad target"),  # "²" passes str.isdigit()
         ("error 0.1 D0\nerror 0.2 D0\n", "duplicate"),
     ],
 )
 def test_dem_parse_errors_carry_line_numbers(tmp_path, content, fragment):
     path = tmp_path / "bad.dem"
-    path.write_text(content)
+    path.write_text(content, encoding="utf-8")
     with pytest.raises(DemParseError) as err:
         load_detector_model(str(path))
     assert fragment in str(err.value)
     assert ".dem:" in str(err.value)
+
+
+def test_dem_rejects_a_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bytes.dem"
+    path.write_bytes(b"error 0.1 D0\n# comment \xff\nerror 0.2 D1\n")
+    with pytest.raises(DemParseError) as err:
+        load_detector_model(str(path))
+    assert str(err.value).startswith(f"{path}:2: not UTF-8")
+
+
+_DEM_PROBABILITIES = st.sampled_from(["nan", "0", "0.7", "0.1", "0.5", "1e-3", "-0.2", "inf"])
+_DEM_TARGETS = st.builds(lambda kind, k: f"{kind}{k}", st.sampled_from("DL"), st.integers(0, 9999))
+_DEM_JUNK = st.text(alphabet="DLe0123456789.#_-x\u00b2\u0663\uff11\u00e9", min_size=1, max_size=6)
+_DEM_TOKENS = st.one_of(
+    st.sampled_from(["error", "noise", "#"]), _DEM_PROBABILITIES, _DEM_TARGETS, _DEM_JUNK
+)
+_DEM_STATEMENTS = st.builds(
+    lambda p, targets: " ".join(["error", p, *targets]),
+    _DEM_PROBABILITIES, st.lists(_DEM_TARGETS | _DEM_JUNK, max_size=4),
+)
+_DEM_LINES = st.one_of(
+    st.lists(_DEM_TOKENS, max_size=5).map(" ".join).map(str.encode),
+    _DEM_STATEMENTS.map(str.encode),
+    st.builds(bytes.__add__, st.sampled_from([b"error 0.1 D", b"#", b""]),
+              st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"])),  # not UTF-8
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(_DEM_LINES, min_size=1, max_size=6), st.booleans())
+def test_dem_loader_raises_only_line_numbered_parse_errors(lines, final_newline):
+    data = b"\n".join(lines) + (b"\n" if final_newline else b"")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "fuzz.dem")
+        Path(path).write_bytes(data)
+        try:
+            load_detector_model(path)
+        except DemParseError as err:
+            message = str(err)
+            assert message.startswith(f"{path}:")
+            line = message[len(path) + 1:].split(":", 1)[0]
+            assert line.isdigit() and 1 <= int(line) <= len(data.splitlines())
 
 
 def test_dem_round_trip(tmp_path, bb72):
