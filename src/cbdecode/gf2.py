@@ -133,17 +133,21 @@ def vec_from_support(n: int, support: Iterable[int]) -> np.ndarray:
 
 
 def mat_vec_mod2(m: BinaryMatrix, v: np.ndarray) -> np.ndarray:
-    """Return m @ v over GF(2) as a uint8 vector. Raises on dimension mismatch.
+    """Return m @ v over GF(2) as uint8: shape (rows,) for a vector v of
+    shape (cols,), and (k, rows), one product per row, for v of shape
+    (k, cols).  Any other shape raises ValueError.  Entries count by parity.
 
-    v, with a zero appended for the padding index, is gathered through the
-    `BinaryMatrix.row_slots` array and XOR-reduced over each row's slots.
+    v is laid out column-major, entry c of every vector in row c of
+    `padded`, with a zero row appended for the padding index, so one gather
+    through the `BinaryMatrix.row_slots` array and one XOR-reduce over the
+    leading slot axis serve both shapes; the result is C-contiguous.
     """
     v = np.asarray(v, dtype=np.uint8)
-    if v.shape != (m.cols,):
-        raise ValueError(f"vector length {v.shape} does not match {m.cols} columns")
-    padded = np.zeros(m.cols + 1, dtype=np.uint8)
-    padded[: m.cols] = v
-    return np.bitwise_xor.reduce(padded[m.row_slots()], axis=0) & 1
+    if v.ndim not in (1, 2) or v.shape[-1] != m.cols:
+        raise ValueError(f"vector shape {v.shape} does not match {m.cols} columns")
+    padded = np.zeros((m.cols + 1,) + v.shape[:-1], dtype=np.uint8)
+    padded[: m.cols] = v.T
+    return np.ascontiguousarray(np.bitwise_xor.reduce(padded[m.row_slots()], axis=0).T & 1)
 
 
 def _masks(supports: Sequence[Sequence[int]]) -> list[int]:

@@ -4,11 +4,14 @@ An `ExperimentConfig` describes a whole experiment; `run_experiment(config,
 threads=...)` runs it, in this process or in a pool of `threads` workers.
 Per-shot RNG streams derive from (seed, shot_index), and outcomes are
 consumed in shot order, so an experiment stops at its shot budget or at the
-exact shot where the failure target is reached at any thread count.  Every
-noise model is scored alike: a zero output for a nonzero syndrome is a
-declared failure, and any other output must reproduce its syndrome (else
-ValueError) and is a failure when the residual flips a logical observable.
-Results report the total logical error rate and its per-cycle normalization.
+exact shot where the failure target is reached at any thread count.  Shots
+are handled in chunks of 100 as arrays: one mat-vec gives a chunk's
+syndromes, the decoder runs shot by shot on the nonzero ones, and one
+`logical_failure` call (two mat-vecs) scores the chunk.  Every noise model
+is scored alike: a zero output for a nonzero syndrome is a declared failure,
+and any other output must reproduce its syndrome (else ValueError) and is a
+failure when the residual flips a logical observable.  Results report the
+total logical error rate and its per-cycle normalization.
 """
 
 from __future__ import annotations
@@ -134,29 +137,29 @@ def required_shots(target_pl_d: float) -> int:
     return math.ceil(100.0 / target_pl_d)
 
 
-def logical_failure(model: DetectorModel, actual: np.ndarray, recovered: np.ndarray) -> bool:
-    """True iff the residual actual + recovered flips any logical observable.
+def logical_failure(
+    model: DetectorModel, actual: np.ndarray, recovered: np.ndarray
+) -> np.bool_ | np.ndarray:
+    """Whether the residual actual + recovered flips any logical observable.
 
-    Both vectors must have one entry per noise-matrix column (else
-    ValueError); an entry counts by its parity, as in `mat_vec_mod2`.  The
-    residual's syndrome and observable flips are the XOR of its set
-    columns' cached bitmasks (`BinaryMatrix.col_masks`).  A residual outside
-    the check kernel raises, since the decoder should never emit such an
-    estimate.
+    `actual` and `recovered` are both one error vector of shape (cols,), or
+    both k of them as rows of shape (k, cols), one entry per noise-matrix
+    column (else ValueError); an entry counts by its parity, as in
+    `mat_vec_mod2`.  Returns one verdict per error: a numpy bool for vectors,
+    a bool array of shape (k,) for rows.  Scoring makes two mat-vecs, one
+    for the residuals' syndromes and one for their observable flips.  A
+    residual outside the check kernel raises, since the decoder should never
+    emit such an estimate.
     """
     actual = np.asarray(actual, dtype=np.uint8)
     recovered = np.asarray(recovered, dtype=np.uint8)
-    shape = (model.noise_matrix.cols,)
-    if actual.shape != shape or recovered.shape != shape:
-        raise ValueError(f"error vectors must have shape {shape}")
-    checks, observables = model.noise_matrix.col_masks(), model.observables.col_masks()
-    syndrome = flips = 0
-    for c in np.flatnonzero((actual ^ recovered) & 1).tolist():
-        syndrome ^= checks[c]
-        flips ^= observables[c]
-    if syndrome:
+    cols = model.noise_matrix.cols
+    if actual.shape != recovered.shape or actual.ndim not in (1, 2) or actual.shape[-1] != cols:
+        raise ValueError(f"error vectors must have the same shape, ({cols},) or (k, {cols})")
+    residual = actual ^ recovered
+    if mat_vec_mod2(model.noise_matrix, residual).any():
         raise ValueError("residual error has a nonzero syndrome")
-    return flips != 0
+    return mat_vec_mod2(model.observables, residual).any(axis=-1)
 
 
 def detector_models(config: ExperimentConfig) -> list[tuple[str, DetectorModel]]:
@@ -185,31 +188,37 @@ class _ShotRunner:
         self.source = (model.noise_matrix.cols, config.p) if config.noise == DATA_QUBIT else model
 
     def _decode(self, model: DetectorModel, bp: BPDecoder | None, syndrome: np.ndarray) -> np.ndarray:
-        if not syndrome.any():
-            return np.zeros(model.noise_matrix.cols, dtype=np.uint8)
         if self.config.decoder == "cb":
             return cb_decode(syndrome, self.config.params, model.noise_matrix)
         return bp_cb_decode(syndrome, self.config.params, model, self.config.bp_iters, decoder=bp)
 
     def run_shots(self, start: int, stop: int):
         """Yields (logical failure?, decode seconds) for shots [start, stop)
-        in order; the first request samples the whole chunk."""
+        in order, once the whole chunk is sampled, decoded and scored.
+
+        Per sector, one mat-vec gives every shot's syndrome, the decoder runs
+        (and is timed) on the nonzero ones alone, and one `logical_failure`
+        call scores every shot but the declared failures.
+        """
         drawn = _sample_chunk(self.source, self.config.seed, start, stop)
-        for row in zip(*drawn):
-            parts = dict(zip(("x", "z"), row))
-            failed = False
-            spent = 0.0
-            for sector, model, bp in self.sectors:
-                actual = parts[sector]
-                syndrome = mat_vec_mod2(model.noise_matrix, actual)
+        parts = dict(zip(("x", "z"), drawn))
+        failed = np.zeros(stop - start, dtype=bool)
+        spent = [0.0] * (stop - start)
+        for sector, model, bp in self.sectors:
+            actual = parts[sector]
+            syndromes = mat_vec_mod2(model.noise_matrix, actual)
+            nonzero = syndromes.any(axis=1)
+            recovered = np.zeros_like(actual)
+            for j in np.flatnonzero(nonzero).tolist():
                 t0 = time.perf_counter()
-                recovered = self._decode(model, bp, syndrome)
-                spent += time.perf_counter() - t0
-                if not recovered.any() and syndrome.any():
-                    failed = True  # declared failure
-                elif logical_failure(model, actual, recovered):
-                    failed = True
-            yield failed, spent
+                out = self._decode(model, bp, syndromes[j])
+                spent[j] += time.perf_counter() - t0
+                recovered[j] = out
+            declared = nonzero & ~recovered.any(axis=1)  # a zero output for a nonzero syndrome
+            scored = ~declared
+            failed[scored] |= logical_failure(model, actual[scored], recovered[scored])
+            failed |= declared
+        yield from zip(failed.tolist(), spent)
 
 
 _WORKER_RUNNER: _ShotRunner | None = None
@@ -255,7 +264,12 @@ def _shot_outcomes(config: ExperimentConfig, threads: int):
 
 
 def run_experiment(config: ExperimentConfig, *, threads: int = 1) -> ExperimentResult:
-    """Sample, decode and score shots until the shot or failure target."""
+    """Sample, decode and score shots until the shot or failure target.
+
+    Shots run a chunk at a time, so a serial run, like a pooled one, decodes
+    the rest of the chunk in which it reaches the failure target and then
+    discards it; the shots and failures counted are unchanged.
+    """
     failures = 0
     times: list[float] = []
     with closing(_shot_outcomes(config, threads)) as outcomes:

@@ -253,12 +253,13 @@ class DemParseError(ValueError):
 def load_detector_model(path: str) -> DetectorModel:
     """Parse the error-statement text format into a DetectorModel.
 
-    Grammar, one statement per line: ``error <p> <targets...>`` with targets
-    ``D<int>`` (detector) or ``L<int>`` (observable), the index in ASCII
-    digits; ``#`` starts a comment.  The file is UTF-8 text.  Dimensions are
-    inferred from the largest indices.  Each statement becomes one mechanism
-    column, in file order.  Malformed input, a line that is not UTF-8
-    included, raises DemParseError naming the path and the line.
+    Grammar, one statement per line: ``error <p> <targets...>`` with p in
+    ASCII float syntax and targets ``D<int>`` (detector) or ``L<int>``
+    (observable), the index in ASCII digits; ``#`` starts a comment.  The
+    file is UTF-8 text.  Dimensions are inferred from the largest indices.
+    Each statement becomes one mechanism column, in file order.  Malformed
+    input, a line that is not UTF-8 included, raises DemParseError naming
+    the path and the line.
     """
     mech_dets: list[tuple[int, ...]] = []
     mech_obs: list[tuple[int, ...]] = []
@@ -280,6 +281,8 @@ def load_detector_model(path: str) -> DetectorModel:
             if len(parts) < 2:
                 raise DemParseError(f"{path}:{lineno}: missing probability")
             try:
+                if not parts[1].isascii() or "_" in parts[1]:
+                    raise ValueError  # float() takes Unicode digits and "_" grouping
                 p = float(parts[1])
             except ValueError:
                 raise DemParseError(

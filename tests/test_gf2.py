@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cbdecode.bbcodes import STANDARD_CODES, build_bb_code
 from cbdecode.gf2 import (
@@ -85,6 +86,40 @@ def test_mat_vec_matches_dense_oracle():
             assert np.array_equal(out, expected)
         with pytest.raises(ValueError):
             mat_vec_mod2(m, np.zeros(cols + 1, dtype=np.uint8))
+
+
+@st.composite
+def _matrix_and_rows(draw):
+    """A random dense 0/1 matrix, some of its rows and columns emptied, and
+    k in {0, 1, several} vectors of its column count with entries 0-3."""
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 14))
+    seed = draw(st.integers(0, 2**32 - 1))
+    k = draw(st.sampled_from([0, 1, 2, 7]))
+    rng = np.random.default_rng(seed)
+    a = (rng.random((rows, cols)) < rng.uniform(0.05, 0.7)).astype(np.uint8)
+    a[rng.random(rows) < 0.2] = 0
+    a[:, rng.random(cols) < 0.2] = 0
+    return a, rng.integers(0, 4, size=(k, cols)).astype(np.uint8)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_matrix_and_rows())
+def test_mat_vec_on_rows_equals_the_stacked_vector_products(case):
+    a, vs = case
+    m = BinaryMatrix.from_dense(a)
+    out = mat_vec_mod2(m, vs)
+    assert out.dtype == np.uint8 and out.shape == (len(vs), a.shape[0]) and out.flags.c_contiguous
+    stacked = np.array([mat_vec_mod2(m, v) for v in vs], dtype=np.uint8).reshape(out.shape)
+    assert np.array_equal(out, stacked)
+    assert np.array_equal(out, (vs.astype(np.int64) @ a.T.astype(np.int64)) % 2)
+
+
+def test_mat_vec_rejects_misshapen_rows():
+    m = BinaryMatrix.from_dense(np.eye(3, dtype=int))
+    for bad in (np.zeros((4, 2), np.uint8), np.zeros((4, 4), np.uint8), np.zeros((0, 2), np.uint8),
+                np.zeros((2, 4, 3), np.uint8), np.zeros((1, 1, 3), np.uint8), np.uint8(0)):
+        with pytest.raises(ValueError, match="does not match"):
+            mat_vec_mod2(m, bad)
 
 
 def test_rank_trivial_cases():

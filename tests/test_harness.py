@@ -79,8 +79,9 @@ def test_logical_failure_residual_check(bb72):
 
 @pytest.mark.parametrize("noise", ["data-qubit", "phenomenological"])
 def test_mask_scoring_matches_the_mat_vecs(bb72, noise):
-    """logical_failure against the two mat-vecs it replaces, on seeded
-    random residuals: sparse and dense, in and out of the check kernel."""
+    """logical_failure against two plain mat-vecs, on seeded random
+    residuals: sparse and dense, in and out of the check kernel, one at a
+    time and as one batch of rows."""
     if noise == "data-qubit":
         model = data_qubit_model(bb72, 0.05)[0]
     else:
@@ -88,7 +89,7 @@ def test_mask_scoring_matches_the_mat_vecs(bb72, noise):
     kernel = kernel_basis_mod2(model.noise_matrix)
     rng = np.random.default_rng(41)
     cols = model.noise_matrix.cols
-    verdicts = []
+    verdicts, kept, trials = [], [], []
     for trial in range(200):
         actual = (rng.random(cols) < rng.choice([0.01, 0.1, 0.5])).astype(np.uint8)
         recovered = actual.copy()
@@ -99,6 +100,7 @@ def test_mask_scoring_matches_the_mat_vecs(bb72, noise):
         else:
             recovered ^= (rng.random(cols) < 0.05).astype(np.uint8)
         residual = actual ^ recovered
+        trials.append((actual, recovered))
         if mat_vec_mod2(model.noise_matrix, residual).any():
             with pytest.raises(ValueError, match="nonzero syndrome"):
                 logical_failure(model, actual, recovered)
@@ -106,7 +108,17 @@ def test_mask_scoring_matches_the_mat_vecs(bb72, noise):
             flips = bool(mat_vec_mod2(model.observables, residual).any())
             assert logical_failure(model, actual, recovered) == flips
             verdicts.append(flips)
+            kept.append(trial)
     assert 50 <= len(verdicts) <= 150 and 0 < sum(verdicts) < len(verdicts)
+    actual, recovered = (np.array(rows) for rows in zip(*trials))
+    got = logical_failure(model, actual[kept], recovered[kept])
+    assert got.shape == (len(kept),) and got.tolist() == verdicts
+    with pytest.raises(ValueError, match="nonzero syndrome"):
+        logical_failure(model, actual, recovered)
+    # one row outside the check kernel fails the whole batch
+    bad = next(t for t in range(200) if t not in kept)
+    with pytest.raises(ValueError, match="nonzero syndrome"):
+        logical_failure(model, actual[kept + [bad]], recovered[kept + [bad]])
 
 
 def test_logical_failure_rejects_misshapen_vectors(bb72):
@@ -356,10 +368,11 @@ def test_unsound_output_raises_on_every_noise_model(noise, bb72, tmp_path, monke
         run_experiment(config)
 
 
-def test_detector_model_shot_makes_one_mat_vec(monkeypatch):
-    """A phenomenological shot takes one mat-vec, for its syndrome; scoring
-    XORs column bitmasks.  Counted through every cbdecode module that holds
-    mat_vec_mod2."""
+@pytest.mark.parametrize("shots", [1, 100])
+def test_detector_model_chunk_makes_three_mat_vecs(monkeypatch, shots):
+    """A phenomenological chunk of any size takes three mat-vecs: its
+    syndromes, then its residuals' syndromes and observable flips.  Counted
+    through every cbdecode module that holds mat_vec_mod2."""
     calls = []
     for name, module in list(sys.modules.items()):
         if name.startswith("cbdecode") and hasattr(module, "mat_vec_mod2"):
@@ -367,10 +380,12 @@ def test_detector_model_shot_makes_one_mat_vec(monkeypatch):
             counted = lambda m, v, original=original: calls.append(m) or original(m, v)
             monkeypatch.setattr(module, "mat_vec_mod2", counted)
     runner = harness._ShotRunner(_config(noise="phenomenological", p=0.01, rounds=3))
-    for index in range(10):
+    model = runner.sectors[0][1]
+    for start in (0, 300):
         calls.clear()
-        [(failed, _)] = runner.run_shots(index, index + 1)
-        assert not failed and len(calls) == 1
+        outcomes = list(runner.run_shots(start, start + shots))
+        assert len(outcomes) == shots and sum(failed for failed, _ in outcomes) <= shots // 20
+        assert calls == [model.noise_matrix, model.noise_matrix, model.observables]
 
 
 def _per_shot_reference(config):

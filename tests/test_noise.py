@@ -194,6 +194,8 @@ def test_dem_comments_and_blank_lines(tmp_path):
         ("error 0.1 Q0\n", "bad target"),
         ("error 0.1 D0\nerror 0.2 D\u00b2\n", ":2: bad target"),  # "²" passes str.isdigit()
         ("error 0.1 D0\nerror 0.2 D0\n", "duplicate"),
+        ("error 0.1 D0\nerror \u0660.\u0661 D1\n", ":2: bad probability"),  # Arabic-Indic 0.1
+        ("error 0.1 D0\nerror 0.1_0 D1\n", ":2: bad probability"),
     ],
 )
 def test_dem_parse_errors_carry_line_numbers(tmp_path, content, fragment):
@@ -203,6 +205,12 @@ def test_dem_parse_errors_carry_line_numbers(tmp_path, content, fragment):
         load_detector_model(str(path))
     assert fragment in str(err.value)
     assert ".dem:" in str(err.value)
+
+
+def test_dem_reads_an_exponent_probability(tmp_path):
+    path = tmp_path / "e.dem"
+    path.write_text("error 5e-2 D0\n", encoding="utf-8")
+    assert load_detector_model(str(path)).priors.tolist() == [0.05]
 
 
 def test_dem_rejects_a_line_that_is_not_utf8(tmp_path):
