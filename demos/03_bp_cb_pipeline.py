@@ -17,8 +17,7 @@ from cbdecode import (
     data_qubit_model,
     event_weights,
     mat_vec_mod2,
-    sample_shot,
-    shot_rng,
+    sample_chunk,
 )
 
 code = build_bb_code(STANDARD_CODES["bb72"])
@@ -27,29 +26,30 @@ model, _ = data_qubit_model(code, p)
 decoder = BPDecoder(model.noise_matrix, model.priors)
 params = CBParams(max_gr=6, max_br=10, max_tcts=3)
 
+# shots 0..1999 of seed 11: one row of fired mechanisms each, one syndrome each
+n_shots = 2000
+(mechanisms,) = sample_chunk(model, seed=11, start=0, stop=n_shots)
+syndromes = mat_vec_mod2(model.noise_matrix, mechanisms)
+
 # a single shot in detail
-shot = sample_shot(model, shot_rng(11, 4))
-result = decoder.decode(shot.syndrome)
-print(f"syndrome weight {int(shot.syndrome.sum())}, "
+syndrome = syndromes[4]
+result = decoder.decode(syndrome)
+print(f"syndrome weight {int(syndrome.sum())}, "
       f"BP converged: {result.converged} after {result.iterations} iterations")
 weights = event_weights(result.llrs)
 print(f"event weights: min {weights.min():.3f}, max {weights.max():.3f} "
       f"(low weight = likely mechanism)")
 
-# pipeline statistics over a batch
-n_shots = 2000
+# pipeline statistics over the batch
 bp_solved = cb_solved = declared = 0
-for i in range(n_shots):
-    shot = sample_shot(model, shot_rng(11, i))
-    if not shot.syndrome.any():
-        continue
-    res = decoder.decode(shot.syndrome)
-    out = bp_cb_decode(shot.syndrome, params, model, decoder=decoder)
+for syndrome in syndromes[syndromes.any(axis=1)]:
+    res = decoder.decode(syndrome)
+    out = bp_cb_decode(syndrome, params, model, decoder=decoder)
     if res.converged:
         bp_solved += 1
     elif out.any():
         cb_solved += 1
-        assert np.array_equal(mat_vec_mod2(model.noise_matrix, out), shot.syndrome)
+        assert np.array_equal(mat_vec_mod2(model.noise_matrix, out), syndrome)
     else:
         declared += 1
 

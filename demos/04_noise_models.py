@@ -19,9 +19,8 @@ from cbdecode import (
     load_detector_model,
     mat_vec_mod2,
     phenomenological_model,
-    sample_shot,
+    sample_chunk,
     save_detector_model,
-    shot_rng,
 )
 
 code = build_bb_code(STANDARD_CODES["bb72"])
@@ -41,12 +40,13 @@ print(f"  data columns: {rounds * code.n} at prior 2p/3; "
 print(f"  detector row weights per layer: first {set(weights[0].tolist())}, "
       f"bulk {set(weights[1:-1].ravel().tolist())}, last {set(weights[-1].tolist())}")
 
-# sampling a shot gives the fired mechanisms and their syndrome; the
-# observables they flip are one more product, through the observable matrix
-shot = sample_shot(ph, shot_rng(3, 0))
-flips = mat_vec_mod2(ph.observables, shot.mechanisms)
-print(f"  sample: {int(shot.mechanisms.sum())} mechanisms fired, "
-      f"syndrome weight {int(shot.syndrome.sum())}, "
+# sampling shot 0 of seed 3 gives its fired mechanisms; its syndrome and the
+# observables it flips are products through the noise and observable matrices
+(mechanisms,) = sample_chunk(ph, seed=3, start=0, stop=1)
+syndrome = mat_vec_mod2(ph.noise_matrix, mechanisms[0])
+flips = mat_vec_mod2(ph.observables, mechanisms[0])
+print(f"  sample: {int(mechanisms.sum())} mechanisms fired, "
+      f"syndrome weight {int(syndrome.sum())}, "
       f"observables flipped {np.flatnonzero(flips).tolist()}")
 
 # models round-trip through the text format: 'error <p> D... L...' per column

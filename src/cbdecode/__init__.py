@@ -31,15 +31,11 @@ from .harness import (
 )
 from .noise import (
     DetectorModel,
-    PauliError,
-    Shot,
     data_qubit_model,
     load_detector_model,
     phenomenological_model,
-    sample_depolarizing,
-    sample_shot,
+    sample_chunk,
     save_detector_model,
-    shot_rng,
 )
 
 __version__ = "0.1.0"
@@ -58,9 +54,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "Monomial",
-    "PauliError",
     "STANDARD_CODES",
-    "Shot",
     "bp_cb_decode",
     "build_bb_code",
     "cb_decode",
@@ -80,10 +74,8 @@ __all__ = [
     "rank_mod2",
     "required_shots",
     "run_experiment",
-    "sample_depolarizing",
-    "sample_shot",
+    "sample_chunk",
     "save_detector_model",
     "save_matrix",
-    "shot_rng",
     "weight_1_errors",
 ]

@@ -77,10 +77,10 @@ class Cluster:
     """One decoding problem and the closed branches that explain it so far.
 
     Takes the noise matrix m, the syndrome (one entry per row) and, in
-    weighted mode, the event weights (one per column); a wrong shape raises
-    ValueError.  The syndrome is packed once into the row bitmask
-    syndrome_rows, and the weights into the float list weights (all 1.0 in
-    plain mode) and their minimum min_weight.
+    weighted mode, the event weights (one per column); a wrong shape or a
+    NaN weight raises ValueError.  The syndrome is packed once into the row
+    bitmask syndrome_rows, and the weights into the float list weights (all
+    1.0 in plain mode) and their minimum min_weight.
 
     Maintains flipped_rows, the row bitmask of m . error (mod 2),
     incrementally; eff, syndrome_rows ^ flipped_rows, is 0 once the cluster
@@ -109,6 +109,8 @@ class Cluster:
             weights = np.asarray(event_weights, dtype=np.float64)
             if weights.shape != (m.cols,):
                 raise ValueError("event weights length must equal the matrix column count")
+            if np.isnan(weights).any():  # base + nan > budget is False: never pruned
+                raise ValueError("event weights must not be NaN")
             self.weights = weights.tolist()
             self.min_weight = float(weights.min()) if weights.size else 0.0
         self.m = m

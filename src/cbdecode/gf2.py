@@ -263,18 +263,32 @@ def save_matrix(m: BinaryMatrix, path: str) -> None:
 
 
 def load_matrix(path: str) -> BinaryMatrix:
-    """Read the sparse text format written by save_matrix."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}:1: expected 'rows cols' header")
-        rows, cols = int(header[0]), int(header[1])
-        entries = []
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'row col'")
-            entries.append((int(parts[0]), int(parts[1])))
+    """Read the sparse text format written by save_matrix.
+
+    The file is UTF-8 text: a 'rows cols' header line, then one 'row col'
+    line per entry, numbers in ASCII digits; blank entry lines are skipped.
+    Malformed input, a line that is not UTF-8 or an entry outside the matrix
+    included, raises ValueError naming the path and the line.
+    """
+    with open(path, "rb") as fh:  # text mode's line ends: \n, \r\n and \r
+        lines = fh.read().splitlines() or [b""]
+    entries = []
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            parts = raw.decode("utf-8").split()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+        if not parts and lineno > 1:
+            continue
+        # int() also takes "١", "1_0" and "+1"
+        if len(parts) != 2 or not all(part.isascii() and part.isdigit() for part in parts):
+            what = "'rows cols' header" if lineno == 1 else "'row col'"
+            raise ValueError(f"{path}:{lineno}: expected {what} in ASCII digits")
+        r, c = int(parts[0]), int(parts[1])
+        if lineno == 1:
+            rows, cols = r, c
+        elif r >= rows or c >= cols:
+            raise ValueError(f"{path}:{lineno}: entry ({r}, {c}) outside {rows}x{cols} matrix")
+        else:
+            entries.append((r, c))
     return BinaryMatrix(rows, cols, entries)

@@ -35,7 +35,7 @@ from .noise import (
     data_qubit_model,
     load_detector_model,
     phenomenological_model,
-    _sample_chunk,
+    sample_chunk,
 )
 
 DATA_QUBIT = "data-qubit"
@@ -106,6 +106,8 @@ class ExperimentConfig:
             raise ValueError("max_failures must be >= 1")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
+        if self.rounds != 1 and self.noise == DATA_QUBIT:
+            raise ValueError("data-qubit noise has one round")
         if self.bp_iters < 0:
             raise ValueError("bp_iters must be >= 0")
         if self.seed < 0:
@@ -200,7 +202,7 @@ class _ShotRunner:
         (and is timed) on the nonzero ones alone, and one `logical_failure`
         call scores every shot but the declared failures.
         """
-        drawn = _sample_chunk(self.source, self.config.seed, start, stop)
+        drawn = sample_chunk(self.source, self.config.seed, start, stop)
         parts = dict(zip(("x", "z"), drawn))
         failed = np.zeros(stop - start, dtype=bool)
         spent = [0.0] * (stop - start)

@@ -5,6 +5,7 @@ own check matrices.  Phenomenological noise stacks per-round detector layers
 (consecutive syndrome differences, with the final layer taken from a perfect
 data readout) and adds weight-2 measurement-error columns.  Circuit-level
 matrices are generated externally and ingested through a small text format.
+`sample_chunk` draws the shots of any of them, a chunk of shots at a time.
 """
 
 from __future__ import annotations
@@ -14,15 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bbcodes import CSSCode
-from .gf2 import BinaryMatrix, mat_vec_mod2
-
-
-@dataclass
-class PauliError:
-    """X/Z decomposition of an n-qubit Pauli; Y sets both parts."""
-
-    x_part: np.ndarray
-    z_part: np.ndarray
+from .gf2 import BinaryMatrix
 
 
 @dataclass
@@ -55,30 +48,6 @@ class DetectorModel:
             and self.priors.shape == other.priors.shape
             and (self.priors == other.priors).all()
         )
-
-
-@dataclass
-class Shot:
-    """One sampled error with its syndrome."""
-
-    mechanisms: np.ndarray
-    syndrome: np.ndarray
-
-
-def shot_rng(seed: int, shot_index: int) -> np.random.Generator:
-    """Independent per-shot stream; reproducible and order-independent."""
-    return np.random.default_rng((seed, shot_index))
-
-
-def sample_depolarizing(n: int, p: float, rng: np.random.Generator) -> PauliError:
-    """Independent depolarizing noise: X, Y, Z each with probability p/3."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("depolarizing probability must lie in [0, 1]")
-    hit = rng.random(n) < p
-    kind = rng.integers(0, 3, size=n)  # 0=X, 1=Y, 2=Z
-    x_part = (hit & (kind != 2)).astype(np.uint8)
-    z_part = (hit & (kind != 0)).astype(np.uint8)
-    return PauliError(x_part=x_part, z_part=z_part)
 
 
 def data_qubit_model(code: CSSCode, p: float) -> tuple[DetectorModel, DetectorModel]:
@@ -148,10 +117,24 @@ def phenomenological_model(
     return DetectorModel(noise_matrix=noise_matrix, priors=priors, observables=observables)
 
 
-def sample_shot(model: DetectorModel, rng: np.random.Generator) -> Shot:
-    """Fire each mechanism independently with its prior."""
-    mechanisms = (rng.random(model.noise_matrix.cols) < model.priors).astype(np.uint8)
-    return Shot(mechanisms=mechanisms, syndrome=mat_vec_mod2(model.noise_matrix, mechanisms))
+# The per-shot reference draws, which `sample_chunk` reproduces and falls back on
+def shot_rng(seed: int, shot_index: int) -> np.random.Generator:
+    """Independent per-shot stream; reproducible and order-independent."""
+    return np.random.default_rng((seed, shot_index))
+
+
+def sample_depolarizing(n: int, p: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(x_part, z_part) of depolarizing noise, X, Y, Z each with probability p/3."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("depolarizing probability must lie in [0, 1]")
+    hit = rng.random(n) < p
+    kind = rng.integers(0, 3, size=n)  # 0=X, 1=Y, 2=Z
+    return (hit & (kind != 2)).astype(np.uint8), (hit & (kind != 0)).astype(np.uint8)
+
+
+def sample_shot(model: DetectorModel, rng: np.random.Generator) -> np.ndarray:
+    """The mechanisms that fire, each independently with its prior."""
+    return (rng.random(model.noise_matrix.cols) < model.priors).astype(np.uint8)
 
 
 # numpy's SeedSequence hash constants (bit_generator.pyx) and PCG64's multiplier
@@ -193,23 +176,29 @@ def _raw_rows(seed: int, shots: np.ndarray, width: int) -> np.ndarray:
     return rows
 
 
-def _sample_chunk(
+def sample_chunk(
     source: DetectorModel | tuple[int, float], seed: int, start: int, stop: int
 ) -> list[np.ndarray]:
-    """Row j of each array is shot start + j of `seed`: [mechanisms] of
-    `sample_shot(source, shot_rng(seed, i))` for a model, [x_parts, z_parts]
-    of `sample_depolarizing(n, p, ...)` for an (n, p) pair.
+    """Shots [start, stop) of `seed` as uint8 arrays with one row per shot.
+
+    Row j is what `rng = np.random.default_rng((seed, start + j))` draws.
+    For a DetectorModel the list is [mechanisms]: `rng.random(cols) <
+    priors`.  For depolarizing noise, an (n, p) pair, it is [x_parts,
+    z_parts] from `hit = rng.random(n) < p` and `kind = rng.integers(0, 3,
+    size=n)` (0 X, 1 Y, 2 Z): x is hit where kind != 2, z where kind != 0.
 
     From raw PCG64 words, `random() < p` is `(raw >> 11) < ceil(p * 2**53)`;
     `integers(0, 3)` is `3u >> 32` on the next words' 32-bit halves, low
     first, redrawing u = 0 (Lemire, ACM TOMACS 2019).  Shot indexes >= 2**32
-    and redrawn shots, or all when the self-check failed or seed or p is out
-    of range, are drawn by those per-shot functions.
+    and redrawn shots, or all when the import-time self-check failed or seed
+    or p is not valid, are drawn by `sample_shot` or `sample_depolarizing`
+    on `shot_rng(seed, i)`, which raise for such a seed or p as numpy does.
     """
     model = isinstance(source, DetectorModel)
     n, p = (source.noise_matrix.cols, source.priors) if model else source
     shots = np.arange(start, stop)
-    slow = (shots >= 2**32) | (not (_EXACT and seed >= 0 and (model or 0.0 <= p <= 1.0)))
+    exact = _EXACT and isinstance(seed, (int, np.integer)) and seed >= 0
+    slow = (shots >= 2**32) | (not (exact and (model or 0.0 <= p <= 1.0)))
     fast = np.flatnonzero(~slow)
     drawn = [np.empty((len(shots), n), np.uint8) for _ in range(1 if model else 2)]
     if fast.size:
@@ -224,22 +213,22 @@ def _sample_chunk(
             out[fast] = part
     for j in np.flatnonzero(slow):
         rng = shot_rng(seed, start + int(j))
-        got = sample_shot(source, rng) if model else sample_depolarizing(n, p, rng)
-        for out, row in zip(drawn, [got.mechanisms] if model else [got.x_part, got.z_part]):
+        rows = [sample_shot(source, rng)] if model else sample_depolarizing(n, p, rng)
+        for out, row in zip(drawn, rows):
             out[j] = row
     return drawn
 
 
 def _raw_words_exact() -> bool:
-    """Whether `_sample_chunk`'s raw-word path draws as this numpy's
+    """Whether `sample_chunk`'s raw-word path draws as this numpy's
     default_rng does, on a one-word seed and one longer than the pool."""
     seeds = (1, 2**160 + 7)
-    errs = [[sample_depolarizing(9, 0.5, shot_rng(s, i)) for i in range(4)] for s in seeds]
+    want = [[sample_depolarizing(9, 0.5, shot_rng(s, i)) for i in range(4)] for s in seeds]
     try:
-        drawn = [_sample_chunk((9, 0.5), s, 0, 4) for s in seeds]
+        drawn = [sample_chunk((9, 0.5), s, 0, 4) for s in seeds]
     except (KeyError, TypeError, ValueError):  # e.g. a PCG64 state of another form
         return False
-    return np.array_equal(drawn, [[[e.x_part for e in es], [e.z_part for e in es]] for es in errs])
+    return np.array_equal(drawn, np.swapaxes(want, 1, 2))  # as (seed, part, shot, qubit)
 
 
 _EXACT = True  # while the self-check below draws through the raw-word path

@@ -19,9 +19,8 @@ from cbdecode.harness import ExperimentConfig, crossing_estimate, run_experiment
 from cbdecode.noise import (
     load_detector_model,
     phenomenological_model,
-    sample_shot,
+    sample_chunk,
     save_detector_model,
-    shot_rng,
 )
 
 
@@ -167,20 +166,19 @@ def soundness_results(tmp_path_factory):
         bp = BPDecoder(model.noise_matrix, model.priors) if decoder == "bp+cb" else None
         unsound = 0
         declared = 0
-        for i in range(shots):
-            shot = sample_shot(model, shot_rng(1000 + idx, i))
-            s = shot.syndrome
-            if not s.any():
-                continue
-            if decoder == "cb":
-                out = cb_decode(s, params, model.noise_matrix, stats=stats)
-            else:
-                out = bp_cb_decode(s, params, model, decoder=bp, stats=stats)
-            if out.any():
-                if not np.array_equal(mat_vec_mod2(model.noise_matrix, out), s):
-                    unsound += 1
-            else:
-                declared += 1
+        for start in range(0, shots, 1000):
+            (mechanisms,) = sample_chunk(model, 1000 + idx, start, min(start + 1000, shots))
+            syndromes = mat_vec_mod2(model.noise_matrix, mechanisms)
+            for s in syndromes[syndromes.any(axis=1)]:
+                if decoder == "cb":
+                    out = cb_decode(s, params, model.noise_matrix, stats=stats)
+                else:
+                    out = bp_cb_decode(s, params, model, decoder=bp, stats=stats)
+                if out.any():
+                    if not np.array_equal(mat_vec_mod2(model.noise_matrix, out), s):
+                        unsound += 1
+                else:
+                    declared += 1
         total_shots += shots
         results.append((label, params, stats, unsound, declared, shots))
     return results, total_shots

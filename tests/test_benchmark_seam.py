@@ -16,7 +16,7 @@ from cbdecode import cb
 from cbdecode.bp import BPDecoder, bp_cb_decode
 from cbdecode.cb import CBParams, cb_decode, run_schedule
 from cbdecode.gf2 import mat_vec_mod2, vec_from_support
-from cbdecode.noise import data_qubit_model, sample_shot, shot_rng
+from cbdecode.noise import data_qubit_model, sample_chunk
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -78,7 +78,7 @@ def test_a_traced_bp_decode_counts_the_results_iterations_and_convergence(tracin
     # renamed field would blank bp.iters_mean and bp.converged_share
     model, _ = data_qubit_model(bb72, 0.05)
     decoder = BPDecoder.for_model(model)
-    syndromes = [sample_shot(model, shot_rng(3, i)).syndrome for i in range(40)]
+    syndromes = mat_vec_mod2(model.noise_matrix, sample_chunk(model, 3, 0, 40)[0])
     tracer = tracing.Tracer()
     tracer.install()
     try:

@@ -8,7 +8,12 @@ from cbdecode.bp import LLR_CLAMP, MAX_ITERS, BPDecoder, bp_cb_decode, event_wei
 from cbdecode.cb import CBParams, run_schedule
 from cbdecode.gf2 import BinaryMatrix, mat_vec_mod2
 from cbdecode.harness import ExperimentConfig
-from cbdecode.noise import data_qubit_model, phenomenological_model, sample_shot, shot_rng
+from cbdecode.noise import data_qubit_model, phenomenological_model, sample_chunk
+
+
+def _syndromes(model, seed, shots):
+    """The syndromes of shots 0 to shots - 1 of `seed`, one row each."""
+    return mat_vec_mod2(model.noise_matrix, sample_chunk(model, seed, 0, shots)[0])
 
 
 def chain_code():
@@ -90,12 +95,11 @@ def test_shot_path_needs_no_dense_matrix(bb72, monkeypatch):
 
     monkeypatch.setattr(BinaryMatrix, "to_dense", no_dense)
     dec = BPDecoder(model.noise_matrix, model.priors)
-    for i in range(20):
-        shot = sample_shot(model, shot_rng(8, i))
-        res = dec.decode(shot.syndrome)
+    for syndrome in _syndromes(model, 8, 20):
+        res = dec.decode(syndrome)
         if res.converged:
             parity = mat_vec_mod2(model.noise_matrix, res.hard_decision)
-            assert np.array_equal(parity, shot.syndrome)
+            assert np.array_equal(parity, syndrome)
 
 
 def test_bp_cb_decode_without_a_decoder_floors_zero_priors(bb72):
@@ -105,8 +109,7 @@ def test_bp_cb_decode_without_a_decoder_floors_zero_priors(bb72):
     assert (model.priors == 0.0).any()
     params = CBParams(6, 36, 3)
     decoded = 0
-    for i in range(12):
-        syndrome = sample_shot(model, shot_rng(21, i)).syndrome
+    for syndrome in _syndromes(model, 21, 12):
         if not syndrome.any():
             continue
         out = bp_cb_decode(syndrome, params, model)
@@ -151,10 +154,9 @@ def test_bp_cb_returns_bp_answer_when_it_matches(bb72):
     params = CBParams(6, 10, 3)
     dec = BPDecoder(model.noise_matrix, model.priors)
     found_converged = False
-    for i in range(40):
-        shot = sample_shot(model, shot_rng(3, i))
-        res = dec.decode(shot.syndrome, 30)
-        out = bp_cb_decode(shot.syndrome, params, model, decoder=dec)
+    for syndrome in _syndromes(model, 3, 40):
+        res = dec.decode(syndrome, 30)
+        out = bp_cb_decode(syndrome, params, model, decoder=dec)
         if res.converged:
             found_converged = True
             assert np.array_equal(out, res.hard_decision)
@@ -173,12 +175,11 @@ def test_bp_cb_soundness(bb72):
     dec = BPDecoder(model.noise_matrix, model.priors)
     m = model.noise_matrix
     non_trivial = 0
-    for i in range(200):
-        shot = sample_shot(model, shot_rng(13, i))
-        out = bp_cb_decode(shot.syndrome, params, model, decoder=dec)
+    for syndrome in _syndromes(model, 13, 200):
+        out = bp_cb_decode(syndrome, params, model, decoder=dec)
         if out.any():
             non_trivial += 1
-            assert np.array_equal(mat_vec_mod2(m, out), shot.syndrome)
+            assert np.array_equal(mat_vec_mod2(m, out), syndrome)
     assert non_trivial > 100
 
 
@@ -187,14 +188,13 @@ def test_bp_cb_rescues_some_bp_failures(bb72):
     params = CBParams(6, 10, 3)
     dec = BPDecoder(model.noise_matrix, model.priors)
     rescued = 0
-    for i in range(300):
-        shot = sample_shot(model, shot_rng(29, i))
-        if not shot.syndrome.any():
+    for syndrome in _syndromes(model, 29, 300):
+        if not syndrome.any():
             continue
-        res = dec.decode(shot.syndrome, 30)
+        res = dec.decode(syndrome, 30)
         if res.converged:
             continue
-        out = bp_cb_decode(shot.syndrome, params, model, decoder=dec)
+        out = bp_cb_decode(syndrome, params, model, decoder=dec)
         if out.any():
             rescued += 1
     assert rescued >= 5
@@ -207,12 +207,11 @@ def test_detector_model_round_trip_through_decoder(bb72):
     model = phenomenological_model(bb72, 0.03, 0.03, 3)
     params = CBParams(6, 36, 3)
     dec = BPDecoder(model.noise_matrix, model.priors)
-    for i in range(40):
-        shot = sample_shot(model, shot_rng(4, i))
-        out = bp_cb_decode(shot.syndrome, params, model, decoder=dec)
+    for syndrome in _syndromes(model, 4, 40):
+        out = bp_cb_decode(syndrome, params, model, decoder=dec)
         if out.any():
             assert np.array_equal(
-                mat_vec_mod2(model.noise_matrix, out), shot.syndrome
+                mat_vec_mod2(model.noise_matrix, out), syndrome
             )
 
 
@@ -222,8 +221,7 @@ def test_detector_model_round_trip_through_decoder(bb72):
 def bb72_syndromes(model, dec, seed=3, shots=200):
     """A zero syndrome, then the first syndromes BP converges and fails on."""
     found = {"zero": np.zeros(model.noise_matrix.rows, dtype=np.uint8)}
-    for i in range(shots):
-        syndrome = sample_shot(model, shot_rng(seed, i)).syndrome
+    for syndrome in _syndromes(model, seed, shots):
         if syndrome.any():
             found.setdefault("converged" if dec.decode(syndrome).converged else "failed", syndrome)
     assert set(found) == {"zero", "converged", "failed"}

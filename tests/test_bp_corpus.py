@@ -22,13 +22,7 @@ import pytest
 
 from cbdecode.bp import BPDecoder
 from cbdecode.gf2 import BinaryMatrix, mat_vec_mod2
-from cbdecode.noise import (
-    data_qubit_model,
-    phenomenological_model,
-    sample_depolarizing,
-    sample_shot,
-    shot_rng,
-)
+from cbdecode.noise import data_qubit_model, phenomenological_model, sample_chunk
 
 GOLDEN = {
     "data": {
@@ -281,17 +275,15 @@ def digest_results(decoder, syndromes, **kwargs):
 def data_problem(bb72):
     """300 bb72 data-qubit X syndromes at p=0.06."""
     model = data_qubit_model(bb72, 0.06)[0]
-    syndromes = [
-        mat_vec_mod2(model.noise_matrix, sample_depolarizing(bb72.n, 0.06, shot_rng(13, i)).x_part)
-        for i in range(300)
-    ]
+    x_parts, _ = sample_chunk((bb72.n, 0.06), 13, 0, 300)
+    syndromes = mat_vec_mod2(model.noise_matrix, x_parts)
     return BPDecoder(model.noise_matrix, model.priors), syndromes
 
 
 def phenom_problem(bb72):
     """50 phenomenological syndromes, r=3, p=q=0.06."""
     model = phenomenological_model(bb72, 0.06, 0.06, 3)
-    syndromes = [sample_shot(model, shot_rng(14, i)).syndrome for i in range(50)]
+    syndromes = mat_vec_mod2(model.noise_matrix, sample_chunk(model, 14, 0, 50)[0])
     return BPDecoder(model.noise_matrix, model.priors), syndromes
 
 

@@ -665,3 +665,15 @@ def test_cluster_and_schedule_check_the_problem_shapes(bb72, syndrome_len, weigh
         for steps in (range(1, 7), range(0)):  # checked even when no step runs
             with pytest.raises(ValueError):
                 run_schedule(s, CBParams(6, 10, 3), m, steps, float, event_weights=weights)
+
+
+def test_cluster_and_schedule_reject_a_nan_event_weight():
+    # base + nan > budget is False, so a NaN column was never pruned and the
+    # schedule decoded on
+    m = BinaryMatrix.from_dense([[1, 1, 0], [0, 1, 1]])
+    s = np.array([1, 0], dtype=np.uint8)
+    weights = [np.nan, 1.0, 1.0]
+    with pytest.raises(ValueError, match="NaN"):
+        Cluster(m, s, weights)
+    with pytest.raises(ValueError, match="NaN"):
+        run_schedule(s, CBParams(6, 10, 3), m, range(1, 7), float, event_weights=weights)

@@ -16,7 +16,7 @@ import pytest
 from cbdecode.bp import BPDecoder, bp_cb_decode
 from cbdecode.cb import CBParams, DecodeStats, cb_decode
 from cbdecode.gf2 import mat_vec_mod2
-from cbdecode.noise import phenomenological_model, sample_depolarizing, sample_shot, shot_rng
+from cbdecode.noise import phenomenological_model, sample_chunk
 
 DATA_SHOTS = 300
 PHENOM_SHOTS = 100
@@ -59,9 +59,8 @@ def cb_corpus(bb72):
     params = CBParams(6, 10, 3)
     stats = DecodeStats()
     digest = hashlib.sha256()
-    for i in range(DATA_SHOTS):
-        err = sample_depolarizing(bb72.n, 0.06, shot_rng(11, i))
-        syndrome = mat_vec_mod2(bb72.hz, err.x_part)
+    x_parts, _ = sample_chunk((bb72.n, 0.06), 11, 0, DATA_SHOTS)
+    for syndrome in mat_vec_mod2(bb72.hz, x_parts):
         digest.update(cb_decode(syndrome, params, bb72.hz, stats=stats).tobytes())
     return digest.hexdigest(), stats_fields(stats)
 
@@ -73,9 +72,9 @@ def bpcb_corpus(bb72):
     params = CBParams(6, 36, 3)
     stats = DecodeStats()
     digest = hashlib.sha256()
-    for i in range(PHENOM_SHOTS):
-        shot = sample_shot(model, shot_rng(12, i))
-        out = bp_cb_decode(shot.syndrome, params, model, decoder=decoder, stats=stats)
+    (mechanisms,) = sample_chunk(model, 12, 0, PHENOM_SHOTS)
+    for syndrome in mat_vec_mod2(model.noise_matrix, mechanisms):
+        out = bp_cb_decode(syndrome, params, model, decoder=decoder, stats=stats)
         digest.update(out.tobytes())
     return digest.hexdigest(), stats_fields(stats)
 

@@ -179,6 +179,23 @@ def _no_model_built(monkeypatch):
     monkeypatch.setattr(harness, "build_bb_code", build)
 
 
+def test_run_rejects_rounds_for_data_qubit_noise(tmp_path, capsys, monkeypatch):
+    # a one-round rate divided by 3 would be reported as the per-cycle rate
+    _no_model_built(monkeypatch)
+    assert main(["run", str(run_config(tmp_path, p=0.05, rounds=3))]) == 2
+    captured = capsys.readouterr()
+    assert "run: data-qubit noise has one round" in captured.err and "shots=" not in captured.out
+
+
+def test_build_noise_rejects_rounds_for_data_qubit_noise(tmp_path, capsys, monkeypatch):
+    _no_model_built(monkeypatch)
+    out = tmp_path / "m.dem"
+    flags = ["--code", "bb72", "--p", "0.06", "--rounds", "3", "--out", str(out)]
+    assert main(["build-noise"] + flags) == 2
+    assert capsys.readouterr().err.startswith("build-noise: data-qubit noise has one round")
+    assert not out.exists()
+
+
 def test_run_rejects_a_negative_seed_flag(tmp_path, capsys, monkeypatch):
     _no_model_built(monkeypatch)
     assert main(["run", str(run_config(tmp_path, p=0.05)), "--seed", "-1"]) == 2

@@ -6,7 +6,8 @@ writes them into a temporary directory it removes again: each run gets its
 own TMPDIR, every absolute path a demo prints must lie inside it and be gone
 once the demo exits.  demos/05 is a long sweep, so it is only parsed: every
 name it imports from cbdecode must exist, and every name it reads must be
-imported, assigned or built in.
+imported, assigned or built in.  The README's library quick start runs
+the same way as the demos.
 """
 
 import ast
@@ -42,6 +43,18 @@ def test_demo_runs(demo, tmp_path):
     for path in printed:
         assert path.resolve().is_relative_to(tmp_path.resolve()), path
         assert not path.exists(), path
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sweep_demo_imports_exist():

@@ -1,4 +1,6 @@
 import hashlib
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,3 +288,51 @@ def test_sparse_text_round_trip(tmp_path):
     assert load_matrix(str(path)) == m
     header = path.read_text().splitlines()[0]
     assert header == "7 11"
+
+
+@pytest.mark.parametrize("data, line, message", [
+    ("2 3\n0 \u0661\n", 2, "expected 'row col' in ASCII digits"),  # Arabic-Indic one
+    ("2 3\n0 1_0\n", 2, "expected 'row col' in ASCII digits"),
+    ("2 3\n0 x\n", 2, "expected 'row col' in ASCII digits"),
+    ("2 3\n0 1\n\n5 1\n", 4, "entry (5, 1) outside 2x3 matrix"),
+    (b"2 3\n0 1\n1 \xff\n", 3, "not UTF-8 text"),
+    ("", 1, "expected 'rows cols' header"),
+    ("2 -3\n", 1, "expected 'rows cols' header"),
+], ids=["unicode-digit", "underscore", "letter", "out-of-range", "not-utf8", "empty", "negative"])
+def test_load_matrix_names_the_line_of_malformed_input(tmp_path, data, line, message):
+    path = tmp_path / "m.txt"
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    with pytest.raises(ValueError) as err:
+        load_matrix(str(path))
+    assert str(err.value).startswith(f"{path}:{line}: {message}")
+
+
+# numbers stay below 10**4, so that no header asks for a huge matrix
+_MATRIX_PAIRS = st.builds("{} {}".format, st.integers(0, 6), st.integers(0, 6)).map(str.encode)
+_MATRIX_JUNK = st.text(alphabet="0123456789-+_x. \t\u0661\u00b2\uff11", min_size=1, max_size=4)
+_MATRIX_LINES = st.one_of(
+    _MATRIX_PAIRS,
+    st.just(b""),
+    st.lists(st.integers(0, 12).map(str) | _MATRIX_JUNK, max_size=3).map(" ".join).map(str.encode),
+    st.builds(bytes.__add__, st.sampled_from([b"1 ", b""]), st.sampled_from([b"\xff", b"\xc3"])),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_MATRIX_PAIRS | _MATRIX_LINES, st.lists(_MATRIX_PAIRS | _MATRIX_LINES, max_size=5),
+       st.booleans())
+def test_load_matrix_raises_only_line_numbered_errors(header, lines, final_newline):
+    data = b"\n".join([header, *lines]) + (b"\n" if final_newline else b"")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "fuzz.txt")
+        Path(path).write_bytes(data)
+        try:
+            m = load_matrix(path)
+        except ValueError as err:
+            message = str(err)
+            assert message.startswith(f"{path}:")
+            line = message[len(path) + 1:].split(":", 1)[0]
+            assert line.isdigit() and 1 <= int(line) <= max(1, len(data.splitlines()))
+        else:
+            header = data.splitlines()[0].split()
+            assert (m.rows, m.cols) == (int(header[0]), int(header[1]))

@@ -244,6 +244,15 @@ def test_config_rejects_a_sector_the_noise_model_lacks(noise, sector):
     assert _config(noise=noise, sector="x", **source).sector == "x"
 
 
+@pytest.mark.parametrize("rounds", [2, 3])
+def test_config_rejects_rounds_for_data_qubit_noise(rounds):
+    # p_l_per_cycle would divide a one-round rate by `rounds`
+    with pytest.raises(ValueError, match="data-qubit noise has one round"):
+        _config(rounds=rounds)
+    assert _config(rounds=1).rounds == 1
+    assert _config(noise="phenomenological", rounds=rounds).rounds == rounds
+
+
 def test_pl_statistically_monotone_in_budgets():
     # paired seeds: a larger branch budget should not noticeably hurt
     small = run_experiment(
@@ -359,7 +368,7 @@ def test_unsound_output_raises_on_every_noise_model(noise, bb72, tmp_path, monke
         save_detector_model(data_qubit_model(bb72, 0.05)[0], str(dem))
         config = _config(noise=noise, code_spec=None, dem_path=str(dem))
     else:
-        config = _config(noise=noise, rounds=2)
+        config = _config(noise=noise, rounds=2 if noise == "phenomenological" else 1)
     # a fixed nonzero output reproduces one syndrome at most, so some shot's
     # residual has a nonzero syndrome
     stub = lambda syndrome, params, model, *a, **kw: vec_from_support(model.noise_matrix.cols, [0])
@@ -397,10 +406,10 @@ def _per_shot_reference(config):
     for index in range(config.max_shots):
         rng = shot_rng(config.seed, index)
         if config.noise == "data-qubit":
-            err = sample_depolarizing(sectors[0][1].noise_matrix.cols, config.p, rng)
-            parts = {"x": err.x_part, "z": err.z_part}
+            x_part, z_part = sample_depolarizing(sectors[0][1].noise_matrix.cols, config.p, rng)
+            parts = {"x": x_part, "z": z_part}
         else:
-            parts = {"x": sample_shot(sectors[0][1], rng).mechanisms}
+            parts = {"x": sample_shot(sectors[0][1], rng)}
         failed = False
         for sector, model, bp in sectors:
             syndrome = mat_vec_mod2(model.noise_matrix, parts[sector])

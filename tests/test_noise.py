@@ -14,6 +14,7 @@ from cbdecode.noise import (
     data_qubit_model,
     load_detector_model,
     phenomenological_model,
+    sample_chunk,
     sample_depolarizing,
     sample_shot,
     save_detector_model,
@@ -31,18 +32,18 @@ def test_depolarizing_bounds():
 
 def test_depolarizing_trivial_cases():
     rng = np.random.default_rng(0)
-    err = sample_depolarizing(8, 0.0, rng)
-    assert not err.x_part.any() and not err.z_part.any()
-    err = sample_depolarizing(1, 1.0, rng)
-    assert err.x_part[0] or err.z_part[0]
+    x, z = sample_depolarizing(8, 0.0, rng)
+    assert not x.any() and not z.any()
+    x, z = sample_depolarizing(1, 1.0, rng)
+    assert x[0] or z[0]
 
 
 def test_depolarizing_rate_within_confidence_interval():
     # fraction of non-identity qubits ~ Binomial(n, p); 99% CI at n = 10^4
     n, p = 10_000, 0.3
     rng = np.random.default_rng(123)
-    err = sample_depolarizing(n, p, rng)
-    frac = float((err.x_part | err.z_part).mean())
+    x, z = sample_depolarizing(n, p, rng)
+    frac = float((x | z).mean())
     sigma = np.sqrt(p * (1 - p) / n)
     assert abs(frac - p) < 2.58 * sigma + 0.008
 
@@ -51,8 +52,8 @@ def test_depolarizing_xyz_split():
     # conditioned on an error, X/Y/Z are equiprobable; Pr[x_part] = 2p/3
     n, p = 30_000, 0.4
     rng = np.random.default_rng(7)
-    err = sample_depolarizing(n, p, rng)
-    x_rate = float(err.x_part.mean())
+    x, _ = sample_depolarizing(n, p, rng)
+    x_rate = float(x.mean())
     assert abs(x_rate - 2 * p / 3) < 0.01
 
 
@@ -122,16 +123,15 @@ def test_phenomenological_rejects_zero_rounds(bb72):
 def test_sample_shot_invariants(bb72):
     model = phenomenological_model(bb72, 0.04, 0.04, 3)
     for i in range(25):
-        shot = sample_shot(model, shot_rng(5, i))
-        assert np.array_equal(
-            shot.syndrome, mat_vec_mod2(model.noise_matrix, shot.mechanisms)
-        )
+        mechanisms = sample_shot(model, shot_rng(5, i))
+        assert mechanisms.dtype == np.uint8 and mechanisms.shape == (model.noise_matrix.cols,)
+        want = np.random.default_rng((5, i)).random(model.noise_matrix.cols) < model.priors
+        assert np.array_equal(mechanisms, want)
 
 
 def test_sample_shot_trivial_priors(bb72):
     mx, _ = data_qubit_model(bb72, 0.0)
-    shot = sample_shot(mx, shot_rng(1, 1))
-    assert not shot.syndrome.any() and not shot.mechanisms.any()
+    assert not sample_shot(mx, shot_rng(1, 1)).any()
 
 
 def test_sample_shot_mean_syndrome_weight(bb72):
@@ -143,21 +143,19 @@ def test_sample_shot_mean_syndrome_weight(bb72):
         probs = model.priors[dense[r]]
         expected += (1.0 - np.prod(1.0 - 2.0 * probs)) / 2.0
     n_shots = 4000
-    total = 0
-    for i in range(n_shots):
-        total += int(sample_shot(model, shot_rng(11, i)).syndrome.sum())
-    mean = total / n_shots
+    mechanisms = np.array([sample_shot(model, shot_rng(11, i)) for i in range(n_shots)])
+    mean = int(mat_vec_mod2(model.noise_matrix, mechanisms).sum()) / n_shots
     sigma = np.sqrt(expected / n_shots)  # crude Poisson-style bound
     assert abs(mean - expected) < 4 * sigma + 0.05 * expected
 
 
 def test_shot_streams_are_reproducible(bb72):
     mx, _ = data_qubit_model(bb72, 0.1)
-    a = [sample_shot(mx, shot_rng(42, i)).mechanisms for i in range(10)]
-    b = [sample_shot(mx, shot_rng(42, i)).mechanisms for i in range(10)]
+    a = [sample_shot(mx, shot_rng(42, i)) for i in range(10)]
+    b = [sample_shot(mx, shot_rng(42, i)) for i in range(10)]
     for u, v in zip(a, b):
         assert np.array_equal(u, v)
-    c = sample_shot(mx, shot_rng(43, 0)).mechanisms
+    c = sample_shot(mx, shot_rng(43, 0))
     assert any(not np.array_equal(c, u) for u in a[:1])
 
 
@@ -278,16 +276,16 @@ CHUNK_SEEDS = [0, 1, 65536, 2**32 - 1, 2**32, (2**32 - 1) << 16, 2**63 - 5,
 
 
 def _per_shot_depolarizing(n, p, seed, start, stop):
+    """[x_parts, z_parts] of the per-shot draws, one row per shot."""
     errs = [sample_depolarizing(n, p, shot_rng(seed, i)) for i in range(start, stop)]
-    return [np.array([e.x_part for e in errs]).reshape(-1, n),
-            np.array([e.z_part for e in errs]).reshape(-1, n)]
+    return list(np.swapaxes(np.reshape(errs, (-1, 2, n)), 0, 1))
 
 
 @pytest.mark.parametrize("n,p", [(7, 0.3), (72, 0.05), (144, 0.12), (8, 0.5), (5, 1.0), (9, 0.0)])
 @pytest.mark.parametrize("seed", CHUNK_SEEDS)
 def test_chunk_sampler_matches_sample_depolarizing(n, p, seed):
     # a chunk whose start is not a multiple of the harness's chunk size
-    x, z = noise._sample_chunk((n, p), seed, 137, 183)
+    x, z = sample_chunk((n, p), seed, 137, 183)
     want_x, want_z = _per_shot_depolarizing(n, p, seed, 137, 183)
     assert x.dtype == z.dtype == np.uint8
     assert np.array_equal(x, want_x) and np.array_equal(z, want_z)
@@ -301,19 +299,34 @@ def test_chunk_sampler_matches_sample_shot(bb72, seed):
     priors[::3] = 0.0  # zero priors never fire
     sparse = DetectorModel(noise_matrix=mx.noise_matrix, priors=priors, observables=mx.observables)
     for model in (phenom, sparse):
-        (mechanisms,) = noise._sample_chunk(model, seed, 250, 310)
-        want = [sample_shot(model, shot_rng(seed, i)).mechanisms for i in range(250, 310)]
+        (mechanisms,) = sample_chunk(model, seed, 250, 310)
+        want = [sample_shot(model, shot_rng(seed, i)) for i in range(250, 310)]
         assert mechanisms.dtype == np.uint8 and np.array_equal(mechanisms, want)
     assert not mechanisms[:, ::3].any()
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 + 3])
+def test_sample_chunk_draws_what_default_rng_draws(bb72, seed):
+    # the stream contract of the docstring, checked against numpy itself
+    model = phenomenological_model(bb72, 0.04, 0.03, 2)
+    n, p = 72, 0.1
+    (mechanisms,) = sample_chunk(model, seed, 90, 130)
+    x, z = sample_chunk((n, p), seed, 90, 130)
+    for j, i in enumerate(range(90, 130)):
+        rng = np.random.default_rng((seed, i))
+        assert np.array_equal(mechanisms[j], rng.random(model.noise_matrix.cols) < model.priors)
+        rng = np.random.default_rng((seed, i))
+        hit, kind = rng.random(n) < p, rng.integers(0, 3, size=n)
+        assert np.array_equal(x[j], hit & (kind != 2)) and np.array_equal(z[j], hit & (kind != 0))
+
+
 def test_chunk_straddling_shot_index_2_32(bb72):
     start, stop = 2**32 - 4, 2**32 + 4
-    assert np.array_equal(noise._sample_chunk((72, 0.2), 11, start, stop),
+    assert np.array_equal(sample_chunk((72, 0.2), 11, start, stop),
                           _per_shot_depolarizing(72, 0.2, 11, start, stop))
     model = phenomenological_model(bb72, 0.04, 0.04, 2)
-    (mechanisms,) = noise._sample_chunk(model, 11, start, stop)
-    want = [sample_shot(model, shot_rng(11, i)).mechanisms for i in range(start, stop)]
+    (mechanisms,) = sample_chunk(model, 11, start, stop)
+    want = [sample_shot(model, shot_rng(11, i)) for i in range(start, stop)]
     assert np.array_equal(mechanisms, want)
 
 
@@ -346,23 +359,28 @@ def test_a_zero_word_falls_back_to_the_per_shot_draw(monkeypatch):
     want = _per_shot_depolarizing(n, 1.0, seed, 0, 5)
     qubit = int(np.flatnonzero(want[1][2])[0])
     fallbacks = _zero_u32(monkeypatch, n, 2, qubit)
-    assert np.array_equal(noise._sample_chunk((n, 1.0), seed, 0, 5), want)
+    assert np.array_equal(sample_chunk((n, 1.0), seed, 0, 5), want)
     assert fallbacks == [2]
 
 
 def test_a_zero_in_the_unread_half_word_keeps_the_raw_draw(monkeypatch):
     # n = 9 reads 9 u32 from 5 words; the high half of the last is never used
     fallbacks = _zero_u32(monkeypatch, 9, 1, 9)
-    assert np.array_equal(noise._sample_chunk((9, 0.6), 4, 0, 3),
+    assert np.array_equal(sample_chunk((9, 0.6), 4, 0, 3),
                           _per_shot_depolarizing(9, 0.6, 4, 0, 3))
     assert fallbacks == []
 
 
 def test_chunk_sampler_keeps_the_per_shot_errors():
     with pytest.raises(ValueError, match="depolarizing probability"):
-        noise._sample_chunk((4, 1.5), 0, 0, 3)
+        sample_chunk((4, 1.5), 0, 0, 3)
     with pytest.raises(ValueError, match="non-negative"):
-        noise._sample_chunk((4, 0.1), -1, 0, 3)
+        sample_chunk((4, 0.1), -1, 0, 3)
+    # numpy takes only integer seeds; int(1.5) would draw seed 1's shots
+    for seed in (1.5, 1.0):
+        with pytest.raises(TypeError, match="seed must be integer"):
+            sample_chunk((4, 0.1), seed, 0, 3)
+    assert np.array_equal(sample_chunk((4, 0.1), np.int64(1), 0, 3), sample_chunk((4, 0.1), 1, 0, 3))
 
 
 def test_boundary_words_draw_as_numpys_formulas(monkeypatch):
@@ -375,7 +393,7 @@ def test_boundary_words_draw_as_numpys_formulas(monkeypatch):
     rows = np.array([[(t - 1) << 11, t << 11, (t - 1) << 11 | 0x7FF, (t + 1) << 11] + ints,
                      [0, 0x7FF, 1 << 11, (t - 1) << 11] + ints], dtype=np.uint64)
     monkeypatch.setattr(noise, "_raw_rows", lambda seed, shots, width: rows[: len(shots)])
-    x, z = noise._sample_chunk((4, p), 0, 0, 2)
+    x, z = sample_chunk((4, p), 0, 0, 2)
     hit = (rows[:, :4] >> np.uint64(11)).astype(np.float64) * 2.0**-53 < p
     kind = np.array([(3 * u) >> 32 for u in us])
     assert hit.tolist() == [[True, False, True, False], [True, True, True, True]]
