@@ -97,9 +97,9 @@ class BPDecoder:
         )
         # the first iteration's variable-to-check tanh messages carry the priors
         prior_t = np.tanh(np.clip(self.prior_llr, -LLR_CLAMP, LLR_CLAMP) / 2.0)
+        running = np.append(prior_t, 1.0)[_running_slots(self.check_cols, m.cols)]
         self.first_c2v = _exclusive_atanh(
-            np.append(prior_t, 1.0)[_running_slots(self.check_cols, m.cols)],
-            np.empty(self.check_cols.shape),
+            np.multiply.accumulate(running, axis=0, out=running), np.empty(self.check_cols.shape)
         )
 
     @classmethod
@@ -144,7 +144,9 @@ class BPDecoder:
         it = 0
         for it in range(1, max_iters + 1):
             if it > 1:
-                unsigned = _exclusive_atanh(t[self.check_from_var], c2v_checks)
+                running = t[self.check_from_var]
+                np.multiply.accumulate(running, axis=0, out=running)
+                unsigned = _exclusive_atanh(running, c2v_checks)
             np.multiply(sign2, unsigned, out=c2v_checks)
 
             incoming = c2v[self.var_from_check]
@@ -159,6 +161,80 @@ class BPDecoder:
             np.tanh(np.divide(v2c, 2.0, out=v2c), out=t_vars)
         return BPResult(posterior, hard[:cols].astype(np.uint8), converged, it)
 
+    def decode_batch(self, syndromes: np.ndarray, max_iters: int = MAX_ITERS) -> list[BPResult]:
+        """`decode` on each row of a (k, rows) syndrome array, all at once.
+
+        Every message array carries a leading shots axis.  A row freezes,
+        and leaves the active rows, at the first iteration whose hard
+        decision reproduces its syndrome; a zero row does so at iteration 0.
+        Returns one result per row, each bit-identical to decode(row,
+        max_iters): a column still sums its messages with `.sum` along its
+        contiguous variable slots (numpy sums 8 or more terms pairwise), and
+        every elementwise step runs on each row's slots as one contiguous run.
+        """
+        if max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
+        syndromes = np.asarray(syndromes, dtype=np.uint8)
+        if syndromes.ndim != 2 or syndromes.shape[1] != self.m.rows:
+            raise ValueError("syndromes must be a (k, matrix rows) array")
+        cols = self.m.cols
+        nonzero = syndromes.any(axis=1)
+        results: list[BPResult] = [None] * len(syndromes)
+        for j in np.flatnonzero(~nonzero).tolist():
+            results[j] = BPResult(self.prior_llr, np.zeros(cols, dtype=np.uint8), True, 0)
+        rows = np.flatnonzero(nonzero)  # the active rows' places in the batch
+        if not rows.size:
+            return results
+
+        target = syndromes[rows].astype(bool)
+        sign2 = np.where(target, -2.0, 2.0)[:, None, :]
+        # each active row's messages, closed by its padding slot, in the
+        # leading rows of these buffers
+        c2v = np.empty((rows.size, self.check_cols.size + 1), dtype=np.float64)
+        c2v[:, -1] = 0.0
+        c2v_checks = c2v[:, :-1].reshape(rows.size, *self.check_cols.shape)
+        t = np.empty((rows.size, self.var_from_check.size + 1), dtype=np.float64)
+        t[:, -1] = 1.0
+        t_vars = t[:, :-1].reshape(rows.size, *self.var_from_check.shape)
+        hard = np.zeros((rows.size, cols + 1), dtype=bool)
+        posterior = np.broadcast_to(self.prior_llr, (rows.size, cols))  # a cap of 0 returns it
+        unsigned = self.first_c2v
+        for it in range(1, max_iters + 1):
+            active = rows.size
+            if it > 1:
+                running = np.take(t[:active], self.check_from_var, axis=1)
+                # slot row by slot row: numpy's accumulate would walk each
+                # column of slots on its own
+                for k in range(1, running.shape[1]):
+                    np.multiply(running[:, k], running[:, k - 1], out=running[:, k])
+                unsigned = _exclusive_atanh(running, c2v_checks[:active])
+            np.multiply(sign2, unsigned, out=c2v_checks[:active])
+
+            # np.take keeps each column's slots contiguous and innermost
+            incoming = np.take(c2v[:active], self.var_from_check, axis=1)
+            posterior = self.prior_llr + incoming.sum(axis=2)
+            np.less(posterior, 0.0, out=hard[:active, :cols])
+            parity = np.logical_xor.reduce(hard[:active, self.check_cols], axis=1)
+            mismatched = (parity != target).any(axis=1)
+            if not mismatched.all():
+                done = ~mismatched
+                decided = hard[:active][done, :cols].astype(np.uint8)
+                for row, post, out in zip(rows[done].tolist(), posterior[done], decided):
+                    results[row] = BPResult(post, out, True, it)
+                if not mismatched.any():
+                    return results
+                rows, target, sign2 = rows[mismatched], target[mismatched], sign2[mismatched]
+                posterior, incoming = posterior[mismatched], incoming[mismatched]
+            if it == max_iters:
+                break
+            v2c = np.subtract(posterior[:, :, None], incoming, out=incoming)
+            v2c.clip(-LLR_CLAMP, LLR_CLAMP, out=v2c)
+            np.tanh(np.divide(v2c, 2.0, out=v2c), out=t_vars[: rows.size])
+        decided = (posterior < 0.0).astype(np.uint8)
+        for row, post, out in zip(rows.tolist(), posterior, decided):
+            results[row] = BPResult(post, out, False, max_iters)
+        return results
+
 
 def _running_slots(slots: np.ndarray, pad: int) -> np.ndarray:
     """The slots in order and reversed side by side, shifted down one row
@@ -167,12 +243,12 @@ def _running_slots(slots: np.ndarray, pad: int) -> np.ndarray:
     return np.vstack([np.full((1, both.shape[1]), pad, dtype=np.intp), both[:-1]])
 
 
-def _exclusive_atanh(t: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """arctanh of each check slot's exclusive product of tanh messages `t`,
-    gathered through `_running_slots`, written to `out` (width x rows)."""
-    products = np.multiply.accumulate(t, axis=0, out=t)
-    rows = out.shape[1]
-    np.multiply(products[:, :rows], products[::-1, rows:], out=out)
+def _exclusive_atanh(products: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """arctanh of each check slot's exclusive product of tanh messages, from
+    their running products down the slots gathered through `_running_slots`,
+    written to `out` (width x rows, or shots x width x rows)."""
+    rows = out.shape[-1]
+    np.multiply(products[..., :rows], products[..., ::-1, rows:], out=out)
     out.clip(-1.0 + 1e-12, 1.0 - 1e-12, out=out)
     return np.arctanh(out, out=out)
 
@@ -193,15 +269,20 @@ def bp_cb_decode(
     *,
     decoder: BPDecoder | None = None,
     stats: DecodeStats | None = None,
+    bp_result: BPResult | None = None,
 ) -> np.ndarray:
     """BP first; on mismatch, the closed-branch schedule in weighted mode.
 
     Without a decoder, BPDecoder.for_model(model) builds one.  A zero
-    syndrome is BP's converged zero decision at iteration 0.  Returns the
-    zero vector when neither stage reproduces the syndrome.
+    syndrome is BP's converged zero decision at iteration 0.  `bp_result`,
+    BP's result for this syndrome (a row of `BPDecoder.decode_batch`, say),
+    skips BP; `max_iters` and `decoder` are then unused.  Returns the zero
+    vector when neither stage reproduces the syndrome.
     """
-    bp = decoder if decoder is not None else BPDecoder.for_model(model)
-    result = bp.decode(syndrome, max_iters)
+    result = bp_result
+    if result is None:
+        bp = decoder if decoder is not None else BPDecoder.for_model(model)
+        result = bp.decode(syndrome, max_iters)
     if result.converged:
         return result.hard_decision
     weights = event_weights(result.llrs)

@@ -267,12 +267,13 @@ def load_matrix(path: str) -> BinaryMatrix:
 
     The file is UTF-8 text: a 'rows cols' header line, then one 'row col'
     line per entry, numbers in ASCII digits; blank entry lines are skipped.
-    Malformed input, a line that is not UTF-8 or an entry outside the matrix
-    included, raises ValueError naming the path and the line.
+    Malformed input, a line that is not UTF-8, an entry outside the matrix
+    and a repeated entry (GF(2) addition would cancel the pair) included,
+    raises ValueError naming the path and the line.
     """
     with open(path, "rb") as fh:  # text mode's line ends: \n, \r\n and \r
         lines = fh.read().splitlines() or [b""]
-    entries = []
+    entries: dict[tuple[int, int], int] = {}  # entry -> its line
     for lineno, raw in enumerate(lines, start=1):
         try:
             parts = raw.decode("utf-8").split()
@@ -289,6 +290,9 @@ def load_matrix(path: str) -> BinaryMatrix:
             rows, cols = r, c
         elif r >= rows or c >= cols:
             raise ValueError(f"{path}:{lineno}: entry ({r}, {c}) outside {rows}x{cols} matrix")
+        elif (r, c) in entries:
+            raise ValueError(
+                f"{path}:{lineno}: repeated entry ({r}, {c}) (first at line {entries[r, c]})")
         else:
-            entries.append((r, c))
+            entries[r, c] = lineno
     return BinaryMatrix(rows, cols, entries)

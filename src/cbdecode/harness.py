@@ -6,12 +6,17 @@ Per-shot RNG streams derive from (seed, shot_index), and outcomes are
 consumed in shot order, so an experiment stops at its shot budget or at the
 exact shot where the failure target is reached at any thread count.  Shots
 are handled in chunks of 100 as arrays: one mat-vec gives a chunk's
-syndromes, the decoder runs shot by shot on the nonzero ones, and one
-`logical_failure` call (two mat-vecs) scores the chunk.  Every noise model
-is scored alike: a zero output for a nonzero syndrome is a declared failure,
-and any other output must reproduce its syndrome (else ValueError) and is a
-failure when the residual flips a logical observable.  Results report the
-total logical error rate and its per-cycle normalization.
+syndromes, the decoder runs on the nonzero ones, and one `logical_failure`
+call (two mat-vecs) scores the chunk.  BP+CB runs BP once on all of a
+chunk's nonzero syndromes (`BPDecoder.decode_batch`), then `bp_cb_decode`
+on each with its BP result; a shot is charged the BP batch's time in
+proportion to the iterations its syndrome ran, plus its own `bp_cb_decode`
+call, and a zero syndrome 0 s, so a chunk's decode times add up to the
+decoder's.  CB alone runs shot by shot.  Every noise model is scored alike:
+a zero output for a nonzero syndrome is a declared failure, and any other
+output must reproduce its syndrome (else ValueError) and is a failure when
+the residual flips a logical observable.  Results report the total logical
+error rate and its per-cycle normalization.
 """
 
 from __future__ import annotations
@@ -110,6 +115,8 @@ class ExperimentConfig:
             raise ValueError("data-qubit noise has one round")
         if self.bp_iters < 0:
             raise ValueError("bp_iters must be >= 0")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError("seed must be an integer")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -189,18 +196,48 @@ class _ShotRunner:
         model = self.sectors[0][1]  # data-qubit shots draw (x, z) pairs, others mechanisms
         self.source = (model.noise_matrix.cols, config.p) if config.noise == DATA_QUBIT else model
 
-    def _decode(self, model: DetectorModel, bp: BPDecoder | None, syndrome: np.ndarray) -> np.ndarray:
-        if self.config.decoder == "cb":
-            return cb_decode(syndrome, self.config.params, model.noise_matrix)
-        return bp_cb_decode(syndrome, self.config.params, model, self.config.bp_iters, decoder=bp)
+    def _decode(self, model: DetectorModel, bp: BPDecoder | None, syndromes: np.ndarray,
+                rows: list[int]):
+        """Yields (output, decode seconds) for the syndromes at `rows`, all
+        nonzero, in order.
+
+        CB alone runs, and is timed, one syndrome at a time.  A bp+cb sector
+        runs BP once on all the rows and then each row's bp_cb_decode call on
+        its BP result.  Each row is charged the BP batch's wall time in
+        proportion to the iterations it ran, plus its own bp_cb_decode call,
+        so the chunk's times still add up to the decoder's.
+        """
+        config = self.config
+        if bp is None:
+            for j in rows:
+                t0 = time.perf_counter()
+                out = cb_decode(syndromes[j], config.params, model.noise_matrix)
+                yield out, time.perf_counter() - t0
+            return
+        if not rows:
+            return
+        batch = syndromes[rows]
+        t0 = time.perf_counter()
+        results = bp.decode_batch(batch, config.bp_iters)
+        batch_s = time.perf_counter() - t0
+        iterations = np.array([result.iterations for result in results], dtype=np.float64)
+        if not iterations.any():  # a cap of 0 iterations: an equal share each
+            iterations[:] = 1.0
+        shares = (batch_s / iterations.sum() * iterations).tolist()
+        for syndrome, result, share in zip(batch, results, shares):
+            t0 = time.perf_counter()
+            out = bp_cb_decode(syndrome, config.params, model, config.bp_iters, decoder=bp,
+                               bp_result=result)
+            yield out, time.perf_counter() - t0 + share
 
     def run_shots(self, start: int, stop: int):
         """Yields (logical failure?, decode seconds) for shots [start, stop)
         in order, once the whole chunk is sampled, decoded and scored.
 
         Per sector, one mat-vec gives every shot's syndrome, the decoder runs
-        (and is timed) on the nonzero ones alone, and one `logical_failure`
-        call scores every shot but the declared failures.
+        (and is timed) on the nonzero ones alone, BP batched over them, and
+        one `logical_failure` call scores every shot but the declared
+        failures.
         """
         drawn = sample_chunk(self.source, self.config.seed, start, stop)
         parts = dict(zip(("x", "z"), drawn))
@@ -211,11 +248,10 @@ class _ShotRunner:
             syndromes = mat_vec_mod2(model.noise_matrix, actual)
             nonzero = syndromes.any(axis=1)
             recovered = np.zeros_like(actual)
-            for j in np.flatnonzero(nonzero).tolist():
-                t0 = time.perf_counter()
-                out = self._decode(model, bp, syndromes[j])
-                spent[j] += time.perf_counter() - t0
+            rows = np.flatnonzero(nonzero).tolist()
+            for j, (out, seconds) in zip(rows, self._decode(model, bp, syndromes, rows)):
                 recovered[j] = out
+                spent[j] += seconds
             declared = nonzero & ~recovered.any(axis=1)  # a zero output for a nonzero syndrome
             scored = ~declared
             failed[scored] |= logical_failure(model, actual[scored], recovered[scored])

@@ -15,7 +15,9 @@ import pytest
 from cbdecode import cb
 from cbdecode.bp import BPDecoder, bp_cb_decode
 from cbdecode.cb import CBParams, cb_decode, run_schedule
+from cbdecode.bbcodes import STANDARD_CODES
 from cbdecode.gf2 import mat_vec_mod2, vec_from_support
+from cbdecode.harness import ExperimentConfig, run_experiment
 from cbdecode.noise import data_qubit_model, sample_chunk
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -89,3 +91,38 @@ def test_a_traced_bp_decode_counts_the_results_iterations_and_convergence(tracin
     assert tracer.counts["bp.iters"] == sum(r.iterations for r in results) > 0
     assert tracer.counts["bp.converged"] == sum(r.converged for r in results)
     assert 0 < tracer.counts["bp.converged"] < len(results)
+
+
+def test_decode_batch_results_carry_each_rows_iterations_and_convergence(bb72):
+    # a hook on decode_batch can count BP's work per row off its results, as
+    # the bp.decode hook reads it off decode's one result
+    model, _ = data_qubit_model(bb72, 0.05)
+    decoder = BPDecoder.for_model(model)
+    syndromes = mat_vec_mod2(model.noise_matrix, sample_chunk(model, 3, 0, 40)[0])
+    results = decoder.decode_batch(syndromes)
+    singles = [decoder.decode(s) for s in syndromes]
+    assert len(results) == len(syndromes)
+    assert [getattr(r, "iterations", None) for r in results] == [r.iterations for r in singles]
+    assert [getattr(r, "converged", None) for r in results] == [r.converged for r in singles]
+    assert 0 < sum(r.converged for r in results) < len(results)
+
+
+def test_a_traced_bp_cb_run_checks_every_nonzero_syndrome(tracing, bb72):
+    """The harness runs BP batched, outside the per-shot bp.decode hook, and
+    bp_cb_decode once per nonzero syndrome: the tracer checks every output,
+    while bp.decode counts no call until decode_batch is hooked."""
+    config = ExperimentConfig(noise="data-qubit", p=0.05, code_spec=STANDARD_CODES["bb72"],
+                              params=CBParams(6, 10, 3), max_shots=200, max_failures=None, seed=9)
+    model, _ = data_qubit_model(bb72, 0.05)
+    x_parts, _ = sample_chunk((bb72.n, 0.05), 9, 0, 200)
+    nonzero = int(mat_vec_mod2(model.noise_matrix, x_parts).any(axis=1).sum())
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        run_experiment(config)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    assert tracer.calls["bp.entry"] == tracer.counts["check.outputs"] == nonzero
+    assert tracer.counts.get("check.unsound", 0) == 0
+    assert tracer.calls.get("bp.decode", 0) == 0

@@ -271,7 +271,7 @@ def test_writing_into_returned_arrays_leaves_the_next_decode_unchanged(bb72):
 
 
 def test_the_iteration_cap_has_one_default():
-    for fn in (BPDecoder.decode, bp_cb_decode):
+    for fn in (BPDecoder.decode, BPDecoder.decode_batch, bp_cb_decode):
         assert inspect.signature(fn).parameters["max_iters"].default == MAX_ITERS
     assert ExperimentConfig.bp_iters == MAX_ITERS
 
@@ -285,3 +285,48 @@ def test_decode_rejects_a_negative_iteration_cap():
     res = dec.decode(syndrome, max_iters=0)
     assert (res.converged, res.iterations) == (False, 0)
     assert np.array_equal(res.posterior, dec.prior_llr)
+
+
+def test_decode_batch_rejects_a_bad_cap_or_shape():
+    dec = BPDecoder(chain_code(), np.array([0.1, 0.2, 0.3]))
+    rows = np.array([[1, 0], [0, 0]], dtype=np.uint8)
+    with pytest.raises(ValueError, match="max_iters must be >= 0"):
+        dec.decode_batch(rows, max_iters=-1)
+    for bad in (rows[0], rows[:, :1], np.zeros((2, 3), np.uint8), rows[None]):
+        with pytest.raises(ValueError, match="syndromes must be a"):
+            dec.decode_batch(bad)
+    assert dec.decode_batch(np.zeros((0, 2), np.uint8)) == []
+
+
+def test_writing_into_a_batch_result_leaves_the_others_unchanged(bb72):
+    model, _ = data_qubit_model(bb72, 0.05)
+    dec = BPDecoder.for_model(model)
+    rows = np.array(list(bb72_syndromes(model, dec).values()) * 2)
+    results = dec.decode_batch(rows)
+    want = [(r.posterior.copy(), r.hard_decision.copy()) for r in results]
+    for res in results[::2]:
+        for arr in (res.posterior, res.hard_decision):
+            if arr.flags.writeable:
+                arr[...] = 1
+    for res, (posterior, hard) in list(zip(results, want))[1::2]:
+        assert np.array_equal(res.posterior, posterior)
+        assert np.array_equal(res.hard_decision, hard)
+    again = dec.decode_batch(rows)
+    assert all(np.array_equal(r.posterior, w[0]) for r, w in zip(again, want))
+
+
+def test_bp_cb_decode_on_a_given_bp_result_runs_no_bp(bb72, monkeypatch):
+    model, _ = data_qubit_model(bb72, 0.05)
+    params = CBParams(6, 10, 3)
+    dec = BPDecoder.for_model(model)
+    found = bb72_syndromes(model, dec)
+    want = {name: bp_cb_decode(s, params, model, decoder=dec) for name, s in found.items()}
+    results = dec.decode_batch(np.array(list(found.values())))
+    monkeypatch.setattr(BPDecoder, "decode", lambda *a, **k: pytest.fail("BP ran again"))
+    monkeypatch.setattr(BPDecoder, "for_model", lambda *a, **k: pytest.fail("a decoder was built"))
+    for (name, syndrome), result in zip(found.items(), results):
+        got = bp_cb_decode(syndrome, params, model, bp_result=result)
+        assert np.array_equal(got, want[name]), name
+    # CB rescued the syndrome BP failed on
+    failed = results[list(found).index("failed")]
+    assert want["failed"].any() and not np.array_equal(want["failed"], failed.hard_decision)

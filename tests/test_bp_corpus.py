@@ -13,12 +13,18 @@ shows up here.  `GOLDEN_SHORT` pins the same digests for short schedules
 first iterations are checked on their own, on those three matrices and on two
 edge matrices: one whose rows all have weight 1, and one with no rows.  A
 declared change of decoder behaviour regenerates the constants.
+
+`BPDecoder.decode_batch` is pinned to the same constants: each problem's
+syndromes go through it as one batch, on the default schedule and on every
+short schedule with `stop_on_match`, the only stopping rule it has.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbdecode.bp import BPDecoder
 from cbdecode.gf2 import BinaryMatrix, mat_vec_mod2
@@ -260,10 +266,19 @@ def irregular_matrix() -> BinaryMatrix:
 
 
 def digest_results(decoder, syndromes, **kwargs):
+    return digest_of(decoder.decode(s, **kwargs) for s in syndromes)
+
+
+def digest_batch(decoder, syndromes, **kwargs):
+    """digest_results over one decode_batch call on all the syndromes."""
+    rows = np.array(syndromes, dtype=np.uint8).reshape(len(syndromes), decoder.m.rows)
+    return digest_of(decoder.decode_batch(rows, **kwargs))
+
+
+def digest_of(results):
     digest = hashlib.sha256()
     iterations = converged = 0
-    for s in syndromes:
-        res = decoder.decode(s, **kwargs)
+    for res in results:
         for arr in (res.llrs, res.marginals, res.hard_decision):
             digest.update(arr.tobytes())
         digest.update(f"{res.iterations},{int(res.converged)};".encode())
@@ -364,3 +379,56 @@ def test_golden_short_schedules(bb72, name, max_iters, stop_on_match):
     decoder, syndromes = SHORT_PROBLEMS[name](bb72)
     got = digest_results(decoder, syndromes, max_iters=max_iters, stop_on_match=stop_on_match)
     assert got == GOLDEN_SHORT[f"{name}-{max_iters}-{'stop' if stop_on_match else 'nostop'}"]
+
+
+@pytest.mark.parametrize("name", ["data", "phenom"])
+def test_golden_corpus_through_decode_batch(bb72, name):
+    decoder, syndromes = {"data": data_problem, "phenom": phenom_problem}[name](bb72)
+    assert digest_batch(decoder, syndromes) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("max_iters", [0, 1, 2, 7])
+@pytest.mark.parametrize("name", list(SHORT_PROBLEMS))
+def test_golden_short_schedules_through_decode_batch(bb72, name, max_iters):
+    decoder, syndromes = SHORT_PROBLEMS[name](bb72)
+    got = digest_batch(decoder, syndromes, max_iters=max_iters)
+    assert got == GOLDEN_SHORT[f"{name}-{max_iters}-stop"]
+
+
+def _same_result(got, want):
+    return (
+        got.posterior.tobytes() == want.posterior.tobytes()
+        and got.hard_decision.dtype == want.hard_decision.dtype
+        and got.hard_decision.tobytes() == want.hard_decision.tobytes()
+        and (got.converged, got.iterations) == (want.converged, want.iterations)
+    )
+
+
+@pytest.fixture(scope="module")
+def batch_pool(bb72):
+    """Decoders and syndrome pools: bb72 data-qubit noise (a few syndromes
+    BP fails on among them) and the irregular matrix."""
+    decoder, syndromes = data_problem(bb72)
+    data = (decoder, syndromes[syndromes.any(axis=1)][:40])
+    irregular, rows = irregular_problem(bb72)
+    return {"data": data, "irregular": (irregular, np.array(rows))}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    name=st.sampled_from(["data", "irregular"]),
+    picks=st.lists(st.integers(-1, 39) | st.integers(-1, 29), min_size=1, max_size=12),
+    max_iters=st.sampled_from([0, 1, 2, 7, 30]),
+)
+def test_a_batch_row_does_not_depend_on_its_neighbours(batch_pool, name, picks, max_iters):
+    """Any order, repeats and zero rows (-1) give every row decode's result
+    for that row alone, and so the result of a batch of one."""
+    decoder, pool = batch_pool[name]
+    picks = [p % len(pool) if p >= 0 else -1 for p in picks]
+    zero = np.zeros(decoder.m.rows, dtype=np.uint8)
+    rows = np.array([pool[p] if p >= 0 else zero for p in picks])
+    results = decoder.decode_batch(rows, max_iters)
+    assert len(results) == len(rows)
+    for row, got in zip(rows, results):
+        assert _same_result(got, decoder.decode(row, max_iters))
+        assert _same_result(got, decoder.decode_batch(row[None], max_iters)[0])

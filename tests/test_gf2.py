@@ -295,10 +295,12 @@ def test_sparse_text_round_trip(tmp_path):
     ("2 3\n0 1_0\n", 2, "expected 'row col' in ASCII digits"),
     ("2 3\n0 x\n", 2, "expected 'row col' in ASCII digits"),
     ("2 3\n0 1\n\n5 1\n", 4, "entry (5, 1) outside 2x3 matrix"),
+    ("2 3\n0 1\n1 2\n0 1\n", 4, "repeated entry (0, 1) (first at line 2)"),
     (b"2 3\n0 1\n1 \xff\n", 3, "not UTF-8 text"),
     ("", 1, "expected 'rows cols' header"),
     ("2 -3\n", 1, "expected 'rows cols' header"),
-], ids=["unicode-digit", "underscore", "letter", "out-of-range", "not-utf8", "empty", "negative"])
+], ids=["unicode-digit", "underscore", "letter", "out-of-range", "repeated", "not-utf8", "empty",
+     "negative"])
 def test_load_matrix_names_the_line_of_malformed_input(tmp_path, data, line, message):
     path = tmp_path / "m.txt"
     path.write_bytes(data if isinstance(data, bytes) else data.encode())

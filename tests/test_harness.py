@@ -9,7 +9,7 @@ import pytest
 
 from cbdecode import harness, noise
 from cbdecode.bbcodes import STANDARD_CODES
-from cbdecode.bp import BPDecoder, bp_cb_decode
+from cbdecode.bp import MAX_ITERS, BPDecoder, bp_cb_decode
 from cbdecode.cb import CBParams
 from cbdecode.gf2 import kernel_basis_mod2, mat_vec_mod2, vec_from_support
 from cbdecode.harness import (
@@ -25,6 +25,7 @@ from cbdecode.harness import (
 from cbdecode.noise import (
     data_qubit_model,
     phenomenological_model,
+    sample_chunk,
     sample_depolarizing,
     sample_shot,
     save_detector_model,
@@ -216,6 +217,14 @@ def test_config_rejects_a_negative_seed():
     with pytest.raises(ValueError, match="seed must be >= 0"):
         _config(seed=-1)
     assert _config(seed=0).seed == 0
+
+
+@pytest.mark.parametrize("seed", [1.5, True, False, "3", None])
+def test_config_rejects_a_seed_that_is_not_an_integer(seed):
+    # 1.5 failed only at the first chunk's draw; True ran as seed 1
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        _config(seed=seed)
+    assert _config(seed=np.int64(3)).seed == 3
 
 
 def test_config_rejects_a_negative_bp_iteration_cap():
@@ -464,3 +473,49 @@ def test_a_failed_self_check_draws_every_shot_per_shot(monkeypatch, bb72, tmp_pa
         got = run_experiment(config)
         assert (got.shots_run, got.logical_failures) == (want.shots_run, want.logical_failures)
         assert draws == list(range(len(draws))) and len(draws) >= got.shots_run
+
+
+def _sector_syndromes(runner, start, stop):
+    """Each sector's syndromes of shots [start, stop), one row per shot."""
+    parts = dict(zip(("x", "z"), sample_chunk(runner.source, runner.config.seed, start, stop)))
+    return [mat_vec_mod2(model.noise_matrix, parts[sector]) for sector, model, _ in runner.sectors]
+
+
+def test_a_bp_cb_chunk_runs_bp_once_per_sector(monkeypatch):
+    """One decode_batch call per sector, then one bp_cb_decode call per
+    nonzero syndrome, in shot order, on that syndrome's BP result."""
+    batches, entries = [], []
+    batch = BPDecoder.decode_batch
+
+    def counted_batch(self, syndromes, max_iters):
+        batches.append(len(syndromes))
+        return batch(self, syndromes, max_iters)
+
+    def counted_entry(syndrome, params, model, max_iters, *, decoder, bp_result):
+        entries.append((model, syndrome.copy(), bp_result))
+        return bp_cb_decode(syndrome, params, model, max_iters, decoder=decoder,
+                            bp_result=bp_result)
+
+    monkeypatch.setattr(BPDecoder, "decode_batch", counted_batch)
+    monkeypatch.setattr(BPDecoder, "decode", lambda *a, **k: pytest.fail("per-shot BP ran"))
+    monkeypatch.setattr(harness, "bp_cb_decode", counted_entry)
+    runner = harness._ShotRunner(_config(sector="both", p=0.03))
+    assert len(list(runner.run_shots(100, 200))) == 100
+    want = [(model, row) for (_, model, _), syndromes in zip(runner.sectors, _sector_syndromes(
+        runner, 100, 200)) for row in syndromes[syndromes.any(axis=1)]]
+    assert len(batches) == 2 and 0 < batches[0] < 100 and sum(batches) == len(want)
+    assert len(entries) == len(want)
+    for (model, syndrome, result), (want_model, want_syndrome) in zip(entries, want):
+        assert model is want_model and np.array_equal(syndrome, want_syndrome)
+        assert result.iterations > 0
+
+
+@pytest.mark.parametrize("bp_iters", [MAX_ITERS, 0])
+def test_only_zero_syndrome_shots_read_no_decode_time(bp_iters):
+    # a cap of 0 iterations splits the BP batch's time evenly
+    runner = harness._ShotRunner(_config(p=0.01, bp_iters=bp_iters))
+    outcomes = list(runner.run_shots(0, 100))
+    (syndromes,) = _sector_syndromes(runner, 0, 100)
+    nonzero = syndromes.any(axis=1)
+    assert 10 < nonzero.sum() < 90
+    assert [seconds > 0 for _, seconds in outcomes] == nonzero.tolist()

@@ -59,7 +59,9 @@ PARAMETERS = [
         "syndrome", "params", "m", "steps", "budget_for_step", "event_weights", "stats",
     ]),
     (cb.cb_decode, ["syndrome", "params", "m", "stats"]),
-    (bp_cb_decode, ["syndrome", "params", "model", "max_iters", "decoder", "stats"]),
+    (bp_cb_decode, [
+        "syndrome", "params", "model", "max_iters", "decoder", "stats", "bp_result",
+    ]),
 ]
 
 
