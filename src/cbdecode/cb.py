@@ -88,12 +88,15 @@ class Cluster:
     owned by exactly one live branch, which is what destructive growth needs
     to dismantle precisely.  Live branches are kept by id, with the row
     bitmask of their checks, and owners in the lists row_owner and col_owner
-    indexed by row and by column (None: no owner).  version counts the adds
-    and dismantlings, so an unchanged version means an unchanged cluster; a
+    indexed by row and by column (None: no owner), and owned_cols, the
+    column bitmask of the owned mechanisms.  version counts the adds and
+    dismantlings, so an unchanged version means an unchanged cluster; a
     branch's id is the version its add brings the cluster to, so ids rise.
     Destructive growth may dismantle only the branches whose destructive
     flag is False.  The vectors flipped and error are computed from
-    flipped_rows and col_owner when read.
+    flipped_rows and col_owner when read.  clear() drops every branch; the
+    growth tables the cluster builds for its matrix, weights and eff are
+    kept, so that one cluster serves every step of a schedule.
     """
 
     def __init__(
@@ -115,12 +118,54 @@ class Cluster:
             self.min_weight = float(weights.min()) if weights.size else 0.0
         self.m = m
         self.syndrome_rows = _vec_to_int(syndrome)
+        self._candidate_table: dict[int, tuple[tuple[int, float, int, int], ...]] = {}
+        self._seed_table: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
+        self.clear()
+
+    def clear(self) -> None:
+        """Drop every branch, leaving the cluster as it was built."""
         self.flipped_rows = 0
+        self.owned_cols = 0
         self.version = 0
         self._by_id: dict[int, ClosedBranch] = {}
         self._rows: dict[int, int] = {}
-        self.row_owner: list[int | None] = [None] * m.rows
-        self.col_owner: list[int | None] = [None] * m.cols
+        self.row_owner: list[int | None] = [None] * self.m.rows
+        self.col_owner: list[int | None] = [None] * self.m.cols
+
+    def _candidates(self, row: int) -> tuple[tuple[int, float, int, int], ...]:
+        """The columns at row as growth candidates, cheapest first (by
+        weight, then column): (column, weight, its other rows as a mask,
+        the column as a mask).  Built on first use and kept for the
+        cluster's life."""
+        found = self._candidate_table.get(row)
+        if found is None:
+            weights, masks, bit = self.weights, self.m.col_masks(), 1 << row
+            # row_support is in column order, and sorted() is stable
+            found = self._candidate_table[row] = tuple([
+                (c, weights[c], masks[c] ^ bit, 1 << c)
+                for c in sorted(self.m.row_support[row], key=weights.__getitem__)
+            ])
+        return found
+
+    def _seeds(self) -> dict[int, list[tuple[int, int]]]:
+        """Every unowned column at an effectively violated check, by the
+        count of its trivial rows under eff, in column order: (column, those
+        trivial rows as a mask).  Kept per (eff, owned columns) for the
+        cluster's life; not to be changed by the caller."""
+        eff, owned = self.eff, self.owned_cols
+        found = self._seed_table.get((eff, owned))
+        if found is None:
+            masks = self.m.col_masks()
+            found = self._seed_table[eff, owned] = {}
+            for c in _candidate_columns(eff, self.m):
+                if not owned >> c & 1:
+                    trivial = masks[c] & ~eff
+                    count = trivial.bit_count()
+                    if count in found:
+                        found[count].append((c, trivial))
+                    else:
+                        found[count] = [(c, trivial)]
+        return found
 
     @property
     def eff(self) -> int:
@@ -139,6 +184,7 @@ class Cluster:
         self.flipped_rows ^= rows
         for c in branch.mechanisms:
             self.col_owner[c] = bid
+            self.owned_cols |= 1 << c
         return bid
 
     def dismantle(self, branch_id: int) -> ClosedBranch:
@@ -152,6 +198,7 @@ class Cluster:
             self.row_owner[r] = None
         for c in branch.mechanisms:
             self.col_owner[c] = None
+            self.owned_cols ^= 1 << c
         return branch
 
     def branches(self) -> list[ClosedBranch]:
@@ -205,267 +252,303 @@ def _seed(rows: int, tcts: int, eff: int) -> int:
     return trivial if trivial != rows and trivial.bit_count() == tcts else 0
 
 
-class _Path:
-    """One branch path of a growing instance.
+# Growth of branch instances against one cluster.
+#
+# A path holds int bitmasks of rows and columns: mechanisms, its columns;
+# satisfied, the oddly-touched checks it explains; frontier, the trivial
+# check being grown (None: take up the next deferred one); fcts, the deferred
+# trivial checks in the order they are taken up, and fmask their set;
+# weight_used; and growths.  A destructive path also holds touched_even, the
+# evenly-touched checks; destroyed, the branch ids it would dismantle if it
+# closes; and dmask, the rows those branches own.  Paths are tuples:
+# (mechanisms, satisfied, frontier, fcts, fmask, weight_used, growths), and
+# for destructive growth (mechanisms, satisfied, touched_even, frontier,
+# fcts, fmask, weight_used, growths, destroyed, dmask).  The syndrome and the
+# effective syndrome come off the cluster as row bitmasks, so a candidate's
+# rows split into explained, loop-closed and newly opened checks with a few
+# mask operations.
+#
+# A pass grows, in column order, every column that qualifies as a seed both
+# at the start of the pass and, under the then-current eff, when reached.
+# Growth from a seed is depth-first.  A popped path first takes up its
+# frontier: with none, the first deferred check, and with neither it is
+# closed and committed.  Destructive growth then clears a frontier owned by a
+# dismantlable branch: the branch is marked destroyed, the frontier and every
+# deferred check it re-exposes become checks this path explains, and the
+# next one is taken up; the path dies when that takes it past max_br or turns
+# an evenly-touched check violated.  The path then expands into one child per
+# candidate column at its frontier, keeping the candidates that open the
+# fewest new checks, cheapest first, and pushed so that the first is popped
+# next.  A child that is not closed and can grow no further (max_gr growths,
+# or no column fits the budget) is left out when taking up its frontier would
+# leave it as it is: popped, it would expand to nothing.  The instance is
+# rejected, and counted, when the kept moves take its spawned branches past
+# max_br.  _plain_growth and _destructive_growth run this one search, written
+# out once per growth mode so that non-destructive growth, most of the work,
+# carries none of the destructive bookkeeping.
 
-    Row and column sets are int bitmasks.  satisfied holds the oddly-touched
-    checks currently explained; frontier is the trivial check being grown
-    (None: pick the next deferred one); fcts are the deferred trivial checks
-    in the order they are taken up, and fmask their set; destroyed holds the
-    branch ids this path would dismantle if it closes, and dmask the rows
-    those branches own.  A path sits on the growth stack once.  Its fields
-    are rebound, never mutated in place, so children may share their
-    parent's values.
-    """
 
-    __slots__ = (
-        "mechanisms", "satisfied", "touched_even", "frontier", "fcts", "fmask",
-        "weight_used", "growths", "destroyed", "dmask",
-    )
-
-    def __init__(
-        self, mechanisms, satisfied, touched_even, frontier, fcts, fmask,
-        weight_used, growths, destroyed, dmask,
-    ):
-        self.mechanisms = mechanisms
-        self.satisfied = satisfied
-        self.touched_even = touched_even
-        self.frontier = frontier
-        self.fcts = fcts
-        self.fmask = fmask
-        self.weight_used = weight_used
-        self.growths = growths
-        self.destroyed = destroyed
-        self.dmask = dmask
+def _dismantlable(cluster: Cluster, row: int, destroyed: frozenset[int]) -> bool:
+    """Whether destructive growth clears frontier row by dismantling its owner."""
+    owner = cluster.row_owner[row]
+    dismantlable = owner is not None and not cluster._by_id[owner].destructive
+    return dismantlable and owner not in destroyed and not cluster.eff >> row & 1
 
 
-class _Grower:
-    """Depth-first growth of branch instances against one cluster.
+def _commit(
+    cluster: Cluster, stats: DecodeStats, mechanisms: int, satisfied: int,
+    destroyed: frozenset[int], destructive: bool,
+) -> None:
+    for bid in sorted(destroyed):
+        cluster.dismantle(bid)
+        stats.dismantled += 1
+    cluster.add(ClosedBranch(frozenset(_bits(mechanisms)), _bits(satisfied), destructive))
+    stats.branches_closed += 1
 
-    The syndrome and the effective syndrome come off the cluster as row
-    bitmasks, so a candidate's rows split into explained, loop-closed and
-    newly opened checks with a few mask operations.
-    """
 
-    def __init__(
-        self, destructive: bool, budget: float, params: CBParams, cluster: Cluster,
-        stats: DecodeStats,
-    ):
-        self.destructive = destructive
-        self.budget = budget
-        self.max_br = params.max_br
-        self.max_gr = params.max_gr
-        self.cluster = cluster
-        self.col_masks = cluster.m.col_masks()
-        self.stats = stats
-
-    def _dismantlable(self, row: int, destroyed: frozenset[int]) -> bool:
-        """Whether destructive growth clears frontier row by dismantling its owner."""
-        owner = self.cluster.row_owner[row]
-        dismantlable = owner is not None and not self.cluster._by_id[owner].destructive
-        return dismantlable and owner not in destroyed and not self.cluster.eff >> row & 1
-
-    def _activate_frontier(self, st: _Path) -> str:
-        """Pick st's next frontier; destructively clear owned ones.
-
-        Returns "closed" when every open check is resolved, "dead" when a
-        destruction contradicts the path, "ok" otherwise.
-        """
-        while True:
-            if st.frontier is None:
-                if not st.fcts:
-                    return "closed"
-                st.frontier, st.fcts = st.fcts[0], st.fcts[1:]
-                st.fmask ^= 1 << st.frontier
-            if not self.destructive or not self._dismantlable(st.frontier, st.destroyed):
-                return "ok"
-            # colliding with a closed branch: dismantle it, the frontier
-            # becomes a violated check this branch explains, and so does
-            # every deferred check the dismantling re-exposes
-            owner = self.cluster.row_owner[st.frontier]
-            destroyed = st.destroyed | {owner}
-            if len(destroyed) > self.max_br:
-                return "dead"
-            fbit = 1 << st.frontier
-            freed = self.cluster._rows[owner]
-            if freed & st.touched_even & ~fbit:
-                return "dead"  # evenly-touched check turned violated
-            hit = freed & st.fmask
-            if hit:
-                st.fcts = tuple(r for r in st.fcts if not hit >> r & 1)
-                st.fmask ^= hit
-            st.satisfied |= fbit | hit
-            st.frontier = None
-            st.destroyed = destroyed
-            st.dmask |= freed
-
-    def _expand(self, st: _Path) -> list[_Path] | None:
-        """Children of st: one per candidate column at its frontier, keeping
-        the candidates that open the fewest new checks, cheapest first.
-
-        A child that is not closed and can grow no further (max_gr growths,
-        or no column fits the budget) is left out when its activation would
-        leave it as it is: popped, it would expand to nothing.  Returns None,
-        and counts a rejected instance, when the kept moves would take the
-        instance's spawned branches past max_br.
-        """
-        growths = st.growths + 1
-        if growths > self.max_gr:
-            return []
-        cluster = self.cluster
-        m, syndrome, eff, weights = cluster.m, cluster.syndrome_rows, cluster.eff, cluster.weights
-        col_owner, row_owner, owned_rows = cluster.col_owner, cluster.row_owner, cluster._rows
-        col_masks, budget, destructive = self.col_masks, self.budget, self.destructive
-        frontier, fcts, fmask = st.frontier, st.fcts, st.fmask
-        destroyed, dmask = st.destroyed, st.dmask
-        mechanisms, satisfied, touched_even = st.mechanisms, st.satisfied, st.touched_even
-        base = st.weight_used
-        fbit = 1 << frontier
-        blocked = satisfied | fmask
-        moves: list[tuple] = []
-        fewest = m.rows  # more new checks than any candidate opens
-        for c in m.row_support[frontier]:
-            owner = col_owner[c]
-            if mechanisms >> c & 1 or (owner is not None and owner not in destroyed):
+def _plain_growth(
+    tcts: int, cluster: Cluster, budget: float, params: CBParams, stats: DecodeStats
+) -> None:
+    """A non-destructive pass: owned columns are never candidates."""
+    max_br, max_gr, min_weight = params.max_br, params.max_gr, cluster.min_weight
+    masks, weights, col_owner = cluster.m.col_masks(), cluster.weights, cluster.col_owner
+    table, candidates, many = cluster._candidate_table, cluster._candidates, cluster.m.rows
+    eff, owned_cols, version = cluster.eff, cluster.owned_cols, cluster.version
+    for c, trivial in cluster._seeds().get(tcts, ()):
+        if cluster.version != version:  # a branch closed since the pass began
+            eff, owned_cols = cluster.eff, cluster.owned_cols
+            if not eff:
+                break
+            trivial = _seed(masks[c], tcts, eff) if col_owner[c] is None else 0
+            if not trivial:
                 continue
-            weight = weights[c]
-            if base + weight > budget:
+        if weights[c] > budget:
+            continue
+        low = trivial & -trivial
+        stack = [(
+            1 << c, masks[c] & eff, low.bit_length() - 1, _bits(trivial ^ low), trivial ^ low,
+            weights[c], 0,
+        )]
+        pop, push = stack.pop, stack.append
+        spawned = 1
+        while stack:
+            mechanisms, satisfied, frontier, fcts, fmask, base, growths = pop()
+            if frontier is None:
+                if not fcts:
+                    _commit(cluster, stats, mechanisms, satisfied, frozenset(), False)
+                    break
+                frontier, fcts = fcts[0], fcts[1:]
+                fmask ^= 1 << frontier
+            growths += 1
+            if growths > max_gr:
                 continue
-            rows = col_masks[c] & ~fbit
-            destroy: set[int] | tuple = ()
-            path_dmask = dmask
-            auto = 0  # deferred checks a dismantling re-exposes
-            if destructive:
-                owned = rows & syndrome & ~(eff | fmask | dmask)
+            blocked = satisfied | fmask
+            fresh = ~(eff | fmask)  # no deferred check is violated
+            taken = mechanisms | owned_cols
+            moves: list[tuple] = []
+            fewest = many  # more new checks than any candidate opens
+            for _, weight, rows, cbit in table.get(frontier) or candidates(frontier):
+                if taken & cbit:
+                    continue
+                if base + weight > budget:
+                    break  # and so is every later, heavier candidate
+                explains = rows & eff
+                if explains & blocked:
+                    continue  # second touch on an explained check
+                new_opens = rows & fresh
+                opens = new_opens.bit_count()
+                if opens <= fewest:  # only the moves opening the fewest checks are kept
+                    if opens < fewest:
+                        fewest, moves = opens, []
+                    moves.append((weight, cbit, explains, rows & fmask, new_opens))
+            if not moves:
+                continue
+            if len(moves) > 1:
+                spawned += len(moves) - 1
+                if spawned > max_br:
+                    stats.instances_rejected += 1
+                    break
+                if spawned > stats.max_spawned:
+                    stats.max_spawned = spawned
+            last = growths == max_gr
+            # moves are cheapest first, as their candidates: push the last first
+            for weight, cbit, explains, loop_closed, new_opens in reversed(moves):
+                used = base + weight
+                if (new_opens or loop_closed != fmask) and (last or used + min_weight > budget):
+                    continue  # a dead leaf
+                rest = tuple([r for r in fcts if not loop_closed >> r & 1]) if loop_closed else fcts
+                child_fmask = fmask ^ loop_closed
+                child_frontier = None
+                if new_opens:
+                    low = new_opens & -new_opens
+                    child_frontier = low.bit_length() - 1
+                    more = new_opens ^ low
+                    if more:
+                        rest += _bits(more) if more & (more - 1) else (more.bit_length() - 1,)
+                        child_fmask |= more
+                push((
+                    mechanisms | cbit, satisfied | explains, child_frontier, rest, child_fmask,
+                    used, growths,
+                ))
+            if growths > stats.max_growths:  # every path's growths pass through here
+                stats.max_growths = growths
+
+
+def _destructive_growth(
+    tcts: int, cluster: Cluster, budget: float, params: CBParams, stats: DecodeStats
+) -> None:
+    """A destructive pass: a path may take columns of the branches it destroys."""
+    max_br, max_gr, min_weight = params.max_br, params.max_gr, cluster.min_weight
+    masks, weights, col_owner = cluster.m.col_masks(), cluster.weights, cluster.col_owner
+    table, candidates, many = cluster._candidate_table, cluster._candidates, cluster.m.rows
+    syndrome, row_owner, owned_rows = cluster.syndrome_rows, cluster.row_owner, cluster._rows
+    by_id = cluster._by_id
+    eff, owned_cols, version = cluster.eff, cluster.owned_cols, cluster.version
+    for c, trivial in cluster._seeds().get(tcts, ()):
+        if cluster.version != version:  # a branch closed since the pass began
+            eff, owned_cols = cluster.eff, cluster.owned_cols
+            if not eff:
+                break
+            trivial = _seed(masks[c], tcts, eff) if col_owner[c] is None else 0
+            if not trivial:
+                continue
+        if weights[c] > budget:
+            continue
+        low = trivial & -trivial
+        stack = [(
+            1 << c, masks[c] & eff, 0, low.bit_length() - 1, _bits(trivial ^ low), trivial ^ low,
+            weights[c], 0, frozenset(), 0,
+        )]
+        pop, push = stack.pop, stack.append
+        spawned = 1
+        while stack:
+            (mechanisms, satisfied, touched_even, frontier, fcts, fmask, base, growths,
+             destroyed, dmask) = pop()
+            while True:
+                if frontier is None:
+                    if not fcts:
+                        break  # closed
+                    frontier, fcts = fcts[0], fcts[1:]
+                    fmask ^= 1 << frontier
+                owner = row_owner[frontier]
+                if (owner is None or by_id[owner].destructive or owner in destroyed
+                        or eff >> frontier & 1):
+                    break
+                # colliding with a closed branch: dismantle it, the frontier
+                # becomes a violated check this branch explains, and so does
+                # every deferred check the dismantling re-exposes
+                destroyed = destroyed | {owner}
+                fbit = 1 << frontier
+                freed = owned_rows[owner]
+                if len(destroyed) > max_br or freed & touched_even & ~fbit:
+                    frontier = -1  # dead: past max_br, or an evenly-touched check turned violated
+                    break
+                hit = freed & fmask
+                if hit:
+                    fcts = tuple([r for r in fcts if not hit >> r & 1])
+                    fmask ^= hit
+                satisfied |= fbit | hit
+                frontier = None
+                dmask |= freed
+            if frontier is None:
+                _commit(cluster, stats, mechanisms, satisfied, destroyed, True)
+                break
+            growths += 1
+            if frontier < 0 or growths > max_gr:
+                continue
+            fbit = 1 << frontier
+            blocked = satisfied | fmask
+            ownable = syndrome & ~(eff | fmask | dmask)  # explained by a live branch
+            taken = mechanisms | owned_cols
+            moves: list[tuple] = []
+            fewest = many
+            for col, weight, rows, cbit in table.get(frontier) or candidates(frontier):
+                # a column in this path, or owned by a branch it does not destroy, is out
+                if taken & cbit and (
+                    not destroyed or mechanisms & cbit or col_owner[col] not in destroyed
+                ):
+                    continue
+                if base + weight > budget:
+                    break
+                destroy: set[int] | tuple = ()
+                path_dmask, auto = dmask, 0  # auto: deferred checks a dismantling re-exposes
+                owned = rows & ownable
                 if owned:
-                    destroy = {row_owner[r] for r in _bits(owned)}
-                    destroy = {b for b in destroy if not cluster._by_id[b].destructive}
+                    destroy = {b for r in _bits(owned) if not by_id[b := row_owner[r]].destructive}
                 if destroy:
-                    if len(destroyed) + len(destroy) > self.max_br:
+                    if len(destroyed) + len(destroy) > max_br:
                         continue
                     freed = 0
                     for bid in destroy:
                         freed |= owned_rows[bid]
                     path_dmask = dmask | freed
-                    freed &= ~col_masks[c]
+                    freed &= ~masks[col]
                     if touched_even & freed:
                         continue  # an evenly-touched check would turn violated
                     auto = freed & fmask
-            explains = rows & (eff | path_dmask)
-            if explains & blocked:
-                continue  # second touch on an explained check
-            rest = rows ^ explains
-            loop_closed = rest & fmask
-            new_opens = rest ^ loop_closed
-            opens = new_opens.bit_count()
-            if opens <= fewest:  # only the moves opening the fewest checks are kept
-                if opens < fewest:
-                    fewest, moves = opens, []
-                moves.append(
-                    (weight, c, explains, loop_closed, new_opens, destroy, auto, path_dmask)
-                )
-        if not moves:
-            return []
-        if len(moves) > 1:
-            spawned = self.spawned + len(moves) - 1
-            if spawned > self.max_br:
-                self.stats.instances_rejected += 1
-                return None
-            self.spawned = spawned
-            if spawned > self.stats.max_spawned:
-                self.stats.max_spawned = spawned
-            moves.sort()  # by weight, then column (columns differ)
-        touched = touched_even | fbit
-        last, min_weight = growths == self.max_gr, cluster.min_weight
-        children = []
-        for weight, c, explains, loop_closed, new_opens, destroy, auto, path_dmask in moves:
-            gone = loop_closed | auto  # deferred checks this move resolves
-            used = base + weight
-            child_destroyed = destroyed | destroy if destroy else destroyed
-            if (new_opens or gone != fmask) and (last or used + min_weight > budget):
-                if not destructive:  # a dead leaf
+                explains = rows & (eff | path_dmask)
+                if explains & blocked:
                     continue
-                nxt = new_opens & -new_opens
-                nxt = nxt.bit_length() - 1 if nxt else next(r for r in fcts if not gone >> r & 1)
-                if not self._dismantlable(nxt, child_destroyed):
-                    continue
-            rest = tuple(r for r in fcts if not gone >> r & 1) if gone else fcts
-            child_fmask = fmask ^ gone
-            child_frontier = None
-            if new_opens:
-                low = new_opens & -new_opens
-                child_frontier = low.bit_length() - 1
-                if new_opens != low:
-                    rest += _bits(new_opens ^ low)
-                    child_fmask |= new_opens ^ low
-            children.append(_Path(
-                mechanisms | 1 << c, satisfied | explains | auto, touched | loop_closed,
-                child_frontier, rest, child_fmask, used, growths, child_destroyed, path_dmask,
-            ))
-        if growths > self.stats.max_growths:  # every path's growths pass through here
-            self.stats.max_growths = growths
-        return children
-
-    def grow(self, seed: _Path) -> ClosedBranch | None:
-        """Grow seed's instance depth-first and commit the first path that
-        closes; None if no path closes or the instance goes past max_br."""
-        self.spawned = 1
-        if seed.weight_used > self.budget:
-            return None
-        stack = [seed]
-        while stack:
-            st = stack.pop()
-            status = self._activate_frontier(st)
-            if status == "dead":
+                rest = rows ^ explains
+                loop_closed = rest & fmask
+                new_opens = rest ^ loop_closed
+                opens = new_opens.bit_count()
+                if opens <= fewest:
+                    if opens < fewest:
+                        fewest, moves = opens, []
+                    moves.append(
+                        (weight, cbit, explains, loop_closed, new_opens, destroy, auto, path_dmask)
+                    )
+            if not moves:
                 continue
-            if status == "closed":
-                return self._commit(st)
-            children = self._expand(st)
-            if children is None:
-                return None
-            stack += children[::-1]  # first child on top: preorder
-        return None
-
-    def _commit(self, st: _Path) -> ClosedBranch:
-        for bid in sorted(st.destroyed):
-            self.cluster.dismantle(bid)
-            self.stats.dismantled += 1
-        mechanisms = frozenset(_bits(st.mechanisms))
-        branch = ClosedBranch(mechanisms, _bits(st.satisfied), self.destructive)
-        self.cluster.add(branch)
-        self.stats.branches_closed += 1
-        return branch
+            if len(moves) > 1:
+                spawned += len(moves) - 1
+                if spawned > max_br:
+                    stats.instances_rejected += 1
+                    break
+                if spawned > stats.max_spawned:
+                    stats.max_spawned = spawned
+            touched = touched_even | fbit
+            last = growths == max_gr
+            for weight, cbit, explains, loop_closed, new_opens, destroy, auto, path_dmask in (
+                reversed(moves)
+            ):
+                gone = loop_closed | auto  # deferred checks this move resolves
+                used = base + weight
+                child_destroyed = destroyed | destroy if destroy else destroyed
+                if (new_opens or gone != fmask) and (last or used + min_weight > budget):
+                    # a dead leaf, unless taking up its frontier dismantles
+                    nxt = new_opens & -new_opens
+                    nxt = nxt.bit_length() - 1 if nxt else next(r for r in fcts if not gone >> r & 1)
+                    if not _dismantlable(cluster, nxt, child_destroyed):
+                        continue
+                rest = tuple([r for r in fcts if not gone >> r & 1]) if gone else fcts
+                child_fmask = fmask ^ gone
+                child_frontier = None
+                if new_opens:
+                    low = new_opens & -new_opens
+                    child_frontier = low.bit_length() - 1
+                    more = new_opens ^ low
+                    if more:
+                        rest += _bits(more) if more & (more - 1) else (more.bit_length() - 1,)
+                        child_fmask |= more
+                push((
+                    mechanisms | cbit, satisfied | explains | auto, touched | loop_closed,
+                    child_frontier, rest, child_fmask, used, growths, child_destroyed, path_dmask,
+                ))
+            if growths > stats.max_growths:
+                stats.max_growths = growths
 
 
 def _branch_growth_pass(
     destructive: bool, tcts: int, cluster: Cluster, weight: float, params: CBParams,
     stats: DecodeStats | None,
 ) -> Cluster:
-    """Grow, in column order, every column that qualifies as a seed both at
-    the start of the pass and, under the then-current eff, when reached."""
     if tcts < 1:
         raise ValueError("tcts must be >= 1")
-    eff = cluster.eff
-    if not eff:
-        return cluster
-    masks = cluster.m.col_masks()
-    columns = [
-        c for c in _candidate_columns(eff, cluster.m)
-        if cluster.col_owner[c] is None and _seed(masks[c], tcts, eff)
-    ]
-    grower = _Grower(destructive, weight, params, cluster, stats or DecodeStats())
-    for c in columns:
-        eff = cluster.eff
-        if not eff:
-            break
-        trivial = _seed(masks[c], tcts, eff) if cluster.col_owner[c] is None else 0
-        if not trivial:
-            continue
-        frontier = trivial & -trivial
-        grower.grow(_Path(
-            1 << c, masks[c] & eff, 0, frontier.bit_length() - 1, _bits(trivial ^ frontier),
-            trivial ^ frontier, cluster.weights[c], 0, frozenset(), 0,
-        ))
+    if cluster.eff:
+        grow = _destructive_growth if destructive else _plain_growth
+        grow(tcts, cluster, weight, params, stats or DecodeStats())
     return cluster
 
 
@@ -517,9 +600,10 @@ def run_schedule(
 ) -> np.ndarray:
     """The decoding schedule shared by the plain and reweighted decoders.
 
-    Per step: a fresh cluster, a weight-1 sweep, non-destructive sweeps for
-    tcts = 1..max_tcts, then destructive sweeps each followed by a weight-1
-    sweep and a tcts=1 non-destructive cleanup.  Returns the cluster error
+    Per step: a cluster with no branches (one cluster, cleared between
+    steps), a weight-1 sweep, non-destructive sweeps for tcts =
+    1..max_tcts, then destructive sweeps each followed by a weight-1 sweep
+    and a tcts=1 non-destructive cleanup.  Returns the cluster error
     once its flipped checks reproduce the syndrome, the zero vector after
     the last step otherwise.  The cluster checks the syndrome and weights
     against m (ValueError) before any step; a zero syndrome returns zeros.
@@ -535,7 +619,7 @@ def run_schedule(
     stats = stats if stats is not None else DecodeStats()
     for step in steps:
         if cluster.version:  # each step starts from a cluster with no branches
-            cluster = Cluster(m, syndrome, event_weights)
+            cluster.clear()
         budget = budget_for_step(step)
         # a version the cleanup leaves unchanged, and the rejections it counts there
         idle_version, idle_rejected = -1, 0

@@ -475,7 +475,8 @@ def test_schedule_invariants(problem):
     def check_views(cluster):
         flipped = cluster.flipped
         packed = sum(1 << int(r) for r in np.flatnonzero(flipped))
-        if packed != cluster.flipped_rows or not np.array_equal(
+        owned = sum(1 << int(c) for c in np.flatnonzero(cluster.error))
+        if packed != cluster.flipped_rows or owned != cluster.owned_cols or not np.array_equal(
             mat_vec_mod2(m, cluster.error), flipped
         ):
             inconsistent.append(cluster.version)
@@ -594,6 +595,22 @@ def test_a_first_step_win_packs_the_syndrome_once(bb72, monkeypatch):
     assert len(packs) == 1
 
 
+def test_a_schedule_builds_one_cluster_for_all_its_steps(bb72, monkeypatch):
+    # later steps clear the first step's cluster instead of building another
+    packs, sweeps, steps = [], [], []
+    pack, sweep = cb._vec_to_int, cb.weight_1_errors
+    monkeypatch.setattr(cb, "_vec_to_int", lambda v: packs.append(1) or pack(v))
+    monkeypatch.setattr(cb, "weight_1_errors", lambda *a, **k: sweeps.append(a[0]) or sweep(*a, **k))
+    s = mat_vec_mod2(bb72.hz, vec_from_support(72, [3, 40, 41, 60, 61, 62, 70]))
+    out = run_schedule(
+        s, CBParams(6, 10, 3), bb72.hz, range(2, 7), lambda step: steps.append(step) or float(step)
+    )
+    assert np.array_equal(mat_vec_mod2(bb72.hz, out), s)
+    assert steps == [2, 3]
+    assert len(packs) == 1
+    assert len(set(map(id, sweeps))) == 1
+
+
 def test_cb_decode_rejects_a_schedule_with_no_step(bb72):
     # the plain schedule starts at step 2, so max_gr=1 would run no step and
     # return zeros for every nonzero syndrome
@@ -632,6 +649,31 @@ def test_cluster_add_dismantle_consistency():
     cluster.dismantle(bid)
     assert not cluster.flipped.any() and not cluster.error.any()
     assert cluster.row_owner[1] is None
+
+
+def test_cluster_clear_restores_a_fresh_cluster(bb72):
+    rng = np.random.default_rng(12)
+    m, params = bb72.hz, CBParams(6, 10, 3)
+    for _ in range(20):
+        s = mat_vec_mod2(m, (rng.random(m.cols) < 0.06).astype(np.uint8))
+        weights = rng.uniform(1.0, 3.0, m.cols)
+        used, fresh = Cluster(m, s, weights), Cluster(m, s, weights)
+        weight_1_errors(used)
+        for tcts in (1, 2):  # fills the cleared cluster's growth tables
+            non_dest_branch_growth(tcts, used, 4.0, params)
+            dest_branch_growth(tcts, used, 4.0, params)
+        used.clear()
+        state = ("flipped_rows", "owned_cols", "version", "row_owner", "col_owner", "eff")
+        assert [getattr(used, k) for k in state] == [getattr(fresh, k) for k in state]
+        assert used.branches() == []
+        # and grows as a fresh cluster does
+        for cluster in (used, fresh):
+            weight_1_errors(cluster)
+            for tcts in (1, 2, 3):
+                non_dest_branch_growth(tcts, cluster, 3.0, params)
+                dest_branch_growth(tcts, cluster, 3.0, params)
+        assert used.branches() == fresh.branches()
+        assert np.array_equal(used.error, fresh.error)
 
 
 def test_cluster_rejects_dismantling_destructive_branches():
