@@ -40,11 +40,12 @@ weights = event_weights(result.llrs)
 print(f"event weights: min {weights.min():.3f}, max {weights.max():.3f} "
       f"(low weight = likely mechanism)")
 
-# pipeline statistics over the batch
+# pipeline statistics over the batch, as the harness runs a chunk: BP once
+# on all the nonzero syndromes, then CB on each one BP did not solve
 bp_solved = cb_solved = declared = 0
-for syndrome in syndromes[syndromes.any(axis=1)]:
-    res = decoder.decode(syndrome)
-    out = bp_cb_decode(syndrome, params, model, decoder=decoder)
+nonzero = syndromes[syndromes.any(axis=1)]
+for syndrome, res in zip(nonzero, decoder.decode_batch(nonzero)):
+    out = bp_cb_decode(syndrome, params, model, bp_result=res)
     if res.converged:
         bp_solved += 1
     elif out.any():

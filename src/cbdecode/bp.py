@@ -118,71 +118,51 @@ class BPDecoder:
         *,
         stop_on_match: bool = True,
     ) -> BPResult:
-        if max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
+        """Sum-product on one syndrome: `_sum_product` on a one-row batch.
+
+        With `stop_on_match` (the default) BP stops at the first iteration
+        whose hard decision reproduces the syndrome, and a zero syndrome
+        returns the priors at iteration 0; without it, BP runs all
+        `max_iters` iterations and `converged` says whether any matched.
+        """
         syndrome = np.asarray(syndrome, dtype=np.uint8)
         if syndrome.shape != (self.m.rows,):
             raise ValueError("syndrome length must equal the matrix row count")
-        cols = self.m.cols
-        # priors of at most 1/2 give prior LLRs of at least 0, so the prior
-        # hard decision is zero; hard[cols] pads the check slots
-        hard = np.zeros(cols + 1, dtype=bool)
-        posterior = self.prior_llr
-        if stop_on_match and not syndrome.any():
-            return BPResult(posterior, hard[:cols].astype(np.uint8), True, 0)
-
-        target = syndrome.astype(bool).tobytes()
-        sign2 = np.where(syndrome, -2.0, 2.0)
-        c2v = np.empty(self.check_cols.size + 1, dtype=np.float64)
-        c2v[-1] = 0.0
-        c2v_checks = c2v[:-1].reshape(self.check_cols.shape)
-        t = np.empty(self.var_from_check.size + 1, dtype=np.float64)
-        t[-1] = 1.0
-        t_vars = t[:-1].reshape(self.var_from_check.shape)
-        unsigned = self.first_c2v
-        converged = False
-        it = 0
-        for it in range(1, max_iters + 1):
-            if it > 1:
-                running = t[self.check_from_var]
-                np.multiply.accumulate(running, axis=0, out=running)
-                unsigned = _exclusive_atanh(running, c2v_checks)
-            np.multiply(sign2, unsigned, out=c2v_checks)
-
-            incoming = c2v[self.var_from_check]
-            posterior = self.prior_llr + incoming.sum(axis=1)
-            np.less(posterior, 0.0, out=hard[:cols])
-            if np.logical_xor.reduce(hard[self.check_cols], axis=0).tobytes() == target:
-                converged = True
-                if stop_on_match:
-                    break
-            v2c = np.subtract(posterior[:, None], incoming, out=incoming)
-            v2c.clip(-LLR_CLAMP, LLR_CLAMP, out=v2c)
-            np.tanh(np.divide(v2c, 2.0, out=v2c), out=t_vars)
-        return BPResult(posterior, hard[:cols].astype(np.uint8), converged, it)
+        return self._sum_product(syndrome[None], max_iters, stop_on_match)[0]
 
     def decode_batch(self, syndromes: np.ndarray, max_iters: int = MAX_ITERS) -> list[BPResult]:
-        """`decode` on each row of a (k, rows) syndrome array, all at once.
-
-        Every message array carries a leading shots axis.  A row freezes,
-        and leaves the active rows, at the first iteration whose hard
-        decision reproduces its syndrome; a zero row does so at iteration 0.
-        Returns one result per row, each bit-identical to decode(row,
-        max_iters): a column still sums its messages with `.sum` along its
-        contiguous variable slots (numpy sums 8 or more terms pairwise), and
-        every elementwise step runs on each row's slots as one contiguous run.
-        """
-        if max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
+        """`decode` on each row of a (k, rows) syndrome array, all at once;
+        each result is the one `decode(row, max_iters)` returns."""
         syndromes = np.asarray(syndromes, dtype=np.uint8)
         if syndromes.ndim != 2 or syndromes.shape[1] != self.m.rows:
             raise ValueError("syndromes must be a (k, matrix rows) array")
+        return self._sum_product(syndromes, max_iters, stop_on_match=True)
+
+    def _sum_product(
+        self, syndromes: np.ndarray, max_iters: int, stop_on_match: bool
+    ) -> list[BPResult]:
+        """The sum-product loop on the rows of a (k, rows) uint8 array.
+
+        Every message array carries a leading shots axis.  With
+        `stop_on_match`, a row freezes, and leaves the active rows, at the
+        first iteration whose hard decision reproduces its syndrome; a zero
+        row does so at iteration 0.  Without it, every row runs `max_iters`
+        iterations and is `converged` if any of them matched.  A row's
+        result does not depend on the other rows: a column sums its
+        messages with `.sum` along its contiguous variable slots (numpy
+        sums 8 or more terms pairwise), and every elementwise step runs on
+        each row's slots as one contiguous run.
+        """
+        if max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
         cols = self.m.cols
-        nonzero = syndromes.any(axis=1)
         results: list[BPResult] = [None] * len(syndromes)
-        for j in np.flatnonzero(~nonzero).tolist():
-            results[j] = BPResult(self.prior_llr, np.zeros(cols, dtype=np.uint8), True, 0)
-        rows = np.flatnonzero(nonzero)  # the active rows' places in the batch
+        rows = np.arange(len(syndromes))  # the active rows' places in the batch
+        if stop_on_match:
+            zero = ~syndromes.any(axis=1)
+            for j in np.flatnonzero(zero).tolist():
+                results[j] = BPResult(self.prior_llr, np.zeros(cols, dtype=np.uint8), True, 0)
+            rows = rows[~zero]
         if not rows.size:
             return results
 
@@ -198,6 +178,7 @@ class BPDecoder:
         t_vars = t[:, :-1].reshape(rows.size, *self.var_from_check.shape)
         hard = np.zeros((rows.size, cols + 1), dtype=bool)
         posterior = np.broadcast_to(self.prior_llr, (rows.size, cols))  # a cap of 0 returns it
+        converged = np.zeros(len(syndromes), dtype=bool)  # by place in the batch
         unsigned = self.first_c2v
         for it in range(1, max_iters + 1):
             active = rows.size
@@ -216,7 +197,9 @@ class BPDecoder:
             np.less(posterior, 0.0, out=hard[:active, :cols])
             parity = np.logical_xor.reduce(hard[:active, self.check_cols], axis=1)
             mismatched = (parity != target).any(axis=1)
-            if not mismatched.all():
+            if not stop_on_match:
+                converged |= ~mismatched
+            elif not mismatched.all():
                 done = ~mismatched
                 decided = hard[:active][done, :cols].astype(np.uint8)
                 for row, post, out in zip(rows[done].tolist(), posterior[done], decided):
@@ -231,8 +214,9 @@ class BPDecoder:
             v2c.clip(-LLR_CLAMP, LLR_CLAMP, out=v2c)
             np.tanh(np.divide(v2c, 2.0, out=v2c), out=t_vars[: rows.size])
         decided = (posterior < 0.0).astype(np.uint8)
+        converged = converged.tolist()
         for row, post, out in zip(rows.tolist(), posterior, decided):
-            results[row] = BPResult(post, out, False, max_iters)
+            results[row] = BPResult(post, out, converged[row], max_iters)
         return results
 
 

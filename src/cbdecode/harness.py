@@ -113,6 +113,10 @@ class ExperimentConfig:
             raise ValueError("rounds must be >= 1")
         if self.rounds != 1 and self.noise == DATA_QUBIT:
             raise ValueError("data-qubit noise has one round")
+        if self.p != 0.0 and self.noise == CIRCUIT_FILE:
+            raise ValueError("circuit-file noise takes its priors from the file, not p")
+        if self.q is not None and self.noise != PHENOMENOLOGICAL:
+            raise ValueError(f"{self.noise} noise has no measurement error rate q")
         if self.bp_iters < 0:
             raise ValueError("bp_iters must be >= 0")
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):

@@ -287,6 +287,14 @@ def test_decode_rejects_a_negative_iteration_cap():
     assert np.array_equal(res.posterior, dec.prior_llr)
 
 
+def test_decode_rejects_a_syndrome_of_the_wrong_shape():
+    dec = BPDecoder(chain_code(), np.array([0.1, 0.2, 0.3]))
+    # a (1, rows) array is not taken for a batch of one
+    for bad in (np.array([1, 0, 1]), np.array(1), np.array([[1, 0]])):
+        with pytest.raises(ValueError, match="syndrome length must equal the matrix row count"):
+            dec.decode(bad.astype(np.uint8))
+
+
 def test_decode_batch_rejects_a_bad_cap_or_shape():
     dec = BPDecoder(chain_code(), np.array([0.1, 0.2, 0.3]))
     rows = np.array([[1, 0], [0, 0]], dtype=np.uint8)

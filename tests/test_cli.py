@@ -118,7 +118,7 @@ def test_run_unreadable_dem(tmp_path, capsys):
     bad = tmp_path / "bad.dem"
     bad.write_text("error 2.0 D0\n")
     cfg = tmp_path / "c.yaml"
-    cfg.write_text(f"noise: circuit-file\ndem: {bad}\np: 0.01\nmax_shots: 5\n")
+    cfg.write_text(f"noise: circuit-file\ndem: {bad}\nmax_shots: 5\n")
     assert main(["run", str(cfg)]) == 2
     assert "outside (0, 1)" in capsys.readouterr().err
 
@@ -194,6 +194,51 @@ def test_build_noise_rejects_rounds_for_data_qubit_noise(tmp_path, capsys, monke
     assert main(["build-noise"] + flags) == 2
     assert capsys.readouterr().err.startswith("build-noise: data-qubit noise has one round")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source, extra, error", [
+    ("noise: circuit-file\ndem: m.dem\n", "p: 0.02\n", "circuit-file noise takes its priors"),
+    ("noise: circuit-file\ndem: m.dem\n", "", "circuit-file noise takes its priors"),
+    ("code: bb72\n", "p: 0.05\nq: 0.3\n", "data-qubit noise has no measurement error rate q"),
+], ids=["circuit-file-p", "circuit-file-p-flag", "data-qubit-q"])
+def test_run_rejects_a_noise_parameter_the_model_ignores(tmp_path, capsys, source, extra, error):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"{source}{extra}max_shots: 5\n")
+    flags = [] if extra else ["--p", "0.02"]
+    assert main(["run", str(cfg)] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"run: {error}") and "shots=" not in captured.out
+
+
+def test_build_noise_rejects_q_for_data_qubit_noise(tmp_path, capsys, monkeypatch):
+    _no_model_built(monkeypatch)
+    out = tmp_path / "m.dem"
+    flags = ["--code", "bb72", "--p", "0.06", "--q", "0.3", "--out", str(out)]
+    assert main(["build-noise"] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("build-noise: data-qubit noise has no measurement error rate q")
+    assert not out.exists()
+
+
+def test_sweep_fails_each_point_of_an_entry_with_a_parameter_its_noise_ignores(tmp_path, capsys):
+    # a circuit-file entry wrote one identical row per p, each labelled with its p
+    (tmp_path / "m.dem").write_text("error 0.1 D0 L0\n")
+    out = tmp_path / "o.csv"
+    sweep = tmp_path / "s.yaml"
+    sweep.write_text(
+        f"probabilities: [0.02, 0.04]\noutput: {out}\ncodes:\n"
+        f"  - {{name: cf, noise: circuit-file, dem: {tmp_path / 'm.dem'}}}\n"
+        "  - {name: dq, code: bb72, q: 0.3}\n"
+    )
+    assert main(["sweep", str(sweep)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        *(f"sweep point cf p={p}: circuit-file noise takes its priors from the file, not p"
+          for p in (0.02, 0.04)),
+        *(f"sweep point dq p={p}: data-qubit noise has no measurement error rate q"
+          for p in (0.02, 0.04)),
+    ]
+    assert not out.read_text()
 
 
 def test_run_rejects_a_negative_seed_flag(tmp_path, capsys, monkeypatch):
@@ -356,7 +401,8 @@ def test_sweep_partial_failure(tmp_path, capsys):
 
 @pytest.mark.parametrize("entry", [
     "{name: ok, code: bb72, max_shots: 3}",
-    "{name: broken, noise: circuit-file, dem: /does/not/exist.dem, max_shots: 3}",
+    # q above 1/2 builds a config whose points fail when the model is built
+    "{name: broken, code: bb72, noise: phenomenological, rounds: 2, q: 0.6, max_shots: 3}",
 ], ids=["csv", "series"])
 def test_sweep_reports_an_unwritable_output(tmp_path, capsys, entry):
     # the first write is the CSV row of a point, or the series file of an
@@ -472,11 +518,15 @@ def test_sweep_rejects_an_output_that_is_not_a_path(tmp_path, capsys, output):
 
 @pytest.mark.parametrize("codes, label", [
     ("[{code: bb72}, {code: bb72, decoder: cb}]", "bb72"),
-    ("[{noise: circuit-file, dem: a/m.dem}, {noise: circuit-file, dem: b/m.dem}]", "m.dem"),
-], ids=["registry-code", "circuit-file"])
+    # a spec file without a name is labelled by its l and m
+    ("[{code: SPEC}, {code: SPEC, decoder: cb}]", "bb_l6_m6"),
+], ids=["registry-code", "spec-file"])
 def test_sweep_rejects_entries_sharing_a_label(tmp_path, capsys, codes, label):
+    spec = tmp_path / "code.yaml"
+    spec.write_text("l: 6\nm: 6\na_terms: [x^3, y, y^2]\nb_terms: [y^3, x, x^2]\n")
     sweep = tmp_path / "s.yaml"
     out = tmp_path / "o.csv"
+    codes = codes.replace("SPEC", str(spec))
     sweep.write_text(f"probabilities: [0.05]\noutput: {out}\ncodes: {codes}\n")
     assert main(["sweep", str(sweep)]) == 2
     assert f"entries share the label {label}" in capsys.readouterr().err
@@ -651,7 +701,7 @@ def test_pooled_run_reports_a_bad_dem(tmp_path, dem):
     # fails as in a serial run instead of killing each worker as it starts
     (tmp_path / "bad.dem").write_text("error 2.0 D0\n")
     cfg = tmp_path / "c.yaml"
-    cfg.write_text(f"noise: circuit-file\ndem: {tmp_path / dem}\np: 0.01\nmax_shots: 5\n")
+    cfg.write_text(f"noise: circuit-file\ndem: {tmp_path / dem}\nmax_shots: 5\n")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "cbdecode.cli", "run", str(cfg), "--threads", "2"],

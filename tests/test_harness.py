@@ -246,11 +246,30 @@ def test_config_rejects_cb_without_a_step():
 def test_config_rejects_a_sector_the_noise_model_lacks(noise, sector):
     # these models decode one detector model, so a z or both run would
     # silently decode the x model instead
-    source = ({"code_spec": None, "dem_path": "m.dem"} if noise == "circuit-file"
+    source = ({"code_spec": None, "dem_path": "m.dem", "p": 0.0} if noise == "circuit-file"
               else {"rounds": 2})
     with pytest.raises(ValueError, match=f"{noise} noise has only sector x"):
         _config(noise=noise, sector=sector, **source)
     assert _config(noise=noise, sector="x", **source).sector == "x"
+
+
+@pytest.mark.parametrize("p", [0.02, 1e-9])
+def test_config_rejects_a_p_for_circuit_file_noise(p):
+    # the file's priors are the noise, so each p of a sweep decoded the same model
+    source = dict(noise="circuit-file", code_spec=None, dem_path="m.dem")
+    with pytest.raises(ValueError, match="circuit-file noise takes its priors from the file"):
+        _config(p=p, **source)
+    assert _config(p=0.0, **source).p == 0.0
+
+
+@pytest.mark.parametrize("q", [0.0, 0.3])
+@pytest.mark.parametrize("noise", ["data-qubit", "circuit-file"])
+def test_config_rejects_a_q_for_noise_without_measurement_errors(noise, q):
+    source = ({"code_spec": None, "dem_path": "m.dem", "p": 0.0} if noise == "circuit-file"
+              else {})
+    with pytest.raises(ValueError, match=f"{noise} noise has no measurement error rate q"):
+        _config(noise=noise, q=q, **source)
+    assert _config(noise="phenomenological", q=q, rounds=2).q == q
 
 
 @pytest.mark.parametrize("rounds", [2, 3])
@@ -365,7 +384,8 @@ def test_a_nan_error_rate_raises_before_the_pool_starts(monkeypatch):
 def test_bad_input_raises_before_the_pool_starts(tmp_path, monkeypatch):
     # a pool whose workers failed to build their inputs would restart them forever
     monkeypatch.setattr(harness.multiprocessing, "Pool", None)
-    config = _config(noise="circuit-file", code_spec=None, dem_path=str(tmp_path / "nope.dem"))
+    config = _config(noise="circuit-file", p=0.0, code_spec=None,
+                     dem_path=str(tmp_path / "nope.dem"))
     with pytest.raises(FileNotFoundError):
         run_experiment(config, threads=2)
 
@@ -375,7 +395,7 @@ def test_unsound_output_raises_on_every_noise_model(noise, bb72, tmp_path, monke
     if noise == "circuit-file":
         dem = tmp_path / "m.dem"
         save_detector_model(data_qubit_model(bb72, 0.05)[0], str(dem))
-        config = _config(noise=noise, code_spec=None, dem_path=str(dem))
+        config = _config(noise=noise, p=0.0, code_spec=None, dem_path=str(dem))
     else:
         config = _config(noise=noise, rounds=2 if noise == "phenomenological" else 1)
     # a fixed nonzero output reproduces one syndrome at most, so some shot's
@@ -444,7 +464,7 @@ def _stream_configs(tmp_path, bb72):
         "both": _config(p=0.07, sector="both", max_failures=30, **run),
         "phenomenological": _config(noise="phenomenological", p=0.06, rounds=2, max_failures=34,
                                     **run),
-        "circuit-file": _config(noise="circuit-file", code_spec=None, dem_path=str(dem),
+        "circuit-file": _config(noise="circuit-file", p=0.0, code_spec=None, dem_path=str(dem),
                                 max_failures=17, **run),
     }
 
