@@ -1,11 +1,16 @@
 """Belief propagation over the noise parity-check matrix, and BP+CB.
 
 Sum-product message passing with a flooding schedule, conditioned on the
-syndrome.  When the hard decision fails to reproduce the syndrome, the
-closed-branch schedule runs in weighted mode: each mechanism carries an
-event weight derived from its posterior log-likelihood ratio, growth is
-steered toward low-weight (likely) mechanisms, and branches are discarded
-once their accumulated weight exceeds the step budget.
+syndrome.  A batch of syndromes runs through a window of at most `_WINDOW`
+rows at a time: a row leaves it once it is done, and the next pending row
+takes its place at its own first iteration, so the rows that never converge
+share their iterations with fresh rows instead of running alone, and the
+message buffers stay one window in size.  When the hard decision fails to
+reproduce the syndrome, the closed-branch schedule runs in weighted mode:
+each mechanism carries an event weight derived from its posterior
+log-likelihood ratio, growth is steered toward low-weight (likely)
+mechanisms, and branches are discarded once their accumulated weight
+exceeds the step budget.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .noise import DetectorModel
 
 LLR_CLAMP = 25.0
 MAX_ITERS = 30  # the default BP iteration cap
+_WINDOW = 100  # rows in sum-product at a time; pending rows refill it
 
 
 @dataclass
@@ -131,8 +137,9 @@ class BPDecoder:
         return self._sum_product(syndrome[None], max_iters, stop_on_match)[0]
 
     def decode_batch(self, syndromes: np.ndarray, max_iters: int = MAX_ITERS) -> list[BPResult]:
-        """`decode` on each row of a (k, rows) syndrome array, all at once;
-        each result is the one `decode(row, max_iters)` returns."""
+        """`decode` on each row of a (k, rows) syndrome array, run together
+        through BP's window of rows; each result is the one `decode(row,
+        max_iters)` returns."""
         syndromes = np.asarray(syndromes, dtype=np.uint8)
         if syndromes.ndim != 2 or syndromes.shape[1] != self.m.rows:
             raise ValueError("syndromes must be a (k, matrix rows) array")
@@ -143,12 +150,15 @@ class BPDecoder:
     ) -> list[BPResult]:
         """The sum-product loop on the rows of a (k, rows) uint8 array.
 
-        Every message array carries a leading shots axis.  With
-        `stop_on_match`, a row freezes, and leaves the active rows, at the
-        first iteration whose hard decision reproduces its syndrome; a zero
-        row does so at iteration 0.  Without it, every row runs `max_iters`
-        iterations and is `converged` if any of them matched.  A row's
-        result does not depend on the other rows: a column sums its
+        At most `_WINDOW` rows run at a time, each message array carrying a
+        leading window axis.  A row leaves the window when it is done, and a
+        pending row takes its place at its own first iteration, so the
+        window stays full while rows wait and the buffers do not grow with
+        k.  With `stop_on_match`, a row is done at the first iteration whose
+        hard decision reproduces its syndrome, and a zero row at iteration
+        0 without entering the window.  Without it, every row runs
+        `max_iters` iterations and is `converged` if any of them matched.
+        A row's result does not depend on the other rows: a column sums its
         messages with `.sum` along its contiguous variable slots (numpy
         sums 8 or more terms pairwise), and every elementwise step runs on
         each row's slots as one contiguous run.
@@ -157,66 +167,83 @@ class BPDecoder:
             raise ValueError("max_iters must be >= 0")
         cols = self.m.cols
         results: list[BPResult] = [None] * len(syndromes)
-        rows = np.arange(len(syndromes))  # the active rows' places in the batch
+        pending = np.arange(len(syndromes))  # by place in the batch
         if stop_on_match:
             zero = ~syndromes.any(axis=1)
             for j in np.flatnonzero(zero).tolist():
                 results[j] = BPResult(self.prior_llr, np.zeros(cols, dtype=np.uint8), True, 0)
-            rows = rows[~zero]
-        if not rows.size:
+            pending = pending[~zero]
+        if max_iters == 0:
+            decided = np.zeros((pending.size, cols), dtype=np.uint8)
+            decided[:] = self.prior_llr < 0.0
+            for j, out in zip(pending.tolist(), decided):
+                results[j] = BPResult(self.prior_llr, out, False, 0)
             return results
 
-        target = syndromes[rows].astype(bool)
-        sign2 = np.where(target, -2.0, 2.0)[:, None, :]
-        # each active row's messages, closed by its padding slot, in the
+        width = min(_WINDOW, pending.size)
+        # the window rows' messages, closed by their padding slot, in the
         # leading rows of these buffers
-        c2v = np.empty((rows.size, self.check_cols.size + 1), dtype=np.float64)
+        c2v = np.empty((width, self.check_cols.size + 1), dtype=np.float64)
         c2v[:, -1] = 0.0
-        c2v_checks = c2v[:, :-1].reshape(rows.size, *self.check_cols.shape)
-        t = np.empty((rows.size, self.var_from_check.size + 1), dtype=np.float64)
+        c2v_checks = c2v[:, :-1].reshape(width, *self.check_cols.shape)
+        t = np.empty((width, self.var_from_check.size + 1), dtype=np.float64)
         t[:, -1] = 1.0
-        t_vars = t[:, :-1].reshape(rows.size, *self.var_from_check.shape)
-        hard = np.zeros((rows.size, cols + 1), dtype=bool)
-        posterior = np.broadcast_to(self.prior_llr, (rows.size, cols))  # a cap of 0 returns it
+        t_vars = t[:, :-1].reshape(width, *self.var_from_check.shape)
+        hard = np.zeros((width, cols + 1), dtype=bool)
+        running = np.empty((width, *self.check_from_var.shape), dtype=np.float64)
         converged = np.zeros(len(syndromes), dtype=bool)  # by place in the batch
-        unsigned = self.first_c2v
-        for it in range(1, max_iters + 1):
+        # the window rows, in buffer order: places, iterations run, syndromes
+        rows, its = pending[:0], np.zeros(0, dtype=np.intp)
+        target = np.zeros((0, self.m.rows), dtype=bool)
+        sign2 = np.zeros((0, 1, self.m.rows))
+        taken = 0
+        while rows.size or taken < pending.size:
+            old = rows.size
+            if old < width and taken < pending.size:
+                new = pending[taken : taken + width - old]
+                taken += new.size
+                new_target = syndromes[new].astype(bool)
+                rows, its = np.concatenate((rows, new)), np.concatenate((its, np.zeros_like(new)))
+                target = np.concatenate((target, new_target))
+                sign2 = np.concatenate((sign2, np.where(new_target, -2.0, 2.0)[:, None, :]))
             active = rows.size
-            if it > 1:
-                running = np.take(t[:active], self.check_from_var, axis=1)
+            its += 1
+            if old:
+                # mode="clip" (the slots are in range) writes `out` unbuffered
+                products = np.take(t[:old], self.check_from_var, axis=1, out=running[:old],
+                                   mode="clip")
                 # slot row by slot row: numpy's accumulate would walk each
                 # column of slots on its own
-                for k in range(1, running.shape[1]):
-                    np.multiply(running[:, k], running[:, k - 1], out=running[:, k])
-                unsigned = _exclusive_atanh(running, c2v_checks[:active])
-            np.multiply(sign2, unsigned, out=c2v_checks[:active])
+                for k in range(1, products.shape[1]):
+                    np.multiply(products[:, k], products[:, k - 1], out=products[:, k])
+                _exclusive_atanh(products, c2v_checks[:old])
+            # a row's first variable-to-check messages are the priors alone
+            c2v_checks[old:active] = self.first_c2v
+            np.multiply(sign2, c2v_checks[:active], out=c2v_checks[:active])
 
             # np.take keeps each column's slots contiguous and innermost
             incoming = np.take(c2v[:active], self.var_from_check, axis=1)
             posterior = self.prior_llr + incoming.sum(axis=2)
             np.less(posterior, 0.0, out=hard[:active, :cols])
             parity = np.logical_xor.reduce(hard[:active, self.check_cols], axis=1)
-            mismatched = (parity != target).any(axis=1)
-            if not stop_on_match:
-                converged |= ~mismatched
-            elif not mismatched.all():
-                done = ~mismatched
+            matched = (parity == target).all(axis=1)
+            done = its == max_iters
+            if stop_on_match:
+                done |= matched
+            else:
+                converged[rows[matched]] = True
+            if done.any():
+                ok = matched[done] if stop_on_match else converged[rows[done]]
                 decided = hard[:active][done, :cols].astype(np.uint8)
-                for row, post, out in zip(rows[done].tolist(), posterior[done], decided):
-                    results[row] = BPResult(post, out, True, it)
-                if not mismatched.any():
-                    return results
-                rows, target, sign2 = rows[mismatched], target[mismatched], sign2[mismatched]
-                posterior, incoming = posterior[mismatched], incoming[mismatched]
-            if it == max_iters:
-                break
+                for row, post, out, conv, n in zip(rows[done].tolist(), posterior[done], decided,
+                                                    ok.tolist(), its[done].tolist()):
+                    results[row] = BPResult(post, out, conv, n)
+                kept = ~done
+                rows, its, target, sign2 = rows[kept], its[kept], target[kept], sign2[kept]
+                posterior, incoming = posterior[kept], incoming[kept]
             v2c = np.subtract(posterior[:, :, None], incoming, out=incoming)
             v2c.clip(-LLR_CLAMP, LLR_CLAMP, out=v2c)
             np.tanh(np.divide(v2c, 2.0, out=v2c), out=t_vars[: rows.size])
-        decided = (posterior < 0.0).astype(np.uint8)
-        converged = converged.tolist()
-        for row, post, out in zip(rows.tolist(), posterior, decided):
-            results[row] = BPResult(post, out, converged[row], max_iters)
         return results
 
 

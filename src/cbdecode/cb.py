@@ -108,6 +108,7 @@ class Cluster:
         if event_weights is None:
             self.weights = [1.0] * m.cols
             self.min_weight = 1.0
+            self._candidate_table = m.unit_candidates()  # shared by every plain cluster on m
         else:
             weights = np.asarray(event_weights, dtype=np.float64)
             if weights.shape != (m.cols,):
@@ -116,9 +117,9 @@ class Cluster:
                 raise ValueError("event weights must not be NaN")
             self.weights = weights.tolist()
             self.min_weight = float(weights.min()) if weights.size else 0.0
+            self._candidate_table: dict[int, tuple[tuple[int, float, int, int], ...]] = {}
         self.m = m
         self.syndrome_rows = _vec_to_int(syndrome)
-        self._candidate_table: dict[int, tuple[tuple[int, float, int, int], ...]] = {}
         self._seed_table: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
         self.clear()
 
@@ -136,7 +137,7 @@ class Cluster:
         """The columns at row as growth candidates, cheapest first (by
         weight, then column): (column, weight, its other rows as a mask,
         the column as a mask).  Built on first use and kept for the
-        cluster's life."""
+        cluster's life; a plain cluster reads its matrix's unit_candidates."""
         found = self._candidate_table.get(row)
         if found is None:
             weights, masks, bit = self.weights, self.m.col_masks(), 1 << row

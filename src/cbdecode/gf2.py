@@ -28,7 +28,9 @@ class BinaryMatrix:
         Positions of the nonzero entries. Duplicates collapse to one entry.
     """
 
-    __slots__ = ("rows", "cols", "row_support", "col_support", "_slots", "_col_masks")
+    __slots__ = (
+        "rows", "cols", "row_support", "col_support", "_slots", "_col_masks", "_unit_candidates"
+    )
 
     def __init__(self, rows: int, cols: int, entries: Iterable[tuple[int, int]]):
         if rows < 0 or cols < 0:
@@ -50,6 +52,7 @@ class BinaryMatrix:
         )
         self._slots: np.ndarray | None = None
         self._col_masks: tuple[int, ...] | None = None
+        self._unit_candidates: dict[int, tuple[tuple[int, float, int, int], ...]] | None = None
 
     @classmethod
     def from_dense(cls, arr: np.ndarray | Sequence[Sequence[int]]) -> "BinaryMatrix":
@@ -100,6 +103,19 @@ class BinaryMatrix:
         if self._col_masks is None:
             self._col_masks = tuple(_masks(self.col_support))
         return self._col_masks
+
+    def unit_candidates(self) -> dict[int, tuple[tuple[int, float, int, int], ...]]:
+        """Closed-branch growth's candidates at each row when every column
+        weighs 1.0: by row, its columns in column order as (column, 1.0, the
+        column's other rows as a mask, the column as a mask).  Built on first
+        use and kept, like col_masks; not to be changed by the caller."""
+        if self._unit_candidates is None:
+            masks = self.col_masks()
+            self._unit_candidates = {
+                r: tuple([(c, 1.0, masks[c] ^ (1 << r), 1 << c) for c in cs])
+                for r, cs in enumerate(self.row_support)
+            }
+        return self._unit_candidates
 
     def row_weights(self) -> list[int]:
         return [len(s) for s in self.row_support]

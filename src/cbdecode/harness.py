@@ -5,18 +5,22 @@ threads=...)` runs it, in this process or in a pool of `threads` workers.
 Per-shot RNG streams derive from (seed, shot_index), and outcomes are
 consumed in shot order, so an experiment stops at its shot budget or at the
 exact shot where the failure target is reached at any thread count.  Shots
-are handled in chunks of 100 as arrays: one mat-vec gives a chunk's
-syndromes, the decoder runs on the nonzero ones, and one `logical_failure`
-call (two mat-vecs) scores the chunk.  BP+CB runs BP once on all of a
-chunk's nonzero syndromes (`BPDecoder.decode_batch`), then `bp_cb_decode`
-on each with its BP result; a shot is charged the BP batch's time in
-proportion to the iterations its syndrome ran, plus its own `bp_cb_decode`
-call, and a zero syndrome 0 s, so a chunk's decode times add up to the
-decoder's.  CB alone runs shot by shot.  Every noise model is scored alike:
-a zero output for a nonzero syndrome is a declared failure, and any other
-output must reproduce its syndrome (else ValueError) and is a failure when
-the residual flips a logical observable.  Results report the total logical
-error rate and its per-cycle normalization.
+are handled as arrays, a span of whole 100-shot chunks at a time: one
+mat-vec gives a span's syndromes, the decoder runs on the nonzero ones, and
+one `logical_failure` call (two mat-vecs) scores the span.  A pool task is
+one chunk; a serial run takes up to 10 chunks a span, but never more than
+the failures still to reach need, so it decodes no shot past the chunk in
+which the target could first fall.  BP+CB runs BP once on all of a span's
+nonzero syndromes (`BPDecoder.decode_batch`, whose window of rows refills
+across the span's chunks), then `bp_cb_decode` on each with its BP result;
+a shot is charged the BP batch's time in proportion to the iterations its
+syndrome ran, plus its own `bp_cb_decode` call, and a zero syndrome 0 s, so
+a span's decode times add up to the decoder's.  CB alone runs shot by
+shot.  Every noise model is scored alike: a zero output for a nonzero
+syndrome is a declared failure, and any other output must reproduce its
+syndrome (else ValueError) and is a failure when the residual flips a
+logical observable.  Results report the total logical error rate and its
+per-cycle normalization.
 """
 
 from __future__ import annotations
@@ -47,8 +51,10 @@ DATA_QUBIT = "data-qubit"
 PHENOMENOLOGICAL = "phenomenological"
 CIRCUIT_FILE = "circuit-file"
 
-# shots per sampling call and pool task: few enough that a failure target stops the pool soon
+# shots per pool task: few enough that a failure target stops the pool soon
 _CHUNK_SHOTS = 100
+# chunks per serial span, one BP batch: its window refills across them
+_SPAN_CHUNKS = 10
 
 CSV_COLUMNS = [
     "code",
@@ -113,10 +119,16 @@ class ExperimentConfig:
             raise ValueError("rounds must be >= 1")
         if self.rounds != 1 and self.noise == DATA_QUBIT:
             raise ValueError("data-qubit noise has one round")
+        if not 0.0 <= self.p <= 0.75:  # NaN fails too
+            raise ValueError("p must lie in [0, 0.75]: a prior 2p/3 above 0.5 is no noise model")
         if self.p != 0.0 and self.noise == CIRCUIT_FILE:
             raise ValueError("circuit-file noise takes its priors from the file, not p")
         if self.q is not None and self.noise != PHENOMENOLOGICAL:
             raise ValueError(f"{self.noise} noise has no measurement error rate q")
+        if self.noise == PHENOMENOLOGICAL:
+            q = self.q if self.q is not None else self.p
+            if not 0.0 <= q <= 0.5:
+                raise ValueError("q (p when q is unset) must lie in [0, 0.5]")
         if self.bp_iters < 0:
             raise ValueError("bp_iters must be >= 0")
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
@@ -209,7 +221,7 @@ class _ShotRunner:
         runs BP once on all the rows and then each row's bp_cb_decode call on
         its BP result.  Each row is charged the BP batch's wall time in
         proportion to the iterations it ran, plus its own bp_cb_decode call,
-        so the chunk's times still add up to the decoder's.
+        so the span's times still add up to the decoder's.
         """
         config = self.config
         if bp is None:
@@ -235,16 +247,19 @@ class _ShotRunner:
             yield out, time.perf_counter() - t0 + share
 
     def run_shots(self, start: int, stop: int):
-        """Yields (logical failure?, decode seconds) for shots [start, stop)
-        in order, once the whole chunk is sampled, decoded and scored.
+        """Yields (logical failure?, decode seconds) for shots [start, stop),
+        a chunk or a span of chunks, in order, once all of them are sampled,
+        decoded and scored.
 
         Per sector, one mat-vec gives every shot's syndrome, the decoder runs
         (and is timed) on the nonzero ones alone, BP batched over them, and
         one `logical_failure` call scores every shot but the declared
         failures.
         """
-        drawn = sample_chunk(self.source, self.config.seed, start, stop)
-        parts = dict(zip(("x", "z"), drawn))
+        # a chunk at a time, so that sampling's scratch arrays stay chunk-sized
+        chunks = [sample_chunk(self.source, self.config.seed, a, min(a + _CHUNK_SHOTS, stop))
+                  for a in range(start, stop, _CHUNK_SHOTS)]
+        parts = dict(zip(("x", "z"), map(np.concatenate, zip(*chunks))))
         failed = np.zeros(stop - start, dtype=bool)
         spent = [0.0] * (stop - start)
         for sector, model, bp in self.sectors:
@@ -279,14 +294,26 @@ def _worker_shots(start: int) -> list[tuple[bool, float]]:
 def _shot_outcomes(config: ExperimentConfig, threads: int):
     """Per-shot (failed, decode seconds) in shot-index order.
 
+    A serial run decodes spans of up to `_SPAN_CHUNKS` chunks, and no more
+    than ceil(R / 100) of them while R failures are still to reach, since a
+    shot fails at most once: a span never reaches past the chunk in which
+    the failure target could first fall.  A pool runs one chunk a task.
     Bad input raises here, before any pool starts, and a worker that dies
     raises BrokenProcessPool.  An early close or an error terminates the
     workers; a pool run to its end lets them exit.
     """
     runner = _ShotRunner(config)
     if threads <= 1:
-        for start in range(0, config.max_shots, _CHUNK_SHOTS):
-            yield from runner.run_shots(start, min(start + _CHUNK_SHOTS, config.max_shots))
+        failures = start = 0
+        while start < config.max_shots:
+            chunks = _SPAN_CHUNKS
+            if config.max_failures is not None:  # the target falls no sooner than this
+                chunks = min(chunks, -(-(config.max_failures - failures) // _CHUNK_SHOTS))
+            stop = min(start + chunks * _CHUNK_SHOTS, config.max_shots)
+            for failed, spent in runner.run_shots(start, stop):
+                failures += failed
+                yield failed, spent
+            start = stop
         return
     others = set(multiprocessing.active_children())
     with multiprocessing.Pool(threads, initializer=_init_worker, initargs=(runner,)) as pool:
@@ -308,9 +335,10 @@ def _shot_outcomes(config: ExperimentConfig, threads: int):
 def run_experiment(config: ExperimentConfig, *, threads: int = 1) -> ExperimentResult:
     """Sample, decode and score shots until the shot or failure target.
 
-    Shots run a chunk at a time, so a serial run, like a pooled one, decodes
-    the rest of the chunk in which it reaches the failure target and then
-    discards it; the shots and failures counted are unchanged.
+    Shots run a chunk or a span of whole chunks at a time, so a serial run,
+    like a pooled one, decodes the rest of the chunk in which it reaches the
+    failure target and then discards it; the shots and failures counted are
+    unchanged.
     """
     failures = 0
     times: list[float] = []

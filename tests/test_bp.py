@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,3 +339,32 @@ def test_bp_cb_decode_on_a_given_bp_result_runs_no_bp(bb72, monkeypatch):
     # CB rescued the syndrome BP failed on
     failed = results[list(found).index("failed")]
     assert want["failed"].any() and not np.array_equal(want["failed"], failed.hard_decision)
+
+
+def test_a_batch_works_in_memory_that_does_not_grow_with_it(bb72):
+    """BP's buffers hold one window of rows, so a 1000-row batch needs about
+    the working memory of a 100-row one beyond the results it returns."""
+    model = data_qubit_model(bb72, 0.05)[0]
+    dec = BPDecoder.for_model(model)
+    syndromes = _syndromes(model, 9, 1200)
+    syndromes = syndromes[syndromes.any(axis=1)][:1000]
+    assert len(syndromes) == 1000
+
+    def working_kb(rows):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            results = dec.decode_batch(rows)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(results) == len(rows)
+        return (peak - held) / 1024, (held - before) / 1024
+
+    working_kb(syndromes[:100])  # numpy's first-call allocations
+    small, _ = working_kb(syndromes[:100])
+    large, results_kb = working_kb(syndromes)
+    assert large < 1.25 * small, (small, large)
+    assert results_kb > small / 2  # the results alone would have hidden a growing buffer
+

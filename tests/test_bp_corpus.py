@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbdecode import bp
 from cbdecode.bp import BPDecoder
 from cbdecode.gf2 import BinaryMatrix, mat_vec_mod2
 from cbdecode.noise import data_qubit_model, phenomenological_model, sample_chunk
@@ -432,3 +433,27 @@ def test_a_batch_row_does_not_depend_on_its_neighbours(batch_pool, name, picks, 
     for row, got in zip(rows, results):
         assert _same_result(got, decoder.decode(row, max_iters))
         assert _same_result(got, decoder.decode_batch(row[None], max_iters)[0])
+
+
+@pytest.mark.parametrize("stop_on_match", [True, False])
+@pytest.mark.parametrize("max_iters", [0, 1, 7, 30])
+def test_rows_past_the_window_decode_as_alone(bb72, max_iters, stop_on_match):
+    """A batch wider than BP's window, with zero rows and rows that never
+    converge near its end, gives every row its result alone: the pending
+    rows refill the window as rows leave it, each at its own iteration 1."""
+    decoder, syndromes = data_problem(bb72)
+    nonzero = syndromes[syndromes.any(axis=1)]
+    failing = [row for row in nonzero if not decoder.decode(row).converged]
+    assert len(nonzero) >= 250 and len(failing) >= 3
+    zero = np.zeros(decoder.m.rows, dtype=np.uint8)
+    tail = [failing[0], zero, failing[1], failing[2], zero, nonzero[0], failing[0], zero]
+    rows = np.array([*nonzero[:250], *tail])
+    assert len(rows) > 2 * bp._WINDOW
+    results = decoder._sum_product(rows, max_iters, stop_on_match)
+    assert len(results) == len(rows)
+    for row, got in zip(rows, results):
+        assert _same_result(got, decoder.decode(row, max_iters, stop_on_match=stop_on_match))
+    if stop_on_match:
+        batch = decoder.decode_batch(rows, max_iters)
+        assert all(_same_result(a, b) for a, b in zip(batch, results))
+

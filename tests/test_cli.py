@@ -169,7 +169,7 @@ def test_run_rejects_a_nan_error_rate(tmp_path, capsys):
     cfg = run_config(tmp_path, noise="phenomenological", rounds=2, p=0.01)
     assert main(["run", str(cfg), "--p", "nan", "--shots", "100"]) == 2
     captured = capsys.readouterr()
-    assert "run: priors must lie in [0, 0.5]" in captured.err and "shots=" not in captured.out
+    assert "run: p must lie in [0, 0.75]" in captured.err and "shots=" not in captured.out
 
 
 def _no_model_built(monkeypatch):
@@ -218,6 +218,60 @@ def test_build_noise_rejects_q_for_data_qubit_noise(tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err
     assert err.startswith("build-noise: data-qubit noise has no measurement error rate q")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source, extra, error", [
+    ("code: bb72\n", "p: 0.8\n", "p must lie in [0, 0.75]"),
+    ("code: bb72\n", "p: .nan\n", "p must lie in [0, 0.75]"),
+    ("code: bb72\nnoise: phenomenological\nrounds: 2\n", "p: 0.05\nq: 0.6\n",
+     "q (p when q is unset) must lie in [0, 0.5]"),
+    ("code: bb72\nnoise: phenomenological\nrounds: 2\n", "p: 0.6\n",
+     "q (p when q is unset) must lie in [0, 0.5]"),
+], ids=["p-high", "p-nan", "q-high", "unset-q-high"])
+def test_run_rejects_an_error_rate_out_of_range(tmp_path, capsys, monkeypatch, source, extra,
+                                                error):
+    _no_model_built(monkeypatch)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"{source}{extra}max_shots: 5\n")
+    out = tmp_path / "o.csv"
+    assert main(["run", str(cfg), "--csv", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"run: {error}") and "shots=" not in captured.out
+    assert not out.exists()  # rejected before the CSV is opened
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--p", "0.9"], "p must lie in [0, 0.75]"),
+    (["--model", "phenomenological", "--p", "0.05", "--q", "0.7", "--rounds", "2"],
+     "q (p when q is unset) must lie in [0, 0.5]"),
+], ids=["p", "q"])
+def test_build_noise_rejects_an_error_rate_out_of_range(tmp_path, capsys, monkeypatch, flags,
+                                                        error):
+    _no_model_built(monkeypatch)
+    out = tmp_path / "m.dem"
+    assert main(["build-noise", "--code", "bb72", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"build-noise: {error}")
+    assert not out.exists()
+
+
+def test_sweep_fails_each_point_with_an_error_rate_out_of_range(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    sweep = tmp_path / "s.yaml"
+    sweep.write_text(
+        f"probabilities: [0.05, 0.8, 0.9]\noutput: {out}\ncodes:\n"
+        "  - {name: dq, code: bb72, max_shots: 5, seed: 1}\n"
+        "  - {name: ph, code: bb72, noise: phenomenological, rounds: 2, q: 0.6}\n"
+    )
+    assert main(["sweep", str(sweep)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        *(f"sweep point dq p={p}: p must lie in [0, 0.75]: a prior 2p/3 above 0.5 is no "
+          "noise model" for p in (0.8, 0.9)),
+        *(f"sweep point ph p={p}: q (p when q is unset) must lie in [0, 0.5]"
+          for p in (0.05, 0.8, 0.9)),
+    ]
+    rows = out.read_text().strip().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("dq,data-qubit,0.05,")
 
 
 def test_sweep_fails_each_point_of_an_entry_with_a_parameter_its_noise_ignores(tmp_path, capsys):
@@ -401,7 +455,7 @@ def test_sweep_partial_failure(tmp_path, capsys):
 
 @pytest.mark.parametrize("entry", [
     "{name: ok, code: bb72, max_shots: 3}",
-    # q above 1/2 builds a config whose points fail when the model is built
+    # q above 1/2 builds no config, so each of the entry's points fails
     "{name: broken, code: bb72, noise: phenomenological, rounds: 2, q: 0.6, max_shots: 3}",
 ], ids=["csv", "series"])
 def test_sweep_reports_an_unwritable_output(tmp_path, capsys, entry):

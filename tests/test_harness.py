@@ -272,6 +272,26 @@ def test_config_rejects_a_q_for_noise_without_measurement_errors(noise, q):
     assert _config(noise="phenomenological", q=q, rounds=2).q == q
 
 
+@pytest.mark.parametrize("p", [-0.01, 0.76, float("nan"), float("inf")])
+@pytest.mark.parametrize("noise", ["data-qubit", "phenomenological"])
+def test_config_rejects_a_p_out_of_range(noise, p):
+    # a prior 2p/3 above 0.5 is no noise model, and NaN would reach the
+    # model builder only after the output files were opened
+    source = {"rounds": 2, "q": 0.01} if noise == "phenomenological" else {}
+    with pytest.raises(ValueError, match=r"p must lie in \[0, 0.75\]"):
+        _config(noise=noise, p=p, **source)
+    assert _config(noise=noise, p=0.75, **source).p == 0.75
+
+
+@pytest.mark.parametrize("q, p", [(-0.01, 0.05), (0.51, 0.05), (float("nan"), 0.05), (None, 0.6)])
+def test_config_rejects_a_q_out_of_range(q, p):
+    # an unset q is p, so p above 0.5 is a measurement error rate above 0.5
+    with pytest.raises(ValueError, match=r"q \(p when q is unset\) must lie in \[0, 0.5\]"):
+        _config(noise="phenomenological", rounds=2, p=p, q=q)
+    assert _config(noise="phenomenological", rounds=2, p=0.5, q=None).q is None
+    assert _config(noise="phenomenological", rounds=2, p=0.05, q=0.5).q == 0.5
+
+
 @pytest.mark.parametrize("rounds", [2, 3])
 def test_config_rejects_rounds_for_data_qubit_noise(rounds):
     # p_l_per_cycle would divide a one-round rate by `rounds`
@@ -377,7 +397,7 @@ def test_a_dead_pool_worker_raises(monkeypatch):
 
 def test_a_nan_error_rate_raises_before_the_pool_starts(monkeypatch):
     monkeypatch.setattr(harness.multiprocessing, "Pool", None)
-    with pytest.raises(ValueError, match="priors must lie"):
+    with pytest.raises(ValueError, match=r"p must lie in \[0, 0.75\]"):
         run_experiment(_config(p=float("nan")), threads=2)
 
 
@@ -528,6 +548,51 @@ def test_a_bp_cb_chunk_runs_bp_once_per_sector(monkeypatch):
     for (model, syndrome, result), (want_model, want_syndrome) in zip(entries, want):
         assert model is want_model and np.array_equal(syndrome, want_syndrome)
         assert result.iterations > 0
+
+
+def _recorded_spans(monkeypatch) -> list[list[int]]:
+    """[start, stop, decode_batch calls] of each run_shots call, as it runs."""
+    spans: list[list[int]] = []
+    run_shots, batch = harness._ShotRunner.run_shots, BPDecoder.decode_batch
+
+    def recorded_run(self, start, stop):
+        spans.append([start, stop, 0])
+        yield from run_shots(self, start, stop)
+
+    def counted_batch(self, syndromes, max_iters):
+        spans[-1][2] += 1
+        return batch(self, syndromes, max_iters)
+
+    monkeypatch.setattr(harness._ShotRunner, "run_shots", recorded_run)
+    monkeypatch.setattr(BPDecoder, "decode_batch", counted_batch)
+    return spans
+
+
+@pytest.mark.parametrize("max_failures", [1, 40, 150])
+def test_a_serial_span_ends_by_the_chunk_where_the_failure_target_could_fall(monkeypatch,
+                                                                            max_failures):
+    """With failures left to reach, a span holds no chunk past the one in
+    which the target could first fall, so no shot past the end of the
+    stopping chunk is decoded."""
+    spans = _recorded_spans(monkeypatch)
+    config = _config(p=0.06, sector="both", max_shots=5000, max_failures=max_failures, seed=3)
+    result = run_experiment(config)
+    assert result.logical_failures == max_failures
+    end = -(-result.shots_run // 100) * 100
+    assert [start for start, _, _ in spans] == [0] + [stop for _, stop, _ in spans[:-1]]
+    assert all(start % 100 == 0 and stop <= end for start, stop, _ in spans)
+    assert spans[-1][1] == end
+    assert all(calls == 2 for _, _, calls in spans)  # one BP batch per sector
+    if max_failures == 150:
+        assert spans[0][1] == 200  # 150 failures need at least two chunks
+
+
+def test_a_serial_run_without_a_failure_target_decodes_spans_of_chunks(monkeypatch):
+    spans = _recorded_spans(monkeypatch)
+    config = _config(p=0.05, sector="both", max_shots=2550, max_failures=None)
+    assert run_experiment(config).shots_run == 2550
+    assert [(start, stop) for start, stop, _ in spans] == [(0, 1000), (1000, 2000), (2000, 2550)]
+    assert all(calls == 2 for _, _, calls in spans)
 
 
 @pytest.mark.parametrize("bp_iters", [MAX_ITERS, 0])
