@@ -193,7 +193,7 @@ class BPDecoder:
         running = np.empty((width, *self.check_from_var.shape), dtype=np.float64)
         converged = np.zeros(len(syndromes), dtype=bool)  # by place in the batch
         # the window rows, in buffer order: places, iterations run, syndromes
-        rows, its = pending[:0], np.zeros(0, dtype=np.intp)
+        rows, iters = pending[:0], np.zeros(0, dtype=np.intp)
         target = np.zeros((0, self.m.rows), dtype=bool)
         sign2 = np.zeros((0, 1, self.m.rows))
         taken = 0
@@ -203,11 +203,12 @@ class BPDecoder:
                 new = pending[taken : taken + width - old]
                 taken += new.size
                 new_target = syndromes[new].astype(bool)
-                rows, its = np.concatenate((rows, new)), np.concatenate((its, np.zeros_like(new)))
+                rows = np.concatenate((rows, new))
+                iters = np.concatenate((iters, np.zeros_like(new)))
                 target = np.concatenate((target, new_target))
                 sign2 = np.concatenate((sign2, np.where(new_target, -2.0, 2.0)[:, None, :]))
             active = rows.size
-            its += 1
+            iters += 1
             if old:
                 # mode="clip" (the slots are in range) writes `out` unbuffered
                 products = np.take(t[:old], self.check_from_var, axis=1, out=running[:old],
@@ -227,7 +228,7 @@ class BPDecoder:
             np.less(posterior, 0.0, out=hard[:active, :cols])
             parity = np.logical_xor.reduce(hard[:active, self.check_cols], axis=1)
             matched = (parity == target).all(axis=1)
-            done = its == max_iters
+            done = iters == max_iters
             if stop_on_match:
                 done |= matched
             else:
@@ -236,10 +237,10 @@ class BPDecoder:
                 ok = matched[done] if stop_on_match else converged[rows[done]]
                 decided = hard[:active][done, :cols].astype(np.uint8)
                 for row, post, out, conv, n in zip(rows[done].tolist(), posterior[done], decided,
-                                                    ok.tolist(), its[done].tolist()):
+                                                    ok.tolist(), iters[done].tolist()):
                     results[row] = BPResult(post, out, conv, n)
                 kept = ~done
-                rows, its, target, sign2 = rows[kept], its[kept], target[kept], sign2[kept]
+                rows, iters, target, sign2 = rows[kept], iters[kept], target[kept], sign2[kept]
                 posterior, incoming = posterior[kept], incoming[kept]
             v2c = np.subtract(posterior[:, :, None], incoming, out=incoming)
             v2c.clip(-LLR_CLAMP, LLR_CLAMP, out=v2c)

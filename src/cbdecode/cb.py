@@ -105,10 +105,12 @@ class Cluster:
         syndrome = np.asarray(syndrome, dtype=np.uint8)
         if syndrome.shape != (m.rows,):
             raise ValueError("syndrome length must equal the matrix row count")
+        self._candidate_table: dict[int, tuple[tuple[int, float, int, int], ...]]
         if event_weights is None:
             self.weights = [1.0] * m.cols
             self.min_weight = 1.0
-            self._candidate_table = m.unit_candidates()  # shared by every plain cluster on m
+            # with every weight 1.0 the candidate tables depend on m alone
+            self._candidate_table = m.derived.setdefault("cb.unit_candidates", {})
         else:
             weights = np.asarray(event_weights, dtype=np.float64)
             if weights.shape != (m.cols,):
@@ -117,7 +119,7 @@ class Cluster:
                 raise ValueError("event weights must not be NaN")
             self.weights = weights.tolist()
             self.min_weight = float(weights.min()) if weights.size else 0.0
-            self._candidate_table: dict[int, tuple[tuple[int, float, int, int], ...]] = {}
+            self._candidate_table = {}
         self.m = m
         self.syndrome_rows = _vec_to_int(syndrome)
         self._seed_table: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
@@ -137,7 +139,7 @@ class Cluster:
         """The columns at row as growth candidates, cheapest first (by
         weight, then column): (column, weight, its other rows as a mask,
         the column as a mask).  Built on first use and kept for the
-        cluster's life; a plain cluster reads its matrix's unit_candidates."""
+        cluster's life, or, in plain mode, the matrix's life."""
         found = self._candidate_table.get(row)
         if found is None:
             weights, masks, bit = self.weights, self.m.col_masks(), 1 << row

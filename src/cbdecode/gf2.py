@@ -28,9 +28,7 @@ class BinaryMatrix:
         Positions of the nonzero entries. Duplicates collapse to one entry.
     """
 
-    __slots__ = (
-        "rows", "cols", "row_support", "col_support", "_slots", "_col_masks", "_unit_candidates"
-    )
+    __slots__ = ("rows", "cols", "row_support", "col_support", "_slots", "_col_masks", "derived")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[tuple[int, int]]):
         if rows < 0 or cols < 0:
@@ -52,7 +50,9 @@ class BinaryMatrix:
         )
         self._slots: np.ndarray | None = None
         self._col_masks: tuple[int, ...] | None = None
-        self._unit_candidates: dict[int, tuple[tuple[int, float, int, int], ...]] | None = None
+        # tables that other modules derive from the matrix alone, by name:
+        # the matrix never changes, so they are kept with it, as col_masks is
+        self.derived: dict[str, object] = {}
 
     @classmethod
     def from_dense(cls, arr: np.ndarray | Sequence[Sequence[int]]) -> "BinaryMatrix":
@@ -103,19 +103,6 @@ class BinaryMatrix:
         if self._col_masks is None:
             self._col_masks = tuple(_masks(self.col_support))
         return self._col_masks
-
-    def unit_candidates(self) -> dict[int, tuple[tuple[int, float, int, int], ...]]:
-        """Closed-branch growth's candidates at each row when every column
-        weighs 1.0: by row, its columns in column order as (column, 1.0, the
-        column's other rows as a mask, the column as a mask).  Built on first
-        use and kept, like col_masks; not to be changed by the caller."""
-        if self._unit_candidates is None:
-            masks = self.col_masks()
-            self._unit_candidates = {
-                r: tuple([(c, 1.0, masks[c] ^ (1 << r), 1 << c) for c in cs])
-                for r, cs in enumerate(self.row_support)
-            }
-        return self._unit_candidates
 
     def row_weights(self) -> list[int]:
         return [len(s) for s in self.row_support]

@@ -676,6 +676,24 @@ def test_cluster_clear_restores_a_fresh_cluster(bb72):
         assert np.array_equal(used.error, fresh.error)
 
 
+def test_plain_clusters_share_their_matrix_candidate_tables(bb72):
+    # with every weight 1.0 a row's candidates depend on the matrix alone
+    m, params = BinaryMatrix.from_dense(bb72.hz.to_dense()), CBParams(6, 10, 3)  # a fresh matrix
+    rng = np.random.default_rng(13)
+    syndromes = [mat_vec_mod2(m, (rng.random(m.cols) < 0.06).astype(np.uint8)) for _ in range(5)]
+    first, second = Cluster(m, syndromes[0]), Cluster(m, syndromes[1])
+    assert first._candidate_table is second._candidate_table
+    assert first._candidate_table is m.derived["cb.unit_candidates"]
+    for s in syndromes:
+        cb_decode(s, params, m)
+    assert m.derived["cb.unit_candidates"]  # filled by the decoder calls
+    unit = Cluster(m, syndromes[0], np.ones(m.cols))
+    assert unit._candidate_table is not first._candidate_table
+    # the shared tables are those a unit-weight cluster builds for itself
+    assert [first._candidates(r) for r in range(m.rows)] == [
+        unit._candidates(r) for r in range(m.rows)]
+
+
 def test_cluster_rejects_dismantling_destructive_branches():
     cluster = Cluster(BinaryMatrix.from_dense(np.eye(3, dtype=int)), np.zeros(3, dtype=np.uint8))
     bid = cluster.add(ClosedBranch(frozenset({1}), (1,), True))
