@@ -163,14 +163,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _at_p(config: ExperimentConfig, p: float) -> ExperimentConfig | Exception:
-    """The sweep point of `config` at p, or the input error it raises."""
-    try:
-        return replace(config, p=p)
-    except _INPUT_ERRORS as exc:
-        return exc
-
-
 def cmd_sweep(args) -> int:
     data = _load_mapping(args.sweep, "sweep spec")
     try:
@@ -211,14 +203,11 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"entries share the label {', '.join(repeated)} and so one series file; "
                          "give each a distinct 'name'")
     series_path = {label: f"{os.path.splitext(out_csv)[0]}_{label}.dat" for label in labels}
-    # every point's config, or its error, before any output file is opened
-    grid = [[_at_p(config, p) for p in probabilities] if isinstance(config, ExperimentConfig)
-            else [] for config in configs]
     for path in [out_csv, *series_path.values()]:
         _check_writable(path)
 
     partial = False
-    for index, (entry, config, row) in enumerate(zip(entries, configs, grid)):
+    for index, (entry, config) in enumerate(zip(entries, configs)):
         if not isinstance(config, ExperimentConfig):
             name = entry.get("name")
             tag = name if isinstance(name, str) and name else f"codes[{index}]"
@@ -229,10 +218,9 @@ def cmd_sweep(args) -> int:
         label = config.label()
         points: list[tuple[float, float]] = []
         series_rows: list[str] = []
-        for p, point in zip(probabilities, row):
+        for p in probabilities:
             try:
-                if isinstance(point, Exception):  # reported like a point that fails to run
-                    raise point
+                point = replace(config, p=p)
                 result = run_experiment(point, threads=args.threads)
             except _INPUT_ERRORS as exc:
                 print(f"sweep point {label} p={p}: {exc}", file=sys.stderr)
