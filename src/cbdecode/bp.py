@@ -192,23 +192,24 @@ class BPDecoder:
         hard = np.zeros((width, cols + 1), dtype=bool)
         running = np.empty((width, *self.check_from_var.shape), dtype=np.float64)
         converged = np.zeros(len(syndromes), dtype=bool)  # by place in the batch
-        # the window rows, in buffer order: places, iterations run, syndromes
-        rows, iters = pending[:0], np.zeros(0, dtype=np.intp)
+        # the window rows in the order they entered, so the first is the
+        # oldest: places, the iteration each ran first, syndromes
+        rows, born = pending[:0], pending[:0]
         target = np.zeros((0, self.m.rows), dtype=bool)
         sign2 = np.zeros((0, 1, self.m.rows))
-        taken = 0
+        taken = it = 0
         while rows.size or taken < pending.size:
             old = rows.size
+            it += 1
             if old < width and taken < pending.size:
                 new = pending[taken : taken + width - old]
                 taken += new.size
                 new_target = syndromes[new].astype(bool)
                 rows = np.concatenate((rows, new))
-                iters = np.concatenate((iters, np.zeros_like(new)))
+                born = np.concatenate((born, np.full_like(new, it)))
                 target = np.concatenate((target, new_target))
                 sign2 = np.concatenate((sign2, np.where(new_target, -2.0, 2.0)[:, None, :]))
             active = rows.size
-            iters += 1
             if old:
                 # mode="clip" (the slots are in range) writes `out` unbuffered
                 products = np.take(t[:old], self.check_from_var, axis=1, out=running[:old],
@@ -218,8 +219,8 @@ class BPDecoder:
                 for k in range(1, products.shape[1]):
                     np.multiply(products[:, k], products[:, k - 1], out=products[:, k])
                 _exclusive_atanh(products, c2v_checks[:old])
-            # a row's first variable-to-check messages are the priors alone
-            c2v_checks[old:active] = self.first_c2v
+            if active > old:  # a row's first messages are the priors' alone
+                c2v_checks[old:active] = self.first_c2v
             np.multiply(sign2, c2v_checks[:active], out=c2v_checks[:active])
 
             # np.take keeps each column's slots contiguous and innermost
@@ -228,19 +229,19 @@ class BPDecoder:
             np.less(posterior, 0.0, out=hard[:active, :cols])
             parity = np.logical_xor.reduce(hard[:active, self.check_cols], axis=1)
             matched = (parity == target).all(axis=1)
-            done = iters == max_iters
-            if stop_on_match:
-                done |= matched
-            else:
+            if not stop_on_match:
                 converged[rows[matched]] = True
+            done = matched if stop_on_match else np.zeros_like(matched)
+            if it - born[0] + 1 == max_iters:  # the oldest rows ran their last iteration
+                done = done | (born == born[0])
             if done.any():
                 ok = matched[done] if stop_on_match else converged[rows[done]]
                 decided = hard[:active][done, :cols].astype(np.uint8)
                 for row, post, out, conv, n in zip(rows[done].tolist(), posterior[done], decided,
-                                                    ok.tolist(), iters[done].tolist()):
+                                                    ok.tolist(), (it + 1 - born[done]).tolist()):
                     results[row] = BPResult(post, out, conv, n)
                 kept = ~done
-                rows, iters, target, sign2 = rows[kept], iters[kept], target[kept], sign2[kept]
+                rows, born, target, sign2 = rows[kept], born[kept], target[kept], sign2[kept]
                 posterior, incoming = posterior[kept], incoming[kept]
             v2c = np.subtract(posterior[:, :, None], incoming, out=incoming)
             v2c.clip(-LLR_CLAMP, LLR_CLAMP, out=v2c)
