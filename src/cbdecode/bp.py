@@ -154,7 +154,9 @@ class BPDecoder:
         leading window axis.  A row leaves the window when it is done, and a
         pending row takes its place at its own first iteration, so the
         window stays full while rows wait and the buffers do not grow with
-        k.  With `stop_on_match`, a row is done at the first iteration whose
+        k; a row's iterations count from the one in which it entered, and
+        the rows in the window keep the order in which they entered.  With
+        `stop_on_match`, a row is done at the first iteration whose
         hard decision reproduces its syndrome, and a zero row at iteration
         0 without entering the window.  Without it, every row runs
         `max_iters` iterations and is `converged` if any of them matched.
@@ -190,13 +192,10 @@ class BPDecoder:
         t[:, -1] = 1.0
         t_vars = t[:, :-1].reshape(width, *self.var_from_check.shape)
         hard = np.zeros((width, cols + 1), dtype=bool)
-        running = np.empty((width, *self.check_from_var.shape), dtype=np.float64)
         converged = np.zeros(len(syndromes), dtype=bool)  # by place in the batch
         # the window rows in the order they entered, so the first is the
-        # oldest: places, the iteration each ran first, syndromes
-        rows, born = pending[:0], pending[:0]
-        target = np.zeros((0, self.m.rows), dtype=bool)
-        sign2 = np.zeros((0, 1, self.m.rows))
+        # oldest: places, the iteration each ran first, syndromes, signs
+        rows = pending[:0]
         taken = it = 0
         while rows.size or taken < pending.size:
             old = rows.size
@@ -205,23 +204,23 @@ class BPDecoder:
                 new = pending[taken : taken + width - old]
                 taken += new.size
                 new_target = syndromes[new].astype(bool)
-                rows = np.concatenate((rows, new))
-                born = np.concatenate((born, np.full_like(new, it)))
-                target = np.concatenate((target, new_target))
-                sign2 = np.concatenate((sign2, np.where(new_target, -2.0, 2.0)[:, None, :]))
+                entering = (new, np.full_like(new, it), new_target,
+                            np.where(new_target, -2.0, 2.0)[:, None, :])
+                if old:
+                    entering = [np.concatenate(pair) for pair in
+                                zip((rows, born, target, sign2), entering)]
+                rows, born, target, sign2 = entering
             active = rows.size
             if old:
-                # mode="clip" (the slots are in range) writes `out` unbuffered
-                products = np.take(t[:old], self.check_from_var, axis=1, out=running[:old],
-                                   mode="clip")
+                running = np.take(t[:old], self.check_from_var, axis=1)
                 # slot row by slot row: numpy's accumulate would walk each
                 # column of slots on its own
-                for k in range(1, products.shape[1]):
-                    np.multiply(products[:, k], products[:, k - 1], out=products[:, k])
-                _exclusive_atanh(products, c2v_checks[:old])
-            if active > old:  # a row's first messages are the priors' alone
-                c2v_checks[old:active] = self.first_c2v
-            np.multiply(sign2, c2v_checks[:active], out=c2v_checks[:active])
+                for k in range(1, running.shape[1]):
+                    np.multiply(running[:, k], running[:, k - 1], out=running[:, k])
+                unsigned = _exclusive_atanh(running, c2v_checks[:old])
+                np.multiply(sign2[:old], unsigned, out=unsigned)
+            if active > old:  # a row's first messages: the priors' table
+                np.multiply(sign2[old:], self.first_c2v, out=c2v_checks[old:active])
 
             # np.take keeps each column's slots contiguous and innermost
             incoming = np.take(c2v[:active], self.var_from_check, axis=1)

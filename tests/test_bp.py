@@ -343,7 +343,9 @@ def test_bp_cb_decode_on_a_given_bp_result_runs_no_bp(bb72, monkeypatch):
 
 def test_a_batch_works_in_memory_that_does_not_grow_with_it(bb72):
     """BP's buffers hold one window of rows, so a 1000-row batch needs about
-    the working memory of a 100-row one beyond the results it returns."""
+    the working memory of a 100-row one beyond the results it returns (a
+    third more, as its window stays full; nine times as much with buffers
+    as wide as the batch)."""
     model = data_qubit_model(bb72, 0.05)[0]
     dec = BPDecoder.for_model(model)
     syndromes = _syndromes(model, 9, 1200)
@@ -365,6 +367,6 @@ def test_a_batch_works_in_memory_that_does_not_grow_with_it(bb72):
     working_kb(syndromes[:100])  # numpy's first-call allocations
     small, _ = working_kb(syndromes[:100])
     large, results_kb = working_kb(syndromes)
-    assert large < 1.25 * small, (small, large)
+    assert large < 1.5 * small, (small, large)
     assert results_kb > small / 2  # the results alone would have hidden a growing buffer
 
