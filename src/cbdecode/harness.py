@@ -9,18 +9,19 @@ are handled as arrays, a span of whole 100-shot chunks at a time: one
 mat-vec gives a span's syndromes, the decoder runs on the nonzero ones, and
 one `logical_failure` call (two mat-vecs) scores the span.  A pool task is
 one chunk; a serial run takes up to 10 chunks a span, but never more than
-the failures still to reach need, so it decodes no shot past the chunk in
-which the target could first fall.  BP+CB runs BP once on all of a span's
-nonzero syndromes (`BPDecoder.decode_batch`, whose window of rows refills
-across the span's chunks), then `bp_cb_decode` on each with its BP result;
-a shot is charged the BP batch's time in proportion to the iterations its
-syndrome ran, plus its own `bp_cb_decode` call, and a zero syndrome 0 s, so
-a span's decode times add up to the decoder's.  CB alone runs shot by
-shot.  Every noise model is scored alike: a zero output for a nonzero
-syndrome is a declared failure, and any other output must reproduce its
-syndrome (else ValueError) and is a failure when the residual flips a
-logical observable.  Results report the total logical error rate and its
-per-cycle normalization.
+ceil(R / 100) while R failures are still to reach, so it decodes no shot
+past the chunk in which the target could first fall, and a run within 100
+failures of its target decodes one chunk at a time.  BP+CB runs BP once on
+all of a span's nonzero syndromes (`BPDecoder.decode_batch`, whose window
+of rows refills across the span's chunks), then `bp_cb_decode` on each
+with its BP result; a shot is charged the BP batch's time in proportion to
+the iterations its syndrome ran, plus its own `bp_cb_decode` call, and a
+zero syndrome 0 s, so a span's decode times add up to the decoder's.  CB
+alone runs shot by shot.  Every noise model is scored alike: a zero output
+for a nonzero syndrome is a declared failure, and any other output must
+reproduce its syndrome (else ValueError) and is a failure when the
+residual flips a logical observable.  Results report the total logical
+error rate and its per-cycle normalization.
 """
 
 from __future__ import annotations
@@ -297,10 +298,12 @@ def _shot_outcomes(config: ExperimentConfig, threads: int):
     A serial run decodes spans of up to `_SPAN_CHUNKS` chunks, and no more
     than ceil(R / 100) of them while R failures are still to reach, since a
     shot fails at most once: a span never reaches past the chunk in which
-    the failure target could first fall.  A pool runs one chunk a task.
-    Bad input raises here, before any pool starts, and a worker that dies
-    raises BrokenProcessPool.  An early close or an error terminates the
-    workers; a pool run to its end lets them exit.
+    the failure target could first fall, and a span is wider than one chunk
+    only with no target or while more than 100 failures are still to
+    reach.  A pool runs one chunk a task.  Bad input raises here, before
+    any pool starts, and a worker that dies raises BrokenProcessPool.  An
+    early close or an error terminates the workers; a pool run to its end
+    lets them exit.
     """
     runner = _ShotRunner(config)
     if threads <= 1:
