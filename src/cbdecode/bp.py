@@ -53,9 +53,10 @@ class BPDecoder:
     Messages live in two padded slot layouts, both built once here.  Check
     slots form a contiguous (max row weight, rows) array, slot (k, r) being
     the edge to the k-th column of row r (`BinaryMatrix.row_slots`).
-    Variable slots form a contiguous (columns, max column weight) array,
-    slot (c, j) being the edge to the j-th row of column c, so a column's
-    incoming messages sum along a row of that array.  Two permutation
+    Variable slots form a contiguous (max column weight, columns) array,
+    slot (j, c) being the edge to the j-th row of column c, so slot plane j
+    holds every column's j-th incoming message and a column sums its
+    messages by adding the planes (`_column_sums`).  Two permutation
     indexes carry messages between the layouts, one gather each way per
     iteration, and point padding slots at one neutral element appended to
     the source: 0.0 among check-to-variable messages, tanh 1.0 among
@@ -87,15 +88,15 @@ class BPDecoder:
         width, rows = self.check_cols.shape
         var_width = max(max(m.col_weights(), default=0), 1)
         # edges sorted by column, rows ascending within a column (check slot
-        # s holds row s % rows); an edge's rank within its column is its slot
+        # s holds row s % rows); an edge's rank within its column is its plane
         check_slot = np.flatnonzero(self.check_cols < m.cols)
         cols = self.check_cols.ravel()[check_slot]
         order = np.lexsort((check_slot % rows, cols))
         check_slot, cols = check_slot[order], cols[order]
-        var_slot = cols * var_width + np.arange(cols.size) - np.searchsorted(cols, cols)
-        var_from_check = np.full(m.cols * var_width, width * rows, dtype=np.intp)
+        var_slot = (np.arange(cols.size) - np.searchsorted(cols, cols)) * m.cols + cols
+        var_from_check = np.full(var_width * m.cols, width * rows, dtype=np.intp)
         var_from_check[var_slot] = check_slot
-        self.var_from_check = var_from_check.reshape(m.cols, var_width)
+        self.var_from_check = var_from_check.reshape(var_width, m.cols)
         check_from_var = np.full(width * rows, m.cols * var_width, dtype=np.intp)
         check_from_var[check_slot] = var_slot
         self.check_from_var = _running_slots(
@@ -161,9 +162,9 @@ class BPDecoder:
         0 without entering the window.  Without it, every row runs
         `max_iters` iterations and is `converged` if any of them matched.
         A row's result does not depend on the other rows: a column sums its
-        messages with `.sum` along its contiguous variable slots (numpy
-        sums 8 or more terms pairwise), and every elementwise step runs on
-        each row's slots as one contiguous run.
+        messages plane by plane in the order `_column_sums` fixes, the order
+        in which `.sum` would add them along a contiguous axis, and every
+        elementwise step runs on each row's slots as one contiguous run.
         """
         if max_iters < 0:
             raise ValueError("max_iters must be >= 0")
@@ -222,9 +223,10 @@ class BPDecoder:
             if active > old:  # a row's first messages: the priors' table
                 np.multiply(sign2[old:], self.first_c2v, out=c2v_checks[old:active])
 
-            # np.take keeps each column's slots contiguous and innermost
+            # (rows, planes, columns): plane j holds each column's j-th message
             incoming = np.take(c2v[:active], self.var_from_check, axis=1)
-            posterior = self.prior_llr + incoming.sum(axis=2)
+            posterior = _column_sums(incoming)
+            posterior += self.prior_llr
             np.less(posterior, 0.0, out=hard[:active, :cols])
             parity = np.logical_xor.reduce(hard[:active, self.check_cols], axis=1)
             matched = (parity == target).all(axis=1)
@@ -242,10 +244,38 @@ class BPDecoder:
                 kept = ~done
                 rows, born, target, sign2 = rows[kept], born[kept], target[kept], sign2[kept]
                 posterior, incoming = posterior[kept], incoming[kept]
-            v2c = np.subtract(posterior[:, :, None], incoming, out=incoming)
+            v2c = np.subtract(posterior[:, None, :], incoming, out=incoming)
             v2c.clip(-LLR_CLAMP, LLR_CLAMP, out=v2c)
             np.tanh(np.divide(v2c, 2.0, out=v2c), out=t_vars[: rows.size])
         return results
+
+
+def _column_sums(planes: np.ndarray) -> np.ndarray:
+    """The sum over axis -2 of `planes`, added plane by plane in the order of
+    numpy's pairwise sum, so that each element is bit for bit what `.sum`
+    gives along a contiguous axis holding the same terms (up to the sign of
+    an all-zero sum): under 8 planes in turn; up to 128 planes in eight
+    accumulators over blocks of 8 planes, joined as ((r0 + r1) + (r2 + r3))
+    + ((r4 + r5) + (r6 + r7)), then the planes past the last whole block in
+    turn; above 128 planes, each half summed so, the split a multiple of 8.
+    """
+    n = planes.shape[-2]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _column_sums(planes[..., :half, :]) + _column_sums(planes[..., half:, :])
+    if n < 8:
+        total = planes[..., 0, :].copy()
+        tail = range(1, n)
+    else:
+        r = planes[..., :8, :].copy()
+        for k in range(8, n - n % 8, 8):
+            r += planes[..., k : k + 8, :]
+        total = (r[..., 0, :] + r[..., 1, :]) + (r[..., 2, :] + r[..., 3, :])
+        total += (r[..., 4, :] + r[..., 5, :]) + (r[..., 6, :] + r[..., 7, :])
+        tail = range(n - n % 8, n)
+    for k in tail:
+        total += planes[..., k, :]
+    return total
 
 
 def _running_slots(slots: np.ndarray, pad: int) -> np.ndarray:

@@ -24,6 +24,7 @@ from .harness import (
     PHENOMENOLOGICAL,
     ExperimentConfig,
     append_csv,
+    check_threads,
     crossing_estimate,
     detector_models,
     result_row,
@@ -142,6 +143,7 @@ def _check_writable(path: str) -> None:
 
 
 def cmd_run(args) -> int:
+    check_threads(args.threads)
     data = _load_mapping(args.config, "experiment config")
     flags = {"p": args.p, "seed": args.seed, "max_shots": args.shots,
              "max_failures": args.failures, "decoder": args.decoder}
@@ -164,6 +166,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    check_threads(args.threads)
     data = _load_mapping(args.sweep, "sweep spec")
     try:
         probabilities = [float(p) for p in data.get("probabilities") or []]

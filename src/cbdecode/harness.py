@@ -1,14 +1,16 @@
 """Monte Carlo estimation of logical error rates.
 
 An `ExperimentConfig` describes a whole experiment; `run_experiment(config,
-threads=...)` runs it, in this process or in a pool of `threads` workers.
-Per-shot RNG streams derive from (seed, shot_index), and outcomes are
-consumed in shot order, so an experiment stops at its shot budget or at the
-exact shot where the failure target is reached at any thread count.  Shots
-are handled as arrays, a span of whole 100-shot chunks at a time: one
-mat-vec gives a span's syndromes, the decoder runs on the nonzero ones, and
-one `logical_failure` call (two mat-vecs) scores the span.  A pool task is
-one chunk; a serial run takes up to 10 chunks a span, but never more than
+threads=...)` runs it, in this process or in a pool of up to `threads`
+workers, one a 100-shot task at most.  Per-shot RNG streams derive from
+(seed, shot_index), and outcomes are consumed in shot order, so an
+experiment stops at its shot budget or at the exact shot where the failure
+target is reached at any thread count.  Shots are handled as arrays, a span
+of whole 100-shot chunks at a time: one `sample_chunk` call draws a span's
+shots, one mat-vec gives their syndromes, the decoder runs on the nonzero
+ones, their outputs and decode times are booked as arrays, and one
+`logical_failure` call (two mat-vecs) scores the span.  A pool task is one
+chunk; a serial run takes up to 10 chunks a span, but never more than
 ceil(R / 100) while R failures are still to reach, so it decodes no shot
 past the chunk in which the target could first fall, and a run within 100
 failures of its target decodes one chunk at a time.  BP+CB runs BP once on
@@ -214,9 +216,9 @@ class _ShotRunner:
         self.source = (model.noise_matrix.cols, config.p) if config.noise == DATA_QUBIT else model
 
     def _decode(self, model: DetectorModel, bp: BPDecoder | None, syndromes: np.ndarray,
-                rows: list[int]):
-        """Yields (output, decode seconds) for the syndromes at `rows`, all
-        nonzero, in order.
+                rows: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """The outputs for the syndromes at `rows`, all nonzero and at least
+        one, in order, and the decode seconds of each.
 
         CB alone runs, and is timed, one syndrome at a time.  A bp+cb sector
         runs BP once on all the rows and then each row's bp_cb_decode call on
@@ -225,58 +227,59 @@ class _ShotRunner:
         so the span's times still add up to the decoder's.
         """
         config = self.config
-        if bp is None:
-            for j in rows:
-                t0 = time.perf_counter()
-                out = cb_decode(syndromes[j], config.params, model.noise_matrix)
-                yield out, time.perf_counter() - t0
-            return
-        if not rows:
-            return
+        outs: list[np.ndarray] = []
+        seconds: list[float] = []
         batch = syndromes[rows]
+        if bp is None:
+            for syndrome in batch:
+                t0 = time.perf_counter()
+                outs.append(cb_decode(syndrome, config.params, model.noise_matrix))
+                seconds.append(time.perf_counter() - t0)
+            return outs, np.array(seconds)
         t0 = time.perf_counter()
         results = bp.decode_batch(batch, config.bp_iters)
         batch_s = time.perf_counter() - t0
         iterations = np.array([result.iterations for result in results], dtype=np.float64)
         if not iterations.any():  # a cap of 0 iterations: an equal share each
             iterations[:] = 1.0
-        shares = (batch_s / iterations.sum() * iterations).tolist()
-        for syndrome, result, share in zip(batch, results, shares):
+        for syndrome, result in zip(batch, results):
             t0 = time.perf_counter()
-            out = bp_cb_decode(syndrome, config.params, model, config.bp_iters, decoder=bp,
-                               bp_result=result)
-            yield out, time.perf_counter() - t0 + share
+            outs.append(bp_cb_decode(syndrome, config.params, model, config.bp_iters, decoder=bp,
+                                     bp_result=result))
+            seconds.append(time.perf_counter() - t0)
+        return outs, np.array(seconds) + batch_s / iterations.sum() * iterations
 
     def run_shots(self, start: int, stop: int):
         """Yields (logical failure?, decode seconds) for shots [start, stop),
         a chunk or a span of chunks, in order, once all of them are sampled,
         decoded and scored.
 
-        Per sector, one mat-vec gives every shot's syndrome, the decoder runs
-        (and is timed) on the nonzero ones alone, BP batched over them, and
-        one `logical_failure` call scores every shot but the declared
-        failures.
+        One `sample_chunk` call draws the shots.  Per sector, one mat-vec
+        gives every shot's syndrome, the decoder runs (and is timed) on the
+        nonzero ones alone, BP batched over them, their outputs and seconds
+        are booked as arrays, and one `logical_failure` call scores every
+        shot but the declared failures.
         """
-        # a chunk at a time, so that sampling's scratch arrays stay chunk-sized
-        chunks = [sample_chunk(self.source, self.config.seed, a, min(a + _CHUNK_SHOTS, stop))
-                  for a in range(start, stop, _CHUNK_SHOTS)]
-        parts = dict(zip(("x", "z"), map(np.concatenate, zip(*chunks))))
+        # sample_chunk hashes the span's seeds at once and keeps its scratch
+        # arrays to a block of 100 shots
+        parts = dict(zip(("x", "z"), sample_chunk(self.source, self.config.seed, start, stop)))
         failed = np.zeros(stop - start, dtype=bool)
-        spent = [0.0] * (stop - start)
+        spent = np.zeros(stop - start)
         for sector, model, bp in self.sectors:
             actual = parts[sector]
             syndromes = mat_vec_mod2(model.noise_matrix, actual)
             nonzero = syndromes.any(axis=1)
             recovered = np.zeros_like(actual)
-            rows = np.flatnonzero(nonzero).tolist()
-            for j, (out, seconds) in zip(rows, self._decode(model, bp, syndromes, rows)):
-                recovered[j] = out
-                spent[j] += seconds
+            rows = np.flatnonzero(nonzero)
+            if rows.size:
+                outs, seconds = self._decode(model, bp, syndromes, rows)
+                recovered[rows] = outs
+                spent[rows] += seconds
             declared = nonzero & ~recovered.any(axis=1)  # a zero output for a nonzero syndrome
             scored = ~declared
             failed[scored] |= logical_failure(model, actual[scored], recovered[scored])
             failed |= declared
-        yield from zip(failed.tolist(), spent)
+        yield from zip(failed.tolist(), spent.tolist())
 
 
 _WORKER_RUNNER: _ShotRunner | None = None
@@ -300,13 +303,15 @@ def _shot_outcomes(config: ExperimentConfig, threads: int):
     shot fails at most once: a span never reaches past the chunk in which
     the failure target could first fall, and a span is wider than one chunk
     only with no target or while more than 100 failures are still to
-    reach.  A pool runs one chunk a task.  Bad input raises here, before
-    any pool starts, and a worker that dies raises BrokenProcessPool.  An
+    reach.  A pool runs one chunk a task, on no more workers than tasks; a
+    run of one task runs serially.  Bad input raises here, before any pool
+    starts, and a worker that dies raises BrokenProcessPool.  An
     early close or an error terminates the workers; a pool run to its end
     lets them exit.
     """
     runner = _ShotRunner(config)
-    if threads <= 1:
+    workers = min(threads, -(-config.max_shots // _CHUNK_SHOTS))  # one task each at least
+    if workers == 1:
         failures = start = 0
         while start < config.max_shots:
             chunks = _SPAN_CHUNKS
@@ -319,8 +324,8 @@ def _shot_outcomes(config: ExperimentConfig, threads: int):
             start = stop
         return
     others = set(multiprocessing.active_children())
-    with multiprocessing.Pool(threads, initializer=_init_worker, initargs=(runner,)) as pool:
-        workers = set(multiprocessing.active_children()) - others
+    with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(runner,)) as pool:
+        children = set(multiprocessing.active_children()) - others
         chunks = pool.imap(_worker_shots, range(0, config.max_shots, _CHUNK_SHOTS))
         while True:
             try:
@@ -329,20 +334,29 @@ def _shot_outcomes(config: ExperimentConfig, threads: int):
                 break
             except multiprocessing.TimeoutError:
                 # the pool hands a dead worker's task to no one, so wait no longer
-                if any(worker.exitcode is not None for worker in workers):
+                if any(child.exitcode is not None for child in children):
                     raise BrokenProcessPool("a pool worker exited abruptly") from None
         pool.close()
         pool.join()
 
 
+def check_threads(threads: int) -> None:
+    """Raise ValueError unless `threads` is a worker count run_experiment takes."""
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+
+
 def run_experiment(config: ExperimentConfig, *, threads: int = 1) -> ExperimentResult:
     """Sample, decode and score shots until the shot or failure target.
 
-    Shots run a chunk or a span of whole chunks at a time, so a serial run,
-    like a pooled one, decodes the rest of the chunk in which it reaches the
-    failure target and then discards it; the shots and failures counted are
-    unchanged.
+    `threads` is the most workers to run the shots on (ValueError below 1);
+    a run starts no more workers than it has 100-shot tasks, and runs in
+    this process when that is one.  Shots run a chunk or a span of whole
+    chunks at a time, so a serial run, like a pooled one, decodes the rest
+    of the chunk in which it reaches the failure target and then discards
+    it; the shots and failures counted are unchanged.
     """
+    check_threads(threads)
     failures = 0
     times: list[float] = []
     with closing(_shot_outcomes(config, threads)) as outcomes:

@@ -5,7 +5,7 @@ own check matrices.  Phenomenological noise stacks per-round detector layers
 (consecutive syndrome differences, with the final layer taken from a perfect
 data readout) and adds weight-2 measurement-error columns.  Circuit-level
 matrices are generated externally and ingested through a small text format.
-`sample_chunk` draws the shots of any of them, a chunk of shots at a time.
+`sample_chunk` draws the shots of any of them, a chunk or a span at a time.
 """
 
 from __future__ import annotations
@@ -140,12 +140,13 @@ def sample_shot(model: DetectorModel, rng: np.random.Generator) -> np.ndarray:
 # numpy's SeedSequence hash constants (bit_generator.pyx) and PCG64's multiplier
 _HASH_A, _HASH_B, _MIX = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED), (0xCA01F9DD, 0x4973F715)
 _PCG64_MULT, _U128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+_BLOCK_SHOTS = 100  # shots whose raw words are drawn at a time: the scratch arrays' size
 
 
-def _raw_rows(seed: int, shots: np.ndarray, width: int) -> np.ndarray:
-    """Row j: the first `width` raw words of `shot_rng(seed, shots[j])`, shots < 2**32,
-    from `SeedSequence((seed, i))` run on uint32 lanes, one per shot, and
-    PCG64's srandom (O'Neill, PCG, 2014) setting one reused PCG64."""
+def _pcg64_states(seed: int, shots: np.ndarray) -> list[tuple[int, int]]:
+    """(state, inc) of the PCG64 in `shot_rng(seed, i)` for each i in `shots`
+    (< 2**32), from `SeedSequence((seed, i))` run on uint32 lanes, one per
+    shot, and PCG64's srandom (O'Neill, PCG, 2014)."""
     seed_words = range(max(1, (int(seed).bit_length() + 31) // 32))
     entropy = [np.full(len(shots), int(seed) >> 32 * k & 0xFFFFFFFF, np.uint32) for k in seed_words]
     entropy.append(shots.astype(np.uint32))
@@ -167,10 +168,18 @@ def _raw_rows(seed: int, shots: np.ndarray, width: int) -> np.ndarray:
     const, mult = _HASH_B  # generate_state(4, uint64) hashes with its own constants
     halves = [hashmix(pool[k % 4]).astype(np.uint64) for k in range(8)]
     words = [(hi << np.uint64(32) | lo).tolist() for lo, hi in zip(halves[::2], halves[1::2])]
-    bits, rows = np.random.PCG64(0), np.empty((len(shots), width), np.uint64)
-    for row, a, b, c, d in zip(rows, *words):
+    states = []
+    for a, b, c, d in zip(*words):
         inc = ((c << 64 | d) << 1 | 1) & _U128
-        pcg = {"state": ((a << 64 | b) + inc) * _PCG64_MULT + inc & _U128, "inc": inc}
+        states.append((((a << 64 | b) + inc) * _PCG64_MULT + inc & _U128, inc))
+    return states
+
+
+def _raw_rows(states: list[tuple[int, int]], width: int) -> np.ndarray:
+    """Row j: the first `width` raw words of a PCG64 set to `states[j]`."""
+    bits, rows = np.random.PCG64(0), np.empty((len(states), width), np.uint64)
+    for row, (state, inc) in zip(rows, states):
+        pcg = {"state": state, "inc": inc}
         bits.state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
         row[:] = bits.random_raw(width)
     return rows
@@ -189,10 +198,13 @@ def sample_chunk(
 
     From raw PCG64 words, `random() < p` is `(raw >> 11) < ceil(p * 2**53)`;
     `integers(0, 3)` is `3u >> 32` on the next words' 32-bit halves, low
-    first, redrawing u = 0 (Lemire, ACM TOMACS 2019).  Shot indexes >= 2**32
-    and redrawn shots, or all when the import-time self-check failed or seed
-    or p is not valid, are drawn by `sample_shot` or `sample_depolarizing`
-    on `shot_rng(seed, i)`, which raise for such a seed or p as numpy does.
+    first, redrawing u = 0 (Lemire, ACM TOMACS 2019).  All the shots'
+    seeds are hashed in one pass, and their raw words are drawn 100 shots
+    at a time, so a call's scratch arrays stay the size of 100 shots
+    whatever its length.  Shot indexes >= 2**32 and redrawn shots, or all
+    when the import-time self-check failed or seed or p is not valid, are
+    drawn by `sample_shot` or `sample_depolarizing` on `shot_rng(seed, i)`,
+    which raise for such a seed or p as numpy does.
     """
     model = isinstance(source, DetectorModel)
     n, p = (source.noise_matrix.cols, source.priors) if model else source
@@ -202,15 +214,20 @@ def sample_chunk(
     fast = np.flatnonzero(~slow)
     drawn = [np.empty((len(shots), n), np.uint8) for _ in range(1 if model else 2)]
     if fast.size:
-        raw = _raw_rows(seed, shots[fast], n if model else n + (n + 1) // 2)
-        hit = (raw[:, :n] >> np.uint64(11)) < np.ceil(np.asarray(p) * 2.0**53).astype(np.uint64)
-        parts = [hit]
-        if not model:
+        states = _pcg64_states(seed, shots[fast])
+        threshold = np.ceil(np.asarray(p) * 2.0**53).astype(np.uint64)
+        width = n if model else n + (n + 1) // 2
+        for a in range(0, fast.size, _BLOCK_SHOTS):
+            block = fast[a : a + _BLOCK_SHOTS]
+            raw = _raw_rows(states[a : a + _BLOCK_SHOTS], width)
+            hit = (raw[:, :n] >> np.uint64(11)) < threshold
+            if model:
+                drawn[0][block] = hit
+                continue
             u = raw[:, n:].astype("<u8").view("<u4")[:, :n]
-            slow[fast[(u == 0).any(axis=1)]] = True
-            parts = [hit & (u <= 2863311530), hit & (u >= 1431655766)]
-        for out, part in zip(drawn, parts):
-            out[fast] = part
+            slow[block[(u == 0).any(axis=1)]] = True
+            drawn[0][block] = hit & (u <= 2863311530)
+            drawn[1][block] = hit & (u >= 1431655766)
     for j in np.flatnonzero(slow):
         rng = shot_rng(seed, start + int(j))
         rows = [sample_shot(source, rng)] if model else sample_depolarizing(n, p, rng)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cbdecode.bp import LLR_CLAMP, MAX_ITERS, BPDecoder, bp_cb_decode, event_weights
+from cbdecode.bp import LLR_CLAMP, MAX_ITERS, BPDecoder, _column_sums, bp_cb_decode, event_weights
 from cbdecode.cb import CBParams, run_schedule
 from cbdecode.gf2 import BinaryMatrix, mat_vec_mod2
 from cbdecode.harness import ExperimentConfig
@@ -370,3 +370,41 @@ def test_a_batch_works_in_memory_that_does_not_grow_with_it(bb72):
     assert large < 1.5 * small, (small, large)
     assert results_kb > small / 2  # the results alone would have hidden a growing buffer
 
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("slots", [range(1, 40), range(40, 140), range(140, 301)],
+                         ids=["1-39", "40-139", "140-300"])
+def test_column_sums_add_the_planes_in_numpys_order(slots):
+    """A column's sum over its slot planes is, bit for bit, what `.sum` gives
+    over the same terms along a contiguous axis: under 8 terms, 8 to 128
+    and above 128, with mixed magnitudes, -0.0 entries, all-(-0.0) columns
+    and padding zeros.  Only an all-zero sum may differ, in its sign, and
+    adding a prior's llr, 0.0 for a prior of 0.5 included, removes that."""
+    rng = np.random.default_rng(25)
+    llrs = np.log((1.0 - np.array([0.5, 0.05, 1e-12])) / np.array([0.5, 0.05, 1e-12]))
+    assert _bits(llrs[:1]) == _bits(np.zeros(1))  # a prior of 0.5 is an llr of +0.0
+    reordered = 0
+    for n in slots:
+        terms = rng.standard_normal((4, 6, n)) * 10.0 ** rng.integers(-12, 13, (4, 6, n))
+        terms[0, :, ::3] = -0.0
+        terms[1, 0] = -0.0  # an all-(-0.0) column
+        terms[1, 1] = 0.0  # padding alone
+        terms[2, :, n // 2 :] = 0.0  # padding after the messages
+        terms[3, 0, 1::2] = -terms[3, 0, : n - n % 2 : 2]  # each term cancels the one before
+        want = terms.sum(axis=-1)
+        got = _column_sums(np.ascontiguousarray(np.swapaxes(terms, -1, -2)))
+        assert got.shape == want.shape and np.array_equal(got, want), n
+        nonzero = want != 0.0
+        assert np.array_equal(_bits(got[nonzero]), _bits(want[nonzero])), n
+        for llr in llrs:
+            assert np.array_equal(_bits(llr + got), _bits(llr + want)), (n, llr)
+        in_turn = terms[..., 0].copy()
+        for k in range(1, n):
+            in_turn += terms[..., k]
+        reordered += not np.array_equal(in_turn, want)
+    # the terms tell the orders apart: adding every plane in turn misses
+    assert reordered > 0 if slots.stop > 8 else reordered == 0

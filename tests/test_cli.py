@@ -763,3 +763,29 @@ def test_pooled_run_reports_a_bad_dem(tmp_path, dem):
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("run: ") and dem in proc.stderr
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_run_rejects_fewer_than_one_thread_before_its_csv_opens(tmp_path, capsys, monkeypatch,
+                                                                threads):
+    calls = _record_runs(monkeypatch)
+    _no_model_built(monkeypatch)
+    csv = tmp_path / "r.csv"
+    assert main(["run", str(run_config(tmp_path, p=0.05)), "--csv", str(csv),
+                 "--threads", threads]) == 2
+    captured = capsys.readouterr()
+    assert "run: threads must be >= 1" in captured.err and "shots=" not in captured.out
+    assert calls == [] and not csv.exists()
+
+
+def test_sweep_rejects_fewer_than_one_thread_before_its_first_point(tmp_path, capsys,
+                                                                    monkeypatch):
+    calls = _record_runs(monkeypatch)
+    _no_model_built(monkeypatch)
+    sweep = tmp_path / "s.yaml"
+    sweep.write_text(f"probabilities: [0.02, 0.04]\noutput: {tmp_path / 's.csv'}\n"
+                     "codes:\n  - {code: bb72}\n")
+    assert main(["sweep", str(sweep), "--threads", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "sweep: threads must be >= 1\n" and captured.out == ""
+    assert calls == [] and os.listdir(tmp_path) == ["s.yaml"]

@@ -410,6 +410,58 @@ def test_bad_input_raises_before_the_pool_starts(tmp_path, monkeypatch):
         run_experiment(config, threads=2)
 
 
+class _InProcessPool:
+    """Stands in for multiprocessing.Pool: records its size and runs the
+    tasks in this process, through the same initializer."""
+
+    def __init__(self, sizes, processes, initializer, initargs):
+        sizes.append(processes)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, tasks):
+        results = map(fn, tasks)
+
+        class Results:
+            def next(self, timeout=None):
+                return next(results)
+
+        return Results()
+
+    def close(self):
+        pass
+
+    def join(self):
+        pass
+
+
+@pytest.mark.parametrize("threads,max_shots,size", [(8, 250, 3), (8, 1000, 8), (2, 101, 2),
+                                                    (8, 100, None), (8, 1, None)])
+def test_a_pool_starts_no_more_workers_than_it_has_tasks(monkeypatch, threads, max_shots, size):
+    sizes = []
+    monkeypatch.setattr(harness, "_WORKER_RUNNER", None)
+    monkeypatch.setattr(harness.multiprocessing, "Pool",
+                        lambda processes, **kwargs: _InProcessPool(sizes, processes, **kwargs))
+    config = _config(p=0.05, max_shots=max_shots, max_failures=None)
+    result = run_experiment(config, threads=threads)
+    assert sizes == ([] if size is None else [size])  # one task: the run is serial
+    serial = run_experiment(config)
+    assert (result.shots_run, result.logical_failures) == (max_shots, serial.logical_failures)
+
+
+@pytest.mark.parametrize("threads", [0, -1, -8])
+def test_fewer_than_one_thread_is_rejected(monkeypatch, threads):
+    monkeypatch.setattr(harness.multiprocessing, "Pool", None)
+    monkeypatch.setattr(harness, "_shot_outcomes", None)
+    with pytest.raises(ValueError, match=r"threads must be >= 1"):
+        run_experiment(_config(max_shots=100), threads=threads)
+
+
 @pytest.mark.parametrize("noise", ["data-qubit", "phenomenological", "circuit-file"])
 def test_unsound_output_raises_on_every_noise_model(noise, bb72, tmp_path, monkeypatch):
     if noise == "circuit-file":
@@ -593,6 +645,19 @@ def test_a_serial_run_without_a_failure_target_decodes_spans_of_chunks(monkeypat
     assert run_experiment(config).shots_run == 2550
     assert [(start, stop) for start, stop, _ in spans] == [(0, 1000), (1000, 2000), (2000, 2550)]
     assert all(calls == 2 for _, _, calls in spans)
+
+
+def test_a_span_is_sampled_in_one_call(monkeypatch):
+    calls = []
+
+    def recorded(source, seed, start, stop):
+        calls.append((start, stop))
+        return sample_chunk(source, seed, start, stop)
+
+    monkeypatch.setattr(harness, "sample_chunk", recorded)
+    config = _config(p=0.05, sector="both", max_shots=2550, max_failures=None)
+    assert run_experiment(config).shots_run == 2550
+    assert calls == [(0, 1000), (1000, 2000), (2000, 2550)]
 
 
 @pytest.mark.parametrize("bp_iters", [MAX_ITERS, 0])

@@ -1,5 +1,6 @@
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -340,8 +341,8 @@ def _zero_u32(monkeypatch, n, row, u32):
     integer draws' words follow the n words of the uniform draws."""
     original = noise._raw_rows
 
-    def patched(seed, shots, width):
-        rows = original(seed, shots, width)
+    def patched(states, width):
+        rows = original(states, width)
         word = n + u32 // 2
         rows[row, word] &= np.uint64(0xFFFFFFFF00000000 if u32 % 2 == 0 else 0xFFFFFFFF)
         return rows
@@ -371,6 +372,62 @@ def test_a_zero_in_the_unread_half_word_keeps_the_raw_draw(monkeypatch):
     assert fallbacks == []
 
 
+def _span_and_its_chunks(source, seed, start):
+    """A 1000-shot call from `start`, and its ten 100-shot calls stacked."""
+    span = sample_chunk(source, seed, start, start + 1000)
+    chunks = [sample_chunk(source, seed, a, a + 100) for a in range(start, start + 1000, 100)]
+    return span, [np.concatenate(parts) for parts in zip(*chunks)]
+
+
+@pytest.mark.parametrize("start", [0, 2**32 - 550], ids=["first-span", "straddling-2**32"])
+def test_a_span_draws_what_its_chunks_draw(bb72, start):
+    for source in ((bb72.n, 0.05), phenomenological_model(bb72, 0.04, 0.03, 6)):
+        span, chunks = _span_and_its_chunks(source, 21, start)
+        assert len(span) == len(chunks) == (1 if isinstance(source, DetectorModel) else 2)
+        for drawn, want in zip(span, chunks):
+            assert drawn.shape == (1000, want.shape[1]) and np.array_equal(drawn, want)
+
+
+def test_a_span_with_a_zero_word_draws_what_its_chunks_draw(monkeypatch):
+    # the raw words of shot 537, in the sixth block of 100, read 0 as their
+    # first u32 draw, so that shot alone is redrawn per shot, in both calls
+    n, seed, shot = 72, 4, 537
+    target = noise._pcg64_states(seed, np.array([shot]))[0]
+    original = noise._raw_rows
+
+    def patched(states, width):
+        rows = original(states, width)
+        for row, state in zip(rows, states):
+            if state == target:
+                row[n] &= np.uint64(0xFFFFFFFF00000000)
+        return rows
+
+    monkeypatch.setattr(noise, "_raw_rows", patched)
+    fallbacks = []
+    monkeypatch.setattr(noise, "shot_rng", lambda s, i: fallbacks.append(i) or shot_rng(s, i))
+    span, chunks = _span_and_its_chunks((n, 0.05), seed, 0)
+    assert fallbacks == [shot, shot]
+    assert all(np.array_equal(drawn, want) for drawn, want in zip(span, chunks))
+    want = sample_depolarizing(n, 0.05, shot_rng(seed, shot))
+    assert all(np.array_equal(drawn[shot], row) for drawn, row in zip(span, want))
+
+
+def test_a_span_draws_in_scratch_arrays_of_100_shots(bb72):
+    """1000 shots of bb72 r=6 phenomenological noise (612 columns): drawn 100
+    shots at a time, the call peaks near 2 MB; the raw words of the whole
+    span alone would take 4.9 MB."""
+    model = phenomenological_model(bb72, 0.04, 0.04, 6)
+    sample_chunk(model, 5, 0, 100)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        (mechanisms,) = sample_chunk(model, 5, 0, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mechanisms.shape == (1000, 612)
+    assert peak < 3 * 2**20, peak
+
+
 def test_chunk_sampler_keeps_the_per_shot_errors():
     with pytest.raises(ValueError, match="depolarizing probability"):
         sample_chunk((4, 1.5), 0, 0, 3)
@@ -392,7 +449,7 @@ def test_boundary_words_draw_as_numpys_formulas(monkeypatch):
     ints = [us[0] | us[1] << 32, us[2] | us[3] << 32]
     rows = np.array([[(t - 1) << 11, t << 11, (t - 1) << 11 | 0x7FF, (t + 1) << 11] + ints,
                      [0, 0x7FF, 1 << 11, (t - 1) << 11] + ints], dtype=np.uint64)
-    monkeypatch.setattr(noise, "_raw_rows", lambda seed, shots, width: rows[: len(shots)])
+    monkeypatch.setattr(noise, "_raw_rows", lambda states, width: rows[: len(states)])
     x, z = sample_chunk((4, p), 0, 0, 2)
     hit = (rows[:, :4] >> np.uint64(11)).astype(np.float64) * 2.0**-53 < p
     kind = np.array([(3 * u) >> 32 for u in us])
