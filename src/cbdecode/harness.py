@@ -2,28 +2,23 @@
 
 An `ExperimentConfig` describes a whole experiment; `run_experiment(config,
 threads=...)` runs it, in this process or in a pool of up to `threads`
-workers, one a 100-shot task at most.  Per-shot RNG streams derive from
-(seed, shot_index), and outcomes are consumed in shot order, so an
-experiment stops at its shot budget or at the exact shot where the failure
-target is reached at any thread count.  Shots are handled as arrays, a span
-of whole 100-shot chunks at a time: one `sample_chunk` call draws a span's
-shots, one mat-vec gives their syndromes, the decoder runs on the nonzero
-ones, their outputs and decode times are booked as arrays, and one
-`logical_failure` call (two mat-vecs) scores the span.  A pool task is one
-chunk; a serial run takes up to 10 chunks a span, but never more than
-ceil(R / 100) while R failures are still to reach, so it decodes no shot
-past the chunk in which the target could first fall, and a run within 100
-failures of its target decodes one chunk at a time.  BP+CB runs BP once on
-all of a span's nonzero syndromes (`BPDecoder.decode_batch`, whose window
-of rows refills across the span's chunks), then `bp_cb_decode` on each
-with its BP result; a shot is charged the BP batch's time in proportion to
-the iterations its syndrome ran, plus its own `bp_cb_decode` call, and a
-zero syndrome 0 s, so a span's decode times add up to the decoder's.  CB
-alone runs shot by shot.  Every noise model is scored alike: a zero output
-for a nonzero syndrome is a declared failure, and any other output must
-reproduce its syndrome (else ValueError) and is a failure when the
-residual flips a logical observable.  Results report the total logical
-error rate and its per-cycle normalization.
+workers.  Per-shot RNG streams derive from (seed, shot_index), so a run
+counts the same shots and failures at any thread count.  One schedule,
+`_spans`, cuts every run into spans of whole 100-shot chunks, each the
+narrowest of 10 chunks, chunks / threads and ceil(R / 100) for a failure
+target R; a span is one BP batch and, in a pool, one task.  A span returns
+arrays: one `sample_chunk` call draws its shots, one mat-vec gives their
+syndromes, the decoder runs on the nonzero ones, and one `logical_failure`
+call (two mat-vecs) scores them.  `run_experiment` cuts the span in which
+the failure target falls at its exact shot and discards the rest.  BP+CB
+runs BP once on a span's nonzero syndromes (`BPDecoder.decode_batch`), then
+`bp_cb_decode` on each with its BP result; a shot is charged the batch's
+time in proportion to its iterations, plus its own `bp_cb_decode` call, and
+a zero syndrome 0 s.  CB alone runs shot by shot.  Every noise model is
+scored alike: a zero output for a nonzero syndrome is a declared failure,
+and any other output must reproduce its syndrome (else ValueError) and is a
+failure when the residual flips a logical observable.  Results report the
+total logical error rate and its per-cycle normalization.
 """
 
 from __future__ import annotations
@@ -54,9 +49,9 @@ DATA_QUBIT = "data-qubit"
 PHENOMENOLOGICAL = "phenomenological"
 CIRCUIT_FILE = "circuit-file"
 
-# shots per pool task: few enough that a failure target stops the pool soon
+# shots per chunk: a span holds whole chunks
 _CHUNK_SHOTS = 100
-# chunks per serial span, one BP batch: its window refills across them
+# most chunks per span, one BP batch: its window refills across them
 _SPAN_CHUNKS = 10
 
 CSV_COLUMNS = [
@@ -228,31 +223,30 @@ class _ShotRunner:
         """
         config = self.config
         outs: list[np.ndarray] = []
-        seconds: list[float] = []
+        seconds = np.empty(rows.size)
         batch = syndromes[rows]
         if bp is None:
-            for syndrome in batch:
+            for i, syndrome in enumerate(batch):
                 t0 = time.perf_counter()
                 outs.append(cb_decode(syndrome, config.params, model.noise_matrix))
-                seconds.append(time.perf_counter() - t0)
-            return outs, np.array(seconds)
+                seconds[i] = time.perf_counter() - t0
+            return outs, seconds
         t0 = time.perf_counter()
         results = bp.decode_batch(batch, config.bp_iters)
         batch_s = time.perf_counter() - t0
         iterations = np.array([result.iterations for result in results], dtype=np.float64)
         if not iterations.any():  # a cap of 0 iterations: an equal share each
             iterations[:] = 1.0
-        for syndrome, result in zip(batch, results):
+        for i, (syndrome, result) in enumerate(zip(batch, results)):
             t0 = time.perf_counter()
             outs.append(bp_cb_decode(syndrome, config.params, model, config.bp_iters, decoder=bp,
                                      bp_result=result))
-            seconds.append(time.perf_counter() - t0)
-        return outs, np.array(seconds) + batch_s / iterations.sum() * iterations
+            seconds[i] = time.perf_counter() - t0
+        return outs, seconds + batch_s / iterations.sum() * iterations
 
-    def run_shots(self, start: int, stop: int):
-        """Yields (logical failure?, decode seconds) for shots [start, stop),
-        a chunk or a span of chunks, in order, once all of them are sampled,
-        decoded and scored.
+    def run_shots(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """(failed, spent) for shots [start, stop), in order: a bool array of
+        logical failures and a float array of decode seconds.
 
         One `sample_chunk` call draws the shots.  Per sector, one mat-vec
         gives every shot's syndrome, the decoder runs (and is timed) on the
@@ -279,7 +273,7 @@ class _ShotRunner:
             scored = ~declared
             failed[scored] |= logical_failure(model, actual[scored], recovered[scored])
             failed |= declared
-        yield from zip(failed.tolist(), spent.tolist())
+        return failed, spent
 
 
 _WORKER_RUNNER: _ShotRunner | None = None
@@ -290,46 +284,46 @@ def _init_worker(runner: _ShotRunner) -> None:
     _WORKER_RUNNER = runner
 
 
-def _worker_shots(start: int) -> list[tuple[bool, float]]:
-    stop = min(start + _CHUNK_SHOTS, _WORKER_RUNNER.config.max_shots)
-    return list(_WORKER_RUNNER.run_shots(start, stop))
+def _worker_shots(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    return _WORKER_RUNNER.run_shots(*span)
 
 
-def _shot_outcomes(config: ExperimentConfig, threads: int):
-    """Per-shot (failed, decode seconds) in shot-index order.
+def _spans(config: ExperimentConfig, threads: int) -> list[tuple[int, int]]:
+    """The run's spans, [start, stop) in shot order, all but the last the
+    narrowest of `_SPAN_CHUNKS` chunks, chunks / threads (a task per worker)
+    and ceil(R / 100) chunks for a failure target R, and one chunk at least.
+    """
+    chunks = -(-config.max_shots // _CHUNK_SHOTS)
+    width = min(_SPAN_CHUNKS, chunks // threads)
+    if config.max_failures is not None:
+        width = min(width, -(-config.max_failures // _CHUNK_SHOTS))
+    step = max(width, 1) * _CHUNK_SHOTS
+    return [(start, min(start + step, config.max_shots))
+            for start in range(0, config.max_shots, step)]
 
-    A serial run decodes spans of up to `_SPAN_CHUNKS` chunks, and no more
-    than ceil(R / 100) of them while R failures are still to reach, since a
-    shot fails at most once: a span never reaches past the chunk in which
-    the failure target could first fall, and a span is wider than one chunk
-    only with no target or while more than 100 failures are still to
-    reach.  A pool runs one chunk a task, on no more workers than tasks; a
-    run of one task runs serially.  Bad input raises here, before any pool
-    starts, and a worker that dies raises BrokenProcessPool.  An
-    early close or an error terminates the workers; a pool run to its end
-    lets them exit.
+
+def _span_outcomes(config: ExperimentConfig, threads: int):
+    """Each span's (failed, spent) arrays, in shot order.
+
+    The spans run in this process when `threads` is 1 or there is one span,
+    else on a pool of no more workers than spans, one span a task.  Bad
+    input raises here, before any pool starts, and a worker that dies
+    raises BrokenProcessPool.  An early close or an error terminates the
+    workers; a pool run to its end lets them exit.
     """
     runner = _ShotRunner(config)
-    workers = min(threads, -(-config.max_shots // _CHUNK_SHOTS))  # one task each at least
+    spans = _spans(config, threads)
+    workers = min(threads, len(spans))
     if workers == 1:
-        failures = start = 0
-        while start < config.max_shots:
-            chunks = _SPAN_CHUNKS
-            if config.max_failures is not None:  # the target falls no sooner than this
-                chunks = min(chunks, -(-(config.max_failures - failures) // _CHUNK_SHOTS))
-            stop = min(start + chunks * _CHUNK_SHOTS, config.max_shots)
-            for failed, spent in runner.run_shots(start, stop):
-                failures += failed
-                yield failed, spent
-            start = stop
+        yield from (runner.run_shots(*span) for span in spans)
         return
     others = set(multiprocessing.active_children())
     with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(runner,)) as pool:
         children = set(multiprocessing.active_children()) - others
-        chunks = pool.imap(_worker_shots, range(0, config.max_shots, _CHUNK_SHOTS))
+        outcomes = pool.imap(_worker_shots, spans)
         while True:
             try:
-                yield from chunks.next(timeout=1.0)
+                yield outcomes.next(timeout=1.0)
             except StopIteration:
                 break
             except multiprocessing.TimeoutError:
@@ -349,24 +343,28 @@ def check_threads(threads: int) -> None:
 def run_experiment(config: ExperimentConfig, *, threads: int = 1) -> ExperimentResult:
     """Sample, decode and score shots until the shot or failure target.
 
-    `threads` is the most workers to run the shots on (ValueError below 1);
-    a run starts no more workers than it has 100-shot tasks, and runs in
-    this process when that is one.  Shots run a chunk or a span of whole
-    chunks at a time, so a serial run, like a pooled one, decodes the rest
-    of the chunk in which it reaches the failure target and then discards
-    it; the shots and failures counted are unchanged.
+    `threads` is the most workers to run the shots on (ValueError below 1).
+    Serial and pooled runs decode the same spans of whole chunks (see
+    `_spans`) and stop at the exact shot where the failure target is
+    reached, so they count the same shots and failures; the rest of the
+    last span is decoded and discarded.
     """
     check_threads(threads)
+    target = config.max_failures
     failures = 0
-    times: list[float] = []
-    with closing(_shot_outcomes(config, threads)) as outcomes:
+    times: list[np.ndarray] = []
+    with closing(_span_outcomes(config, threads)) as outcomes:
         for failed, spent in outcomes:
-            failures += failed
+            if target is not None and failures + failed.sum() >= target:
+                # the run ends at the shot of its target-th failure
+                stop = np.flatnonzero(failed)[target - failures - 1] + 1
+                failed, spent = failed[:stop], spent[:stop]
+            failures += int(failed.sum())
             times.append(spent)
-            if config.max_failures is not None and failures >= config.max_failures:
+            if failures == target:
                 break
-    shots_run = len(times)
-    arr = np.array(times) * 1e6
+    arr = np.concatenate(times) * 1e6
+    shots_run = arr.size
     pl_total = failures / shots_run
     return ExperimentResult(
         shots_run=shots_run,

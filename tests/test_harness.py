@@ -356,12 +356,10 @@ def test_pool_stops_at_the_failure_target(monkeypatch):
     # the first pool task fails at once; a worker that went on to the next
     # task would spend 100 x 50 ms on it
     def run_shots(self, start, stop):
-        for index in range(start, stop):
-            if index < 100:
-                yield True, 0.0
-            else:
-                time.sleep(0.05)
-                yield False, 0.0
+        shots = np.arange(start, stop)
+        if start >= 100:
+            time.sleep(0.05 * shots.size)
+        return shots < 100, np.zeros(shots.size)
 
     monkeypatch.setattr(harness._ShotRunner, "run_shots", run_shots)
     config = _config(max_shots=1000, max_failures=5)
@@ -373,13 +371,12 @@ def test_pool_stops_at_the_failure_target(monkeypatch):
 
 
 def test_a_dead_pool_worker_raises(monkeypatch):
-    # the worker that takes shots 100-199 dies hard; the pool hands its task
+    # the worker that takes shots 0-199 dies hard; the pool hands its task
     # to no one, so a run that waited for those shots would never return
     def run_shots(self, start, stop):
-        for index in range(start, stop):
-            if index == 150:
-                os._exit(1)
-            yield False, 0.0
+        if start <= 150 < stop:
+            os._exit(1)
+        return np.zeros(stop - start, dtype=bool), np.zeros(stop - start)
 
     def give_up(signum, frame):
         raise TimeoutError("still waiting for the dead worker's shots")
@@ -457,7 +454,7 @@ def test_a_pool_starts_no_more_workers_than_it_has_tasks(monkeypatch, threads, m
 @pytest.mark.parametrize("threads", [0, -1, -8])
 def test_fewer_than_one_thread_is_rejected(monkeypatch, threads):
     monkeypatch.setattr(harness.multiprocessing, "Pool", None)
-    monkeypatch.setattr(harness, "_shot_outcomes", None)
+    monkeypatch.setattr(harness, "_span_outcomes", None)
     with pytest.raises(ValueError, match=r"threads must be >= 1"):
         run_experiment(_config(max_shots=100), threads=threads)
 
@@ -493,8 +490,8 @@ def test_detector_model_chunk_makes_three_mat_vecs(monkeypatch, shots):
     model = runner.sectors[0][1]
     for start in (0, 300):
         calls.clear()
-        outcomes = list(runner.run_shots(start, start + shots))
-        assert len(outcomes) == shots and sum(failed for failed, _ in outcomes) <= shots // 20
+        failed, spent = runner.run_shots(start, start + shots)
+        assert len(failed) == len(spent) == shots and failed.sum() <= shots // 20
         assert calls == [model.noise_matrix, model.noise_matrix, model.observables]
 
 
@@ -592,7 +589,8 @@ def test_a_bp_cb_chunk_runs_bp_once_per_sector(monkeypatch):
     monkeypatch.setattr(BPDecoder, "decode", lambda *a, **k: pytest.fail("per-shot BP ran"))
     monkeypatch.setattr(harness, "bp_cb_decode", counted_entry)
     runner = harness._ShotRunner(_config(sector="both", p=0.03))
-    assert len(list(runner.run_shots(100, 200))) == 100
+    failed, spent = runner.run_shots(100, 200)
+    assert len(failed) == len(spent) == 100
     want = [(model, row) for (_, model, _), syndromes in zip(runner.sectors, _sector_syndromes(
         runner, 100, 200)) for row in syndromes[syndromes.any(axis=1)]]
     assert len(batches) == 2 and 0 < batches[0] < 100 and sum(batches) == len(want)
@@ -609,7 +607,7 @@ def _recorded_spans(monkeypatch) -> list[list[int]]:
 
     def recorded_run(self, start, stop):
         spans.append([start, stop, 0])
-        yield from run_shots(self, start, stop)
+        return run_shots(self, start, stop)
 
     def counted_batch(self, syndromes, max_iters):
         spans[-1][2] += 1
@@ -621,22 +619,47 @@ def _recorded_spans(monkeypatch) -> list[list[int]]:
 
 
 @pytest.mark.parametrize("max_failures", [1, 40, 150])
-def test_a_serial_span_ends_by_the_chunk_where_the_failure_target_could_fall(monkeypatch,
-                                                                            max_failures):
-    """With failures left to reach, a span holds no chunk past the one in
-    which the target could first fall, so no shot past the end of the
-    stopping chunk is decoded."""
+def test_a_span_under_a_failure_target_is_no_wider_than_the_target_needs(monkeypatch,
+                                                                         max_failures):
+    """Under a failure target R a span holds at most ceil(R / 100) chunks,
+    since a shot fails at most once, and the run decodes no span past the
+    one in which it stops; with R <= 100 that span is the stopping chunk."""
     spans = _recorded_spans(monkeypatch)
     config = _config(p=0.06, sector="both", max_shots=5000, max_failures=max_failures, seed=3)
     result = run_experiment(config)
     assert result.logical_failures == max_failures
     end = -(-result.shots_run // 100) * 100
     assert [start for start, _, _ in spans] == [0] + [stop for _, stop, _ in spans[:-1]]
-    assert all(start % 100 == 0 and stop <= end for start, stop, _ in spans)
-    assert spans[-1][1] == end
+    assert all(start % 100 == 0 and stop % 100 == 0 for start, stop, _ in spans)
     assert all(calls == 2 for _, _, calls in spans)  # one BP batch per sector
-    if max_failures == 150:
+    assert all(stop - start <= -(-max_failures // 100) * 100 for start, stop, _ in spans)
+    assert spans[-1][0] < end  # no span starts past the stopping chunk
+    if max_failures <= 100:
+        assert spans[-1][1] == end
+    else:
         assert spans[0][1] == 200  # 150 failures need at least two chunks
+
+
+@pytest.mark.parametrize("max_failures,chunks", [(None, 10), (100, 1)])
+def test_serial_and_pooled_runs_take_the_same_spans(monkeypatch, max_failures, chunks):
+    spans = _recorded_spans(monkeypatch)
+    monkeypatch.setattr(harness, "_WORKER_RUNNER", None)
+    monkeypatch.setattr(harness.multiprocessing, "Pool",
+                        lambda processes, **kwargs: _InProcessPool([], processes, **kwargs))
+    config = _config(p=0.05, max_shots=4000, max_failures=max_failures)
+    results = []
+    for threads in (1, 2):
+        spans.clear()
+        result = run_experiment(config, threads=threads)
+        schedule = harness._spans(config, threads)
+        # the spans taken are the schedule's, up to the one holding the last shot
+        assert [(start, stop) for start, stop, _ in spans] == [
+            (start, stop) for start, stop in schedule if start < result.shots_run]
+        assert all(stop - start == chunks * 100 for start, stop in schedule)
+        results.append((result.shots_run, result.logical_failures))
+    assert results[0] == results[1]
+    if max_failures is not None:
+        assert results[0][1] == max_failures and results[0][0] < 4000
 
 
 def test_a_serial_run_without_a_failure_target_decodes_spans_of_chunks(monkeypatch):
@@ -664,8 +687,8 @@ def test_a_span_is_sampled_in_one_call(monkeypatch):
 def test_only_zero_syndrome_shots_read_no_decode_time(bp_iters):
     # a cap of 0 iterations splits the BP batch's time evenly
     runner = harness._ShotRunner(_config(p=0.01, bp_iters=bp_iters))
-    outcomes = list(runner.run_shots(0, 100))
+    _, spent = runner.run_shots(0, 100)
     (syndromes,) = _sector_syndromes(runner, 0, 100)
     nonzero = syndromes.any(axis=1)
     assert 10 < nonzero.sum() < 90
-    assert [seconds > 0 for _, seconds in outcomes] == nonzero.tolist()
+    assert (spent > 0).tolist() == nonzero.tolist()
