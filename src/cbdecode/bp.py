@@ -166,6 +166,8 @@ class BPDecoder:
         in which `.sum` would add them along a contiguous axis, and every
         elementwise step runs on each row's slots as one contiguous run.
         """
+        if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)):
+            raise ValueError(f"max_iters must be an integer, got {max_iters!r}")
         if max_iters < 0:
             raise ValueError("max_iters must be >= 0")
         cols = self.m.cols

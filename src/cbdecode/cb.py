@@ -40,17 +40,29 @@ import numpy as np
 from .gf2 import BinaryMatrix, _vec_to_int
 
 
+def _bad_value(key: str, value, kind: str) -> ValueError:
+    return ValueError(f"config key {key!r} cannot take the value {value!r}: {key} must be {kind}")
+
+
+def _check_int(key: str, value, low: int, too_low: str = "") -> None:
+    """Raise ValueError unless `value` is an integer (a bool is not) >= `low`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise _bad_value(key, value, "an integer")
+    if value < low:
+        raise ValueError(too_low or f"{key} must be >= {low}")
+
+
 @dataclass(frozen=True)
 class CBParams:
-    """Decoder budgets: growths per branch, branches per instance, seed tcts."""
+    """Decoder budgets, integers >= 1: growths per branch, branches per instance, seed tcts."""
 
     max_gr: int
     max_br: int
     max_tcts: int
 
     def __post_init__(self):
-        if self.max_gr < 1 or self.max_br < 1 or self.max_tcts < 1:
-            raise ValueError("all CB parameters must be >= 1")
+        for key in ("max_gr", "max_br", "max_tcts"):
+            _check_int(key, getattr(self, key), 1, "all CB parameters must be >= 1")
 
 
 @dataclass

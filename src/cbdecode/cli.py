@@ -17,6 +17,7 @@ from dataclasses import replace
 import yaml
 
 from .bbcodes import BBCodeSpec, STANDARD_CODES, build_bb_code, load_code_spec, spec_from_dict
+from .cb import _check_int
 from .gf2 import save_matrix
 from .harness import (
     CIRCUIT_FILE,
@@ -24,7 +25,6 @@ from .harness import (
     PHENOMENOLOGICAL,
     ExperimentConfig,
     append_csv,
-    check_threads,
     crossing_estimate,
     detector_models,
     result_row,
@@ -75,9 +75,8 @@ def cmd_build_code(args) -> int:
 
 def cmd_build_noise(args) -> int:
     # --rounds 0 and no --q leave the run-file defaults; --q 0 is q = 0
-    flags = {"code": args.code, "noise": args.model, "p": args.p, "q": args.q,
-             "rounds": args.rounds or None, "sector": args.sector}
-    config = _build_config({key: value for key, value in flags.items() if value is not None})
+    config = _build_config({"code": args.code, "noise": args.model, "p": args.p, "q": args.q,
+                            "rounds": args.rounds or None, "sector": args.sector})
     [(_, model)] = detector_models(config)
     save_detector_model(model, args.out)
     print(
@@ -87,14 +86,11 @@ def cmd_build_noise(args) -> int:
     return 0
 
 
-# the keys of a run file or sweep entry besides 'code' and 'dem', with their
-# types (a str key takes only a string); a key that is not set keeps the
-# ExperimentConfig or CBParams default
-_KEYS = {
-    "noise": str, "p": float, "q": float, "rounds": int, "decoder": str, "sector": str,
-    "max_shots": int, "max_failures": lambda v: None if v is None else int(v), "seed": int,
-    "bp_iters": int, "name": str, "max_gr": int, "max_br": int, "max_tcts": int,
-}
+# the keys of a run file or sweep entry besides 'code' and 'dem': the
+# ExperimentConfig and CBParams fields of these names check the values, and a
+# key that is not set keeps the field's default
+_KEYS = ("noise", "p", "q", "rounds", "decoder", "sector", "max_shots", "max_failures", "seed",
+         "bp_iters", "name", "max_gr", "max_br", "max_tcts")
 _PARAM_KEYS = ("max_gr", "max_br", "max_tcts")
 
 
@@ -103,27 +99,16 @@ def _build_config(data: dict) -> ExperimentConfig:
     unknown = sorted(map(str, set(data) - set(_KEYS) - {"code", "dem"}))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    kwargs = {}
-    for key, convert in _KEYS.items():
-        if key in data:
-            try:
-                if convert is str and not isinstance(data[key], str):
-                    raise TypeError(key)
-                kwargs[key] = convert(data[key])
-            except (TypeError, ValueError):
-                raise ValueError(f"config key {key!r} cannot take the value {data[key]!r}") from None
+    kwargs = {key: data[key] for key in _KEYS if key in data}
     params = {key: kwargs.pop(key) for key in _PARAM_KEYS if key in kwargs}
-    kwargs.setdefault("noise", DATA_QUBIT)
-    if kwargs["noise"] == CIRCUIT_FILE:
+    if data.get("noise") == CIRCUIT_FILE:
         if data.get("dem") is None:
             raise ValueError("circuit-file noise needs a 'dem' path")
         kwargs["dem_path"] = data["dem"]
     else:
         if "code" not in data:
             raise ValueError("config needs a 'code' entry")
-        kwargs["code_spec"] = spec = _resolve_code(data["code"])
-        if kwargs["noise"] == PHENOMENOLOGICAL and "rounds" not in kwargs and spec.distance:
-            kwargs["rounds"] = spec.distance
+        kwargs["code_spec"] = _resolve_code(data["code"])
     config = ExperimentConfig(**kwargs)
     # replace() checks the config again, now with its budgets
     return replace(config, params=replace(config.params, **params))
@@ -143,7 +128,7 @@ def _check_writable(path: str) -> None:
 
 
 def cmd_run(args) -> int:
-    check_threads(args.threads)
+    _check_int("threads", args.threads, 1)
     data = _load_mapping(args.config, "experiment config")
     flags = {"p": args.p, "seed": args.seed, "max_shots": args.shots,
              "max_failures": args.failures, "decoder": args.decoder}
@@ -166,7 +151,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    check_threads(args.threads)
+    _check_int("threads", args.threads, 1)
     data = _load_mapping(args.sweep, "sweep spec")
     try:
         probabilities = [float(p) for p in data.get("probabilities") or []]

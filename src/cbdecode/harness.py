@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import numbers
 import os
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -35,7 +36,7 @@ import numpy as np
 
 from .bbcodes import BBCodeSpec, build_bb_code
 from .bp import MAX_ITERS, BPDecoder, bp_cb_decode
-from .cb import CBParams, cb_decode
+from .cb import CBParams, _bad_value, _check_int, cb_decode
 from .gf2 import mat_vec_mod2
 from .noise import (
     DetectorModel,
@@ -73,12 +74,18 @@ CSV_COLUMNS = [
 
 @dataclass
 class ExperimentConfig:
-    """One Monte Carlo experiment: a noise source, a decoder, budgets."""
+    """One Monte Carlo experiment: a noise source, a decoder, budgets.
 
-    noise: str
+    Each value is checked here, its type before its range: noise, decoder,
+    sector and name are strings; p and q (or None) real numbers, kept as
+    floats; rounds, max_shots, max_failures (or None), seed and bp_iters
+    integers; a bool is neither.  rounds None is the code's distance for
+    phenomenological noise, else 1."""
+
+    noise: str = DATA_QUBIT
     p: float = 0.0
     q: float | None = None
-    rounds: int = 1
+    rounds: int | None = None
     code_spec: BBCodeSpec | None = None
     dem_path: str | None = None
     params: CBParams = field(default_factory=lambda: CBParams(6, 10, 3))
@@ -91,16 +98,20 @@ class ExperimentConfig:
     name: str = ""
 
     def __post_init__(self):
+        for key in ("noise", "decoder", "sector", "name"):
+            if not isinstance(getattr(self, key), str):
+                raise _bad_value(key, getattr(self, key), "a string")
+        for key in ("p", "q") if self.q is not None else ("p",):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise _bad_value(key, value, "a number")
+            setattr(self, key, float(value))
         if self.noise not in (DATA_QUBIT, PHENOMENOLOGICAL, CIRCUIT_FILE):
             raise ValueError(f"unknown noise model {self.noise!r}")
-        has_code = self.code_spec is not None
-        has_dem = self.dem_path is not None
-        if self.noise == CIRCUIT_FILE:
-            if not has_dem or has_code:
-                raise ValueError("circuit-file noise takes a dem_path and no code spec")
-        else:
-            if not has_code or has_dem:
-                raise ValueError(f"{self.noise} noise takes a code spec and no dem_path")
+        if self.noise == CIRCUIT_FILE and (self.dem_path is None or self.code_spec is not None):
+            raise ValueError("circuit-file noise takes a dem_path and no code spec")
+        if self.noise != CIRCUIT_FILE and (self.code_spec is None or self.dem_path is not None):
+            raise ValueError(f"{self.noise} noise takes a code spec and no dem_path")
         if self.decoder not in ("cb", "bp+cb"):
             raise ValueError(f"unknown decoder {self.decoder!r}")
         if self.decoder == "cb" and self.params.max_gr < 2:
@@ -109,12 +120,12 @@ class ExperimentConfig:
             raise ValueError("sector must be x, z or both")
         if self.sector != "x" and self.noise != DATA_QUBIT:
             raise ValueError(f"{self.noise} noise has only sector x")
-        if self.max_shots < 1:
-            raise ValueError("max_shots must be >= 1")
-        if self.max_failures is not None and self.max_failures < 1:
-            raise ValueError("max_failures must be >= 1")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
+        _check_int("max_shots", self.max_shots, 1)
+        if self.max_failures is not None:
+            _check_int("max_failures", self.max_failures, 1)
+        if self.rounds is None:
+            self.rounds = (self.noise == PHENOMENOLOGICAL and self.code_spec.distance) or 1
+        _check_int("rounds", self.rounds, 1)
         if self.rounds != 1 and self.noise == DATA_QUBIT:
             raise ValueError("data-qubit noise has one round")
         if not 0.0 <= self.p <= 0.75:  # NaN fails too
@@ -127,12 +138,8 @@ class ExperimentConfig:
             q = self.q if self.q is not None else self.p
             if not 0.0 <= q <= 0.5:
                 raise ValueError("q (p when q is unset) must lie in [0, 0.5]")
-        if self.bp_iters < 0:
-            raise ValueError("bp_iters must be >= 0")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ValueError("seed must be an integer")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        _check_int("bp_iters", self.bp_iters, 0)
+        _check_int("seed", self.seed, 0)
 
     def label(self) -> str:
         if self.name:
@@ -334,22 +341,16 @@ def _span_outcomes(config: ExperimentConfig, threads: int):
         pool.join()
 
 
-def check_threads(threads: int) -> None:
-    """Raise ValueError unless `threads` is a worker count run_experiment takes."""
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-
-
 def run_experiment(config: ExperimentConfig, *, threads: int = 1) -> ExperimentResult:
     """Sample, decode and score shots until the shot or failure target.
 
-    `threads` is the most workers to run the shots on (ValueError below 1).
+    `threads`, an integer >= 1, is the most workers to run the shots on.
     Serial and pooled runs decode the same spans of whole chunks (see
     `_spans`) and stop at the exact shot where the failure target is
     reached, so they count the same shots and failures; the rest of the
     last span is decoded and discarded.
     """
-    check_threads(threads)
+    _check_int("threads", threads, 1)
     target = config.max_failures
     failures = 0
     times: list[np.ndarray] = []
@@ -381,7 +382,7 @@ def result_row(config: ExperimentConfig, result: ExperimentResult) -> list[str]:
     return [
         config.label(),
         config.noise,
-        repr(float(config.p)),
+        repr(config.p),
         str(config.rounds),
         str(config.params.max_gr),
         str(config.params.max_br),

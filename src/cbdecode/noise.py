@@ -32,7 +32,7 @@ class DetectorModel:
 
     def __post_init__(self):
         self.priors = np.asarray(self.priors, dtype=np.float64)
-        if len(self.priors) != self.noise_matrix.cols:
+        if self.priors.shape != (self.noise_matrix.cols,):
             raise ValueError("one prior per noise-matrix column required")
         if self.observables.cols != self.noise_matrix.cols:
             raise ValueError("observable and noise matrices must share columns")

@@ -282,6 +282,11 @@ def test_decode_rejects_a_negative_iteration_cap():
     syndrome = np.array([1, 0], dtype=np.uint8)
     with pytest.raises(ValueError, match="max_iters must be >= 0"):
         dec.decode(syndrome, max_iters=-1)
+    # a cap that no iteration count equals never stopped a row that fails
+    # to converge; this syndrome converges, so a missing check fails here
+    for cap in (2.5, True):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            dec.decode(np.array([0, 1], dtype=np.uint8), max_iters=cap)
     # a cap of 0 stays valid: the priors are the posterior
     res = dec.decode(syndrome, max_iters=0)
     assert (res.converged, res.iterations) == (False, 0)
@@ -301,6 +306,9 @@ def test_decode_batch_rejects_a_bad_cap_or_shape():
     rows = np.array([[1, 0], [0, 0]], dtype=np.uint8)
     with pytest.raises(ValueError, match="max_iters must be >= 0"):
         dec.decode_batch(rows, max_iters=-1)
+    for cap in (2.5, True):  # both rows converge, so the call returns without the check
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            dec.decode_batch(rows, max_iters=cap)
     for bad in (rows[0], rows[:, :1], np.zeros((2, 3), np.uint8), rows[None]):
         with pytest.raises(ValueError, match="syndromes must be a"):
             dec.decode_batch(bad)

@@ -143,6 +143,9 @@ def test_run_rejects_unknown_keys(tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("max_shots", "null"), ("p", "null"), ("seed", "null"), ("max_gr", "[1]"), ("p", "abc"),
     ("name", "null"), ("name", "[a, b]"), ("noise", "null"), ("decoder", "[cb]"), ("sector", "1"),
+    # integer keys take integers only: these were truncated or read as 1
+    ("seed", "1.5"), ("max_shots", "200.9"), ("max_failures", "true"), ("max_gr", "6.7"),
+    ("bp_iters", "2.5"),
 ])
 def test_run_rejects_a_value_of_the_wrong_type(tmp_path, capsys, key, value):
     cfg = run_config(tmp_path, **{key: value})
@@ -396,6 +399,12 @@ def test_build_config_keeps_the_dataclass_defaults():
     assert cli._build_config({"code": "bb72", "seed": 0}) == ExperimentConfig(
         noise="data-qubit", code_spec=STANDARD_CODES["bb72"], seed=0
     )
+
+
+def test_library_and_run_file_agree_on_phenomenological_rounds():
+    config = ExperimentConfig(noise="phenomenological", p=0.01, code_spec=STANDARD_CODES["bb72"])
+    assert config.rounds == 6  # the code's distance
+    assert cli._build_config({"code": "bb72", "noise": "phenomenological", "p": 0.01}) == config
 
 
 def test_sweep_single_point_matches_run(tmp_path, capsys):

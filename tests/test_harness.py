@@ -1,4 +1,5 @@
 import os
+import re
 import signal
 import sys
 import time
@@ -225,6 +226,31 @@ def test_config_rejects_a_seed_that_is_not_an_integer(seed):
     with pytest.raises(ValueError, match="seed must be an integer"):
         _config(seed=seed)
     assert _config(seed=np.int64(3)).seed == 3
+
+
+@pytest.mark.parametrize("key, value", [
+    *((key, value) for key in ("rounds", "max_shots", "max_failures", "seed", "bp_iters")
+      for value in (2.5, True, "3")),
+    *((key, value) for key in ("p", "q") for value in ("0.05", True)),
+    *((key, value) for key in ("max_gr", "max_br", "max_tcts") for value in (6.5, True)),
+    ("threads", 1.5),
+])
+def test_every_experiment_value_has_its_type_checked(monkeypatch, key, value):
+    # each was truncated, accepted, hung BP or raised a TypeError mid-run
+    monkeypatch.setattr(harness, "_span_outcomes", None)  # no shot may run
+    message = f"config key '{key}' cannot take the value {value!r}: {key} must be "
+    with pytest.raises(ValueError, match=re.escape(message)):
+        if key == "threads":
+            run_experiment(_config(max_shots=100), threads=value)
+        elif key in ("max_gr", "max_br", "max_tcts"):
+            CBParams(**{"max_gr": 6, "max_br": 10, "max_tcts": 3, key: value})
+        else:
+            _config(**{key: value})
+
+
+def test_config_keeps_p_and_q_as_floats():
+    config = _config(noise="phenomenological", p=np.float32(0.25), q=0, rounds=2)
+    assert (type(config.p), type(config.q), config.p, config.q) == (float, float, 0.25, 0.0)
 
 
 def test_config_rejects_a_negative_bp_iteration_cap():

@@ -116,6 +116,13 @@ def test_detector_model_rejects_a_nan_prior(bb72):
         phenomenological_model(bb72, 0.01, float("nan"), 2)
 
 
+@pytest.mark.parametrize("shape", [(), (72, 1)], ids=["scalar", "column"])
+def test_detector_model_rejects_priors_of_the_wrong_shape(bb72, shape):
+    # a scalar raised a TypeError from len(); a column passed, and failed later
+    with pytest.raises(ValueError, match="one prior per noise-matrix column required"):
+        DetectorModel(noise_matrix=bb72.hz, priors=np.full(shape, 0.01), observables=bb72.hz)
+
+
 def test_phenomenological_rejects_zero_rounds(bb72):
     with pytest.raises(ValueError):
         phenomenological_model(bb72, 0.01, 0.01, 0)
