@@ -106,7 +106,7 @@ class Cluster:
     branch's id is the version its add brings the cluster to, so ids rise.
     Destructive growth may dismantle only the branches whose destructive
     flag is False.  The vectors flipped and error are computed from
-    flipped_rows and col_owner when read.  clear() drops every branch; the
+    flipped_rows and owned_cols when read.  clear() drops every branch; the
     growth tables the cluster builds for its matrix, weights and eff are
     kept, so that one cluster serves every step of a schedule.
     """
@@ -216,6 +216,10 @@ class Cluster:
             self.owned_cols ^= 1 << c
         return branch
 
+    def dismantlable(self) -> bool:
+        """Whether a live branch is non-destructive, so destructive growth may dismantle it."""
+        return any(not branch.destructive for branch in self._by_id.values())
+
     def branches(self) -> list[ClosedBranch]:
         """The live branches in id order (ids rise as branches are added)."""
         return list(self._by_id.values())
@@ -229,7 +233,8 @@ class Cluster:
     @property
     def error(self) -> np.ndarray:
         """The live branches' mechanisms as a uint8 vector."""
-        return np.array([owner is not None for owner in self.col_owner], dtype=np.uint8)
+        packed = np.frombuffer(self.owned_cols.to_bytes(-(-self.m.cols // 8), "little"), np.uint8)
+        return np.unpackbits(packed, count=self.m.cols, bitorder="little")
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -300,7 +305,8 @@ def _seed(rows: int, tcts: int, eff: int) -> int:
 # rejected, and counted, when the kept moves take its spawned branches past
 # max_br.  _plain_growth and _destructive_growth run this one search, written
 # out once per growth mode so that non-destructive growth, most of the work,
-# carries none of the destructive bookkeeping.
+# carries none of the destructive bookkeeping.  A destructive pass over a
+# cluster with no non-destructive branch runs _plain_growth: none appears.
 
 
 def _dismantlable(cluster: Cluster, row: int, destroyed: frozenset[int]) -> bool:
@@ -322,9 +328,10 @@ def _commit(
 
 
 def _plain_growth(
-    tcts: int, cluster: Cluster, budget: float, params: CBParams, stats: DecodeStats
+    tcts: int, cluster: Cluster, budget: float, params: CBParams, stats: DecodeStats,
+    destructive: bool,
 ) -> None:
-    """A non-destructive pass: owned columns are never candidates."""
+    """A pass with nothing to dismantle: owned columns are never candidates."""
     max_br, max_gr, min_weight = params.max_br, params.max_gr, cluster.min_weight
     masks, weights, col_owner = cluster.m.col_masks(), cluster.weights, cluster.col_owner
     table, candidates, many = cluster._candidate_table, cluster._candidates, cluster.m.rows
@@ -350,7 +357,7 @@ def _plain_growth(
             mechanisms, satisfied, frontier, fcts, fmask, base, growths = pop()
             if frontier is None:
                 if not fcts:
-                    _commit(cluster, stats, mechanisms, satisfied, frozenset(), False)
+                    _commit(cluster, stats, mechanisms, satisfied, frozenset(), destructive)
                     break
                 frontier, fcts = fcts[0], fcts[1:]
                 fmask ^= 1 << frontier
@@ -561,9 +568,10 @@ def _branch_growth_pass(
 ) -> Cluster:
     if tcts < 1:
         raise ValueError("tcts must be >= 1")
-    if cluster.eff:
-        grow = _destructive_growth if destructive else _plain_growth
-        grow(tcts, cluster, weight, params, stats or DecodeStats())
+    if cluster.eff and destructive and cluster.dismantlable():
+        _destructive_growth(tcts, cluster, weight, params, stats or DecodeStats())
+    elif cluster.eff:  # with nothing to dismantle, destructive growth is the plain search
+        _plain_growth(tcts, cluster, weight, params, stats or DecodeStats(), destructive)
     return cluster
 
 
@@ -623,10 +631,12 @@ def run_schedule(
     the last step otherwise.  The cluster checks the syndrome and weights
     against m (ValueError) before any step; a zero syndrome returns zeros.
 
-    A tcts=1 pass right after a weight-1 sweep that adds no branch leaves a
-    cluster on which both change nothing.  While the cluster's version stays
-    at that value, a cleanup is skipped, and only the rejections it would
-    have counted again are added to stats.
+    A pass that would repeat an idle search is skipped; only the rejections
+    that search counted are added to stats again.  Per tcts, the schedule
+    records a version at which a non-destructive pass changed nothing.  At
+    that version a destructive pass of that tcts with nothing to dismantle
+    runs the same plain search, and a cleanup after an idle tcts=1 pass (a
+    weight-1 sweep, then tcts=1) changes nothing either.
     """
     cluster = Cluster(m, syndrome, event_weights)
     if not cluster.eff:
@@ -636,28 +646,33 @@ def run_schedule(
         if cluster.version:  # each step starts from a cluster with no branches
             cluster.clear()
         budget = budget_for_step(step)
-        # a version the cleanup leaves unchanged, and the rejections it counts there
-        idle_version, idle_rejected = -1, 0
+        idle: dict[int, tuple[int, int]] = {}  # tcts: an idle version, its rejections
 
         def non_dest_pass(tcts: int) -> None:
-            nonlocal idle_version, idle_rejected
             version, rejected = cluster.version, stats.instances_rejected
             non_dest_branch_growth(tcts, cluster, budget, params, stats=stats)
-            if tcts == 1 and cluster.version == version:
-                idle_version, idle_rejected = version, stats.instances_rejected - rejected
+            if cluster.version == version:
+                idle[tcts] = version, stats.instances_rejected - rejected
+
+        def repeats_idle(tcts: int) -> bool:
+            """Whether the cluster is at tcts's idle version; if so, count its rejections."""
+            version, rejected = idle.get(tcts, (-1, 0))
+            if cluster.version == version:
+                stats.instances_rejected += rejected
+            return cluster.version == version
 
         weight_1_errors(cluster, stats=stats)
-        for tcts in range(1, params.max_tcts + 1):
-            non_dest_pass(tcts)
-        # once the cluster explains the full syndrome the remaining passes
-        # are no-ops, so the early returns below are pure shortcuts
+        # once eff is 0 every later pass is a no-op: the returns are shortcuts
         if not cluster.eff:
             return cluster.error
         for tcts in range(1, params.max_tcts + 1):
-            dest_branch_growth(tcts, cluster, budget, params, stats=stats)
-            if cluster.version == idle_version:
-                stats.instances_rejected += idle_rejected
-            else:
+            non_dest_pass(tcts)
+        if not cluster.eff:
+            return cluster.error
+        for tcts in range(1, params.max_tcts + 1):
+            if cluster.dismantlable() or not repeats_idle(tcts):
+                dest_branch_growth(tcts, cluster, budget, params, stats=stats)
+            if not repeats_idle(1):
                 weight_1_errors(cluster, stats=stats)
                 non_dest_pass(1)
             if not cluster.eff:

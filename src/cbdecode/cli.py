@@ -24,6 +24,7 @@ from .harness import (
     DATA_QUBIT,
     PHENOMENOLOGICAL,
     ExperimentConfig,
+    _is_real,
     append_csv,
     crossing_estimate,
     detector_models,
@@ -153,10 +154,11 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     _check_int("threads", args.threads, 1)
     data = _load_mapping(args.sweep, "sweep spec")
-    try:
-        probabilities = [float(p) for p in data.get("probabilities") or []]
-    except (TypeError, ValueError):
-        raise ValueError("'probabilities' must be a list of numbers") from None
+    probabilities = data.get("probabilities") or []
+    # held to the rule of a run's p: a string or a bool is no number
+    if not isinstance(probabilities, list) or not all(map(_is_real, probabilities)):
+        raise ValueError("'probabilities' must be a list of numbers")
+    probabilities = [float(p) for p in probabilities]
     if not probabilities:
         raise ValueError("sweep needs a non-empty 'probabilities' list")
     if any(not 0.0 < p < 1.0 for p in probabilities):

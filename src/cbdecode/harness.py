@@ -72,15 +72,20 @@ CSV_COLUMNS = [
 ]
 
 
+def _is_real(value) -> bool:
+    """Whether value is a real number: a bool is not, nor is a string."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
 @dataclass
 class ExperimentConfig:
     """One Monte Carlo experiment: a noise source, a decoder, budgets.
 
     Each value is checked here, its type before its range: noise, decoder,
-    sector and name are strings; p and q (or None) real numbers, kept as
-    floats; rounds, max_shots, max_failures (or None), seed and bp_iters
-    integers; a bool is neither.  rounds None is the code's distance for
-    phenomenological noise, else 1."""
+    sector and name are strings, and so is dem_path (the file key dem) or
+    None; p and q (or None) real numbers, kept as floats; rounds, max_shots,
+    max_failures (or None), seed and bp_iters integers; a bool is neither.
+    rounds None is the code's distance for phenomenological noise, else 1."""
 
     noise: str = DATA_QUBIT
     p: float = 0.0
@@ -101,9 +106,11 @@ class ExperimentConfig:
         for key in ("noise", "decoder", "sector", "name"):
             if not isinstance(getattr(self, key), str):
                 raise _bad_value(key, getattr(self, key), "a string")
+        if self.dem_path is not None and not isinstance(self.dem_path, str):
+            raise _bad_value("dem", self.dem_path, "a string")  # 0 would open stdin
         for key in ("p", "q") if self.q is not None else ("p",):
             value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not _is_real(value):
                 raise _bad_value(key, value, "a number")
             setattr(self, key, float(value))
         if self.noise not in (DATA_QUBIT, PHENOMENOLOGICAL, CIRCUIT_FILE):

@@ -272,6 +272,9 @@ def test_destructive_growth_without_prior_branches_matches_non_destructive():
     dest_branch_growth(1, c2, 2.0, params)
     assert c1.error.tolist() == c2.error.tolist()
     assert c1.eff == 0 and c2.eff == 0
+    # the same search, but the destructive pass's branch may not be dismantled
+    assert [b.destructive for b in c1.branches()] == [False]
+    assert [b.destructive for b in c2.branches()] == [True]
 
 
 def five_ary_tree_matrix(depth=3, fan=5):
@@ -473,11 +476,16 @@ def test_schedule_invariants(problem):
     add, dismantle = Cluster.add, Cluster.dismantle
 
     def check_views(cluster):
+        # the owned columns come from col_owner: error is read off owned_cols
         flipped = cluster.flipped
         packed = sum(1 << int(r) for r in np.flatnonzero(flipped))
-        owned = sum(1 << int(c) for c in np.flatnonzero(cluster.error))
-        if packed != cluster.flipped_rows or owned != cluster.owned_cols or not np.array_equal(
-            mat_vec_mod2(m, cluster.error), flipped
+        owned = [c for c, owner in enumerate(cluster.col_owner) if owner is not None]
+        error = vec_from_support(m.cols, owned)
+        if (
+            packed != cluster.flipped_rows
+            or sum(1 << c for c in owned) != cluster.owned_cols
+            or not np.array_equal(cluster.error, error)
+            or not np.array_equal(mat_vec_mod2(m, error), flipped)
         ):
             inconsistent.append(cluster.version)
 
@@ -511,6 +519,81 @@ def test_schedule_invariants(problem):
         assert np.array_equal(mat_vec_mod2(m, out), syndrome)
     assert stats.max_spawned <= params.max_br
     assert stats.max_growths <= params.max_gr
+
+
+def reference_schedule(syndrome, params, m, steps, budget_for_step, event_weights=None, stats=None):
+    """run_schedule over the stage API with every pass run: a fresh cluster
+    per step, and no pass skipped because it would repeat an idle search."""
+    stats = stats if stats is not None else DecodeStats()
+    for step in steps:
+        cluster = Cluster(m, syndrome, event_weights)
+        if not cluster.eff:
+            return cluster.error
+        budget = budget_for_step(step)
+        weight_1_errors(cluster, stats=stats)
+        for tcts in range(1, params.max_tcts + 1):
+            non_dest_branch_growth(tcts, cluster, budget, params, stats=stats)
+        if not cluster.eff:
+            return cluster.error
+        for tcts in range(1, params.max_tcts + 1):
+            dest_branch_growth(tcts, cluster, budget, params, stats=stats)
+            weight_1_errors(cluster, stats=stats)
+            non_dest_branch_growth(1, cluster, budget, params, stats=stats)
+            if not cluster.eff:
+                return cluster.error
+    return np.zeros(m.cols, dtype=np.uint8)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(small_problems())
+def test_skipped_passes_change_no_output_and_no_counter(problem):
+    m, syndrome, params, weights = problem
+    if weights is None:
+        steps, budget_for_step = range(2, params.max_gr + 1), float
+    else:
+        w_max = float(weights.max())
+        steps, budget_for_step = range(1, params.max_gr + 1), lambda step: step * w_max
+    got, want = DecodeStats(), DecodeStats()
+    out = run_schedule(syndrome, params, m, steps, budget_for_step, event_weights=weights,
+                       stats=got)
+    expected = reference_schedule(syndrome, params, m, steps, budget_for_step, weights, want)
+    assert np.array_equal(out, expected)
+    assert got == want
+
+
+def count_destructive_passes(monkeypatch):
+    calls = []
+    grow = cb.dest_branch_growth
+    monkeypatch.setattr(
+        cb, "dest_branch_growth", lambda tcts, *a, **k: calls.append(tcts) or grow(tcts, *a, **k)
+    )
+    return calls
+
+
+def chain_with_isolated_column():
+    # c0 {0,1}, c1 {1,2}, c2 {2,3}: rows 0 and 3 need all three, a path of
+    # weight 3; c3 {4} is the isolated column
+    return BinaryMatrix(5, 4, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (4, 3)])
+
+
+@pytest.mark.parametrize("isolated", [False, True])
+def test_a_destructive_pass_is_skipped_only_with_nothing_to_dismantle(monkeypatch, isolated):
+    # At step 2 no non-destructive pass closes a branch: every path dies at
+    # the budget.  With rows 0 and 3 alone the cluster keeps no branch, so
+    # each destructive pass repeats its tcts's idle search and is skipped.
+    # With row 4 too, the weight-1 sweep closes c3, which a destructive pass
+    # may dismantle, so every one runs.  Step 3 closes c0 c1 c2 before any.
+    m = chain_with_isolated_column()
+    params = CBParams(3, 10, 3)
+    syndrome = syndrome_of(m, [0, 1, 2, 3] if isolated else [0, 1, 2])
+    calls = count_destructive_passes(monkeypatch)
+    stats = DecodeStats()
+    out = cb_decode(syndrome, params, m, stats=stats)
+    assert calls == ([1, 2, 3] if isolated else [])
+    assert np.array_equal(out, vec_from_support(4, [0, 1, 2, 3] if isolated else [0, 1, 2]))
+    want = DecodeStats()
+    reference_schedule(syndrome, params, m, range(2, 4), float, stats=want)
+    assert stats == want
 
 
 # --- cb_decode ---------------------------------------------------------------

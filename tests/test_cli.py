@@ -123,6 +123,19 @@ def test_run_unreadable_dem(tmp_path, capsys):
     assert "outside (0, 1)" in capsys.readouterr().err
 
 
+def test_run_rejects_a_dem_path_that_is_not_a_string(tmp_path):
+    # open(0) read standard input as the detector model and the run exited 0
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("noise: circuit-file\ndem: 0\nmax_shots: 5\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    with open(os.devnull) as stdin:
+        proc = subprocess.run([sys.executable, "-m", "cbdecode.cli", "run", str(cfg)],
+                              stdin=stdin, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "run: config key 'dem' cannot take the value 0: dem must be a string\n"
+    assert proc.stdout == ""
+
+
 def test_run_reports_an_unwritable_csv(tmp_path, capsys):
     cfg = run_config(tmp_path, max_shots=3)
     assert main(["run", str(cfg), "--csv", str(tmp_path / "missing" / "r.csv")]) == 2
@@ -563,7 +576,8 @@ def test_sweep_point_error_of_an_unnamed_entry_names_its_index(tmp_path, capsys)
     assert "None p=" not in err
 
 
-@pytest.mark.parametrize("probabilities", ["[null]", "0.05", "[0.05, abc]"])
+# ["0.05"] and [true] were converted by float() and swept
+@pytest.mark.parametrize("probabilities", ["[null]", "0.05", "[0.05, abc]", '["0.05"]', "[true]"])
 def test_sweep_rejects_probabilities_that_are_not_numbers(tmp_path, capsys, probabilities):
     sweep = tmp_path / "s.yaml"
     sweep.write_text(f"probabilities: {probabilities}\ncodes: [{{code: bb72}}]\n")
