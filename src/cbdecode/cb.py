@@ -34,6 +34,7 @@ API: a caller observes a stage by running it on its own cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -611,6 +612,16 @@ def dest_branch_growth(
     return _branch_growth_pass(True, tcts, cluster, weight, params, stats)
 
 
+@cache
+def _passes(max_tcts: int) -> tuple[tuple[bool, int], ...]:
+    """A step's passes as (destructive, tcts) pairs, tcts 0 standing for a
+    weight-1 sweep: a sweep, non-destructive passes for tcts = 1..max_tcts,
+    then a destructive pass per tcts, each followed by a sweep and tcts=1.
+    Kept per max_tcts: building them costs about 1 µs a call."""
+    cleanups = [((True, tcts), (False, 0), (False, 1)) for tcts in range(1, max_tcts + 1)]
+    return tuple((False, tcts) for tcts in range(max_tcts + 1)) + sum(cleanups, ())
+
+
 def run_schedule(
     syndrome: np.ndarray,
     params: CBParams,
@@ -623,60 +634,42 @@ def run_schedule(
 ) -> np.ndarray:
     """The decoding schedule shared by the plain and reweighted decoders.
 
-    Per step: a cluster with no branches (one cluster, cleared between
-    steps), a weight-1 sweep, non-destructive sweeps for tcts =
-    1..max_tcts, then destructive sweeps each followed by a weight-1 sweep
-    and a tcts=1 non-destructive cleanup.  Returns the cluster error
-    once its flipped checks reproduce the syndrome, the zero vector after
-    the last step otherwise.  The cluster checks the syndrome and weights
-    against m (ValueError) before any step; a zero syndrome returns zeros.
+    Each step runs `_passes(max_tcts)` in order on one cluster with no
+    branches (cleared between steps).  Returns the cluster error as soon as
+    its flipped checks reproduce the syndrome (every later pass would be a
+    no-op), the zero vector after the last step otherwise.  The cluster
+    checks the syndrome and weights against m (ValueError) before any step;
+    a zero syndrome returns zeros.
 
-    A pass that would repeat an idle search is skipped; only the rejections
-    that search counted are added to stats again.  Per tcts, the schedule
-    records a version at which a non-destructive pass changed nothing.  At
-    that version a destructive pass of that tcts with nothing to dismantle
-    runs the same plain search, and a cleanup after an idle tcts=1 pass (a
-    weight-1 sweep, then tcts=1) changes nothing either.
+    One exact rule skips passes.  A search is named by its tcts and by
+    whether it may dismantle, so a destructive pass with nothing to
+    dismantle is the non-destructive search of its tcts.  Within a step, a
+    pass is skipped, and the rejections its search counted are added to
+    stats again, when the same search closed nothing at the cluster's
+    current version.  A sweep is recorded at the version where it ends,
+    even when it closed branches: a second sweep closes nothing.
     """
     cluster = Cluster(m, syndrome, event_weights)
-    if not cluster.eff:
-        return cluster.error
     stats = stats if stats is not None else DecodeStats()
-    for step in steps:
+    for budget in map(budget_for_step, steps):
         if cluster.version:  # each step starts from a cluster with no branches
             cluster.clear()
-        budget = budget_for_step(step)
-        idle: dict[int, tuple[int, int]] = {}  # tcts: an idle version, its rejections
-
-        def non_dest_pass(tcts: int) -> None:
-            version, rejected = cluster.version, stats.instances_rejected
-            non_dest_branch_growth(tcts, cluster, budget, params, stats=stats)
-            if cluster.version == version:
-                idle[tcts] = version, stats.instances_rejected - rejected
-
-        def repeats_idle(tcts: int) -> bool:
-            """Whether the cluster is at tcts's idle version; if so, count its rejections."""
-            version, rejected = idle.get(tcts, (-1, 0))
-            if cluster.version == version:
-                stats.instances_rejected += rejected
-            return cluster.version == version
-
-        weight_1_errors(cluster, stats=stats)
-        # once eff is 0 every later pass is a no-op: the returns are shortcuts
-        if not cluster.eff:
-            return cluster.error
-        for tcts in range(1, params.max_tcts + 1):
-            non_dest_pass(tcts)
-        if not cluster.eff:
-            return cluster.error
-        for tcts in range(1, params.max_tcts + 1):
-            if cluster.dismantlable() or not repeats_idle(tcts):
-                dest_branch_growth(tcts, cluster, budget, params, stats=stats)
-            if not repeats_idle(1):
+        idle: dict[tuple[int, bool, int], int] = {}  # (tcts, dismantles, version): rejections
+        for destructive, tcts in _passes(params.max_tcts):
+            dismantles, version = destructive and cluster.dismantlable(), cluster.version
+            if (tcts, dismantles, version) in idle:
+                stats.instances_rejected += idle[tcts, dismantles, version]
+                continue
+            rejected = stats.instances_rejected
+            if tcts:
+                grow = dest_branch_growth if destructive else non_dest_branch_growth
+                grow(tcts, cluster, budget, params, stats=stats)
+            else:
                 weight_1_errors(cluster, stats=stats)
-                non_dest_pass(1)
             if not cluster.eff:
                 return cluster.error
+            if not tcts or cluster.version == version:  # a second sweep closes nothing
+                idle[tcts, dismantles, cluster.version] = stats.instances_rejected - rejected
     return np.zeros(m.cols, dtype=np.uint8)
 
 

@@ -302,18 +302,19 @@ def _worker_shots(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     return _WORKER_RUNNER.run_shots(*span)
 
 
-def _spans(config: ExperimentConfig, threads: int) -> list[tuple[int, int]]:
-    """The run's spans, [start, stop) in shot order, all but the last the
-    narrowest of `_SPAN_CHUNKS` chunks, chunks / threads (a task per worker)
-    and ceil(R / 100) chunks for a failure target R, and one chunk at least.
+def _spans(config: ExperimentConfig, threads: int) -> range:
+    """The first shots of the run's spans, in shot order.  The span at start
+    is [start, min(start + step, stop)) for the range's step and stop: all
+    but the last are the narrowest of `_SPAN_CHUNKS` chunks, chunks /
+    threads (a task per worker) and ceil(R / 100) chunks for a failure
+    target R, and one chunk at least.  A range costs the same at any
+    max_shots, and its length is the span count.
     """
     chunks = -(-config.max_shots // _CHUNK_SHOTS)
     width = min(_SPAN_CHUNKS, chunks // threads)
     if config.max_failures is not None:
         width = min(width, -(-config.max_failures // _CHUNK_SHOTS))
-    step = max(width, 1) * _CHUNK_SHOTS
-    return [(start, min(start + step, config.max_shots))
-            for start in range(0, config.max_shots, step)]
+    return range(0, config.max_shots, max(width, 1) * _CHUNK_SHOTS)
 
 
 def _span_outcomes(config: ExperimentConfig, threads: int):
@@ -326,8 +327,9 @@ def _span_outcomes(config: ExperimentConfig, threads: int):
     workers; a pool run to its end lets them exit.
     """
     runner = _ShotRunner(config)
-    spans = _spans(config, threads)
-    workers = min(threads, len(spans))
+    starts = _spans(config, threads)
+    spans = ((start, min(start + starts.step, starts.stop)) for start in starts)
+    workers = min(threads, len(starts))
     if workers == 1:
         yield from (runner.run_shots(*span) for span in spans)
         return

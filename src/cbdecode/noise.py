@@ -204,8 +204,15 @@ def sample_chunk(
     whatever its length.  Shot indexes >= 2**32 and redrawn shots, or all
     when the import-time self-check failed or seed or p is not valid, are
     drawn by `sample_shot` or `sample_depolarizing` on `shot_rng(seed, i)`,
-    which raise for such a seed or p as numpy does.
+    which raise for such a seed or p as numpy does.  start and stop must be
+    integers (a bool is not) with 0 <= start <= stop, else ValueError, as
+    numpy takes no negative or fractional shot index.
     """
+    for index in (start, stop):
+        if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+            raise ValueError(f"shot indexes must be integers, not {index!r}")
+    if not 0 <= start <= stop:
+        raise ValueError(f"shot indexes must have 0 <= start <= stop, not {start} and {stop}")
     model = isinstance(source, DetectorModel)
     n, p = (source.noise_matrix.cols, source.priors) if model else source
     shots = np.arange(start, stop)

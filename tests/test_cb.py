@@ -570,6 +570,25 @@ def count_destructive_passes(monkeypatch):
     return calls
 
 
+def count_searching_passes(monkeypatch):
+    """The weight-1 sweeps and non-destructive passes run on a cluster that
+    does not yet explain its syndrome: with eff 0 a pass searches nothing."""
+    counts = {"sweeps": 0, "non_dest": 0}
+    sweep, grow = cb.weight_1_errors, cb.non_dest_branch_growth
+
+    def counted_sweep(cluster, **kwargs):
+        counts["sweeps"] += bool(cluster.eff)
+        return sweep(cluster, **kwargs)
+
+    def counted_grow(tcts, cluster, *args, **kwargs):
+        counts["non_dest"] += bool(cluster.eff)
+        return grow(tcts, cluster, *args, **kwargs)
+
+    monkeypatch.setattr(cb, "weight_1_errors", counted_sweep)
+    monkeypatch.setattr(cb, "non_dest_branch_growth", counted_grow)
+    return counts
+
+
 def chain_with_isolated_column():
     # c0 {0,1}, c1 {1,2}, c2 {2,3}: rows 0 and 3 need all three, a path of
     # weight 3; c3 {4} is the isolated column
@@ -583,13 +602,18 @@ def test_a_destructive_pass_is_skipped_only_with_nothing_to_dismantle(monkeypatc
     # each destructive pass repeats its tcts's idle search and is skipped.
     # With row 4 too, the weight-1 sweep closes c3, which a destructive pass
     # may dismantle, so every one runs.  Step 3 closes c0 c1 c2 before any.
+    # Either way every cleanup of step 2 (a sweep, then tcts=1) repeats the
+    # step's idle sweep and tcts=1 search and is skipped: each step runs one
+    # sweep, and the non-destructive passes of step 2 and tcts=1 of step 3.
     m = chain_with_isolated_column()
     params = CBParams(3, 10, 3)
     syndrome = syndrome_of(m, [0, 1, 2, 3] if isolated else [0, 1, 2])
     calls = count_destructive_passes(monkeypatch)
+    searches = count_searching_passes(monkeypatch)
     stats = DecodeStats()
     out = cb_decode(syndrome, params, m, stats=stats)
     assert calls == ([1, 2, 3] if isolated else [])
+    assert searches == {"sweeps": 2, "non_dest": 4}
     assert np.array_equal(out, vec_from_support(4, [0, 1, 2, 3] if isolated else [0, 1, 2]))
     want = DecodeStats()
     reference_schedule(syndrome, params, m, range(2, 4), float, stats=want)

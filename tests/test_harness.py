@@ -3,6 +3,7 @@ import re
 import signal
 import sys
 import time
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -677,7 +678,8 @@ def test_serial_and_pooled_runs_take_the_same_spans(monkeypatch, max_failures, c
     for threads in (1, 2):
         spans.clear()
         result = run_experiment(config, threads=threads)
-        schedule = harness._spans(config, threads)
+        starts = harness._spans(config, threads)
+        schedule = [(start, min(start + starts.step, starts.stop)) for start in starts]
         # the spans taken are the schedule's, up to the one holding the last shot
         assert [(start, stop) for start, stop, _ in spans] == [
             (start, stop) for start, stop in schedule if start < result.shots_run]
@@ -686,6 +688,19 @@ def test_serial_and_pooled_runs_take_the_same_spans(monkeypatch, max_failures, c
     assert results[0] == results[1]
     if max_failures is not None:
         assert results[0][1] == max_failures and results[0][0] < 4000
+
+
+def test_the_span_schedule_costs_the_same_at_any_shot_cap():
+    # a failure target of 100 makes each of the 10**6 spans one chunk wide
+    config = _config(max_shots=10**8, max_failures=100)
+    tracemalloc.start()
+    try:
+        starts = harness._spans(config, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert len(starts) == 10**6 and (starts[1], starts[-1], starts.step) == (100, 10**8 - 100, 100)
 
 
 def test_a_serial_run_without_a_failure_target_decodes_spans_of_chunks(monkeypatch):

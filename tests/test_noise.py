@@ -447,6 +447,13 @@ def test_chunk_sampler_keeps_the_per_shot_errors():
     assert np.array_equal(sample_chunk((4, 0.1), np.int64(1), 0, 3), sample_chunk((4, 0.1), 1, 0, 3))
 
 
+@pytest.mark.parametrize("start,stop", [(-1, 0), (0.5, 3), (0, 2.0), (True, 3), (3, 2)])
+def test_chunk_sampler_takes_only_shot_indexes_numpy_takes(start, stop):
+    # default_rng((1, -1)) raises; -1 as a uint32 lane would draw shot 2**32 - 1
+    with pytest.raises(ValueError, match="shot indexes must"):
+        sample_chunk((9, 0.5), 1, start, stop)
+
+
 def test_boundary_words_draw_as_numpys_formulas(monkeypatch):
     # random() is (raw >> 11) * 2**-53, and integers(0, 3) is (3 * u) >> 32
     # on u32 draws; words at each threshold pin the comparisons exactly
