@@ -26,7 +26,6 @@ from .harness import (
     ExperimentResult,
     crossing_estimate,
     logical_failure,
-    required_shots,
     run_experiment,
 )
 from .noise import (
@@ -72,7 +71,6 @@ __all__ = [
     "phenomenological_model",
     "quotient_basis",
     "rank_mod2",
-    "required_shots",
     "run_experiment",
     "sample_chunk",
     "save_detector_model",

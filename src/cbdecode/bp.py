@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cb import CBParams, DecodeStats, run_schedule
+from .cb import CBParams, DecodeStats, _check_int, run_schedule
 from .gf2 import BinaryMatrix
 from .noise import DetectorModel
 
@@ -166,24 +166,16 @@ class BPDecoder:
         in which `.sum` would add them along a contiguous axis, and every
         elementwise step runs on each row's slots as one contiguous run.
         """
-        if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)):
-            raise ValueError(f"max_iters must be an integer, got {max_iters!r}")
-        if max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
+        _check_int("max_iters", max_iters, 0)
         cols = self.m.cols
         results: list[BPResult] = [None] * len(syndromes)
-        pending = np.arange(len(syndromes))  # by place in the batch
-        if stop_on_match:
-            zero = ~syndromes.any(axis=1)
-            for j in np.flatnonzero(zero).tolist():
-                results[j] = BPResult(self.prior_llr, np.zeros(cols, dtype=np.uint8), True, 0)
-            pending = pending[~zero]
-        if max_iters == 0:
-            decided = np.zeros((pending.size, cols), dtype=np.uint8)
-            decided[:] = self.prior_llr < 0.0
-            for j, out in zip(pending.tolist(), decided):
-                results[j] = BPResult(self.prior_llr, out, False, 0)
-            return results
+        # a row that runs no iteration keeps the priors, and no prior above
+        # 0.5 means a zero decision; it converged if it is zero and may stop
+        zero = ~syndromes.any(axis=1) & stop_on_match
+        idle = zero | (max_iters == 0)
+        for j in np.flatnonzero(idle).tolist():
+            results[j] = BPResult(self.prior_llr, np.zeros(cols, dtype=np.uint8), bool(zero[j]), 0)
+        pending = np.flatnonzero(~idle)  # by place in the batch
 
         width = min(_WINDOW, pending.size)
         # the window rows' messages, closed by their padding slot, in the

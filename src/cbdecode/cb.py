@@ -362,9 +362,7 @@ def _plain_growth(
                     break
                 frontier, fcts = fcts[0], fcts[1:]
                 fmask ^= 1 << frontier
-            growths += 1
-            if growths > max_gr:
-                continue
+            growths += 1  # <= max_gr: a path at max_gr is pushed only closed
             blocked = satisfied | fmask
             fresh = ~(eff | fmask)  # no deferred check is violated
             taken = mechanisms | owned_cols

@@ -167,13 +167,6 @@ class ExperimentResult:
     decode_p99_us: float
 
 
-def required_shots(target_pl_d: float) -> int:
-    """Shot budget rule of thumb: 100 observed failures at the target rate."""
-    if not 0.0 < target_pl_d <= 1.0:
-        raise ValueError("target logical error rate must lie in (0, 1]")
-    return math.ceil(100.0 / target_pl_d)
-
-
 def logical_failure(
     model: DetectorModel, actual: np.ndarray, recovered: np.ndarray
 ) -> np.bool_ | np.ndarray:
@@ -253,8 +246,7 @@ class _ShotRunner:
             iterations[:] = 1.0
         for i, (syndrome, result) in enumerate(zip(batch, results)):
             t0 = time.perf_counter()
-            outs.append(bp_cb_decode(syndrome, config.params, model, config.bp_iters, decoder=bp,
-                                     bp_result=result))
+            outs.append(bp_cb_decode(syndrome, config.params, model, bp_result=result))
             seconds[i] = time.perf_counter() - t0
         return outs, seconds + batch_s / iterations.sum() * iterations
 

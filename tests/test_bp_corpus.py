@@ -8,7 +8,9 @@ and column, run for a fixed 40 iterations.  The sha256 of every result's
 `llrs`, `marginals` and `hard_decision` bytes, its iteration count and its
 `converged` flag is pinned, together with the total iteration count and the
 number of converged results, so any change in a float operation or its order
-shows up here.  `GOLDEN_SHORT` pins the same digests for short schedules
+shows up here.  `GOLDEN_DECISIONS` pins the same runs' hard decisions,
+iteration counts and `converged` flags alone, which hold on every SIMD path
+numpy dispatches to.  `GOLDEN_SHORT` pins the same digests for short schedules
 (`max_iters` 0, 1, 2 and 7, with and without `stop_on_match`), so that the
 first iterations are checked on their own, on those three matrices and on two
 edge matrices: one whose rows all have weight 1, and one with no rows.  A
@@ -355,6 +357,41 @@ def test_irregular_matrix_shapes():
 )
 def test_golden_corpus(bb72, corpus, name):
     assert corpus(bb72) == GOLDEN[name]
+
+
+# sha256 of each result's hard_decision bytes, iterations and converged
+# alone: unlike GOLDEN, it holds when only the posterior's last float bits
+# move, as they do off numpy's AVX-512 arctanh
+GOLDEN_DECISIONS = {
+    "data": "564575e2124b138b26d8012f202a12a1f3d06e15188ea759f96f584130bfd3ce",
+    "phenom": "40f53af501a6056405e3cd72a7f43a1603112052e43558ed86a92e1430412aa4",
+    "irregular": "31305046289e0ff62e9e3d7e697fd25e06a5903bb807626bfc4e80b464870345",
+}
+
+
+def decisions_digest(results):
+    digest = hashlib.sha256()
+    for res in results:
+        digest.update(res.hard_decision.tobytes())
+        digest.update(f"{res.iterations},{int(res.converged)};".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "problem, kwargs, name",
+    [
+        (data_problem, {}, "data"),
+        (phenom_problem, {}, "phenom"),
+        (irregular_problem, {"max_iters": 40, "stop_on_match": False}, "irregular"),
+    ],
+    ids=["data", "phenom", "irregular"],
+)
+def test_golden_corpus_decisions(bb72, problem, kwargs, name):
+    """The GOLDEN corpora's decisions: a failure here means decisions moved,
+    one in test_golden_corpus alone that only float bits did."""
+    decoder, syndromes = problem(bb72)
+    results = (decoder.decode(s, **kwargs) for s in syndromes)
+    assert decisions_digest(results) == GOLDEN_DECISIONS[name]
 
 
 SHORT_PROBLEMS = {

@@ -455,9 +455,13 @@ def small_problems(draw):
     m = BinaryMatrix(rows, cols, entries)
     error = draw(st.lists(st.booleans(), min_size=cols, max_size=cols))
     syndrome = syndrome_of(m, [c for c, e in enumerate(error) if e])
-    params = CBParams(draw(st.integers(2, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    weighted = draw(st.booleans())
+    # the weighted schedule starts at step 1, so max_gr 1 makes every expansion the last
+    params = CBParams(
+        draw(st.integers(1 if weighted else 2, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    )
     weights = None
-    if draw(st.booleans()):
+    if weighted:
         weights = np.array(draw(st.lists(st.integers(1, 4), min_size=cols, max_size=cols)), float)
     return m, syndrome, params, weights
 
@@ -559,6 +563,22 @@ def test_skipped_passes_change_no_output_and_no_counter(problem):
     expected = reference_schedule(syndrome, params, m, steps, budget_for_step, weights, want)
     assert np.array_equal(out, expected)
     assert got == want
+
+
+@pytest.mark.parametrize("max_gr", [1, 2])
+def test_a_path_grows_at_most_max_gr_times(max_gr):
+    """A chain of three unit columns between two violated checks takes two
+    growths from either end.  The weighted step-1 budget, 4 from the unused
+    weight-4 column, fits all three, so max_gr alone stops the chain at 1."""
+    m = BinaryMatrix(5, 4, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (4, 3)])
+    stats = DecodeStats()
+    out = run_schedule(
+        np.array([1, 0, 0, 1, 0], dtype=np.uint8), CBParams(max_gr, 10, 1), m,
+        range(1, max_gr + 1), lambda step: step * 4.0,
+        event_weights=np.array([1.0, 1.0, 1.0, 4.0]), stats=stats,
+    )
+    assert stats.max_growths == max_gr
+    assert out.tolist() == ([0, 0, 0, 0] if max_gr == 1 else [1, 1, 1, 0])
 
 
 def count_destructive_passes(monkeypatch):

@@ -19,7 +19,6 @@ from cbdecode.harness import (
     append_csv,
     crossing_estimate,
     logical_failure,
-    required_shots,
     result_row,
     run_experiment,
     CSV_COLUMNS,
@@ -33,16 +32,6 @@ from cbdecode.noise import (
     save_detector_model,
     shot_rng,
 )
-
-
-def test_required_shots():
-    assert required_shots(0.01) == 10_000
-    assert required_shots(1.0) == 100
-    assert required_shots(0.5) == 200
-    with pytest.raises(ValueError):
-        required_shots(0.0)
-    with pytest.raises(ValueError):
-        required_shots(-1.0)
 
 
 def test_logical_failure_basic(bb72):
@@ -607,10 +596,9 @@ def test_a_bp_cb_chunk_runs_bp_once_per_sector(monkeypatch):
         batches.append(len(syndromes))
         return batch(self, syndromes, max_iters)
 
-    def counted_entry(syndrome, params, model, max_iters, *, decoder, bp_result):
+    def counted_entry(syndrome, params, model, *, bp_result):
         entries.append((model, syndrome.copy(), bp_result))
-        return bp_cb_decode(syndrome, params, model, max_iters, decoder=decoder,
-                            bp_result=bp_result)
+        return bp_cb_decode(syndrome, params, model, bp_result=bp_result)
 
     monkeypatch.setattr(BPDecoder, "decode_batch", counted_batch)
     monkeypatch.setattr(BPDecoder, "decode", lambda *a, **k: pytest.fail("per-shot BP ran"))

@@ -40,7 +40,6 @@ PUBLIC_NAMES = [
     "phenomenological_model",
     "quotient_basis",
     "rank_mod2",
-    "required_shots",
     "run_experiment",
     "sample_chunk",
     "save_detector_model",
@@ -73,7 +72,7 @@ CSS_CODE_FIELDS = ["hx", "hz", "logical_x", "logical_z", "distance"]
 
 
 def test_all_is_the_pinned_public_surface():
-    assert len(PUBLIC_NAMES) == 37
+    assert len(PUBLIC_NAMES) == 36
     assert sorted(cbdecode.__all__) == PUBLIC_NAMES
 
 
