@@ -19,16 +19,16 @@ branches a separation may spawn (an instance that goes past it is abandoned),
 and the weight budget caps the accumulated mechanism weight (mechanism count
 in plain mode, event weights when driven by belief-propagation marginals).
 
-A Cluster(m, syndrome, event_weights) holds one decoding problem: the noise
-matrix, the syndrome and the weights are checked and packed once, when it is
-built.  The schedule (run_schedule) is built from three stage passes, each
-acting on a cluster in place and taking only what varies per pass:
-weight_1_errors(cluster) closes every mechanism whose checks are all
-violated, non_dest_branch_growth(tcts, cluster, weight, params) grows every
-seed with tcts trivial checks into a closed branch within the weight budget,
-and dest_branch_growth, with the same parameters, does the same while
-dismantling earlier closed branches it collides with.  They are the stage
-API: a caller observes a stage by running it on its own cluster.
+A Cluster(m, syndrome, event_weights) holds one decoding problem and its
+closed branches.  Three stage passes act on a cluster in place and take
+only what varies per pass: weight_1_errors(cluster) closes every mechanism
+whose checks are all violated, non_dest_branch_growth(tcts, cluster,
+weight, params) grows every seed with tcts trivial checks into a closed
+branch within the weight budget, and dest_branch_growth, with the same
+parameters, does the same while dismantling earlier closed branches it
+collides with.  They are the stage API: a caller observes a stage by
+running it on its own cluster.  The schedule (run_schedule) runs the first
+sweep once per call and builds no cluster when it explains the syndrome.
 """
 
 from __future__ import annotations
@@ -86,6 +86,22 @@ class DecodeStats:
     dismantled: int = 0
 
 
+def _checked(m: BinaryMatrix, syndrome, event_weights) -> tuple[int, np.ndarray | None]:
+    """Check a problem against m (ValueError: a wrong shape, a NaN weight) and
+    pack it: the syndrome as a row bitmask, the weights as float64 or None."""
+    syndrome = np.asarray(syndrome, dtype=np.uint8)
+    if syndrome.shape != (m.rows,):
+        raise ValueError("syndrome length must equal the matrix row count")
+    weights = None
+    if event_weights is not None:
+        weights = np.asarray(event_weights, dtype=np.float64)
+        if weights.shape != (m.cols,):
+            raise ValueError("event weights length must equal the matrix column count")
+        if np.isnan(weights).any():  # base + nan > budget is False: never pruned
+            raise ValueError("event weights must not be NaN")
+    return _vec_to_int(syndrome), weights
+
+
 class Cluster:
     """One decoding problem and the closed branches that explain it so far.
 
@@ -115,34 +131,28 @@ class Cluster:
     def __init__(
         self, m: BinaryMatrix, syndrome: np.ndarray, event_weights: np.ndarray | None = None
     ):
-        syndrome = np.asarray(syndrome, dtype=np.uint8)
-        if syndrome.shape != (m.rows,):
-            raise ValueError("syndrome length must equal the matrix row count")
+        self._start(m, *_checked(m, syndrome, event_weights))
+
+    def _start(self, m: BinaryMatrix, syndrome_rows: int, weights: np.ndarray | None) -> None:
+        """Set the cluster up for a problem that _checked has checked and packed."""
         self._candidate_table: dict[int, tuple[tuple[int, float, int, int], ...]]
-        if event_weights is None:
+        if weights is None:
             self.weights = [1.0] * m.cols
             self.min_weight = 1.0
             # with every weight 1.0 the candidate tables depend on m alone
             self._candidate_table = m.derived.setdefault("cb.unit_candidates", {})
         else:
-            weights = np.asarray(event_weights, dtype=np.float64)
-            if weights.shape != (m.cols,):
-                raise ValueError("event weights length must equal the matrix column count")
-            if np.isnan(weights).any():  # base + nan > budget is False: never pruned
-                raise ValueError("event weights must not be NaN")
             self.weights = weights.tolist()
             self.min_weight = float(weights.min()) if weights.size else 0.0
             self._candidate_table = {}
-        self.m = m
-        self.syndrome_rows = _vec_to_int(syndrome)
+        self.m, self.syndrome_rows = m, syndrome_rows
         self._seed_table: dict[tuple[int, int], dict[int, list[tuple[int, int]]]] = {}
         self.clear()
 
     def clear(self) -> None:
         """Drop every branch, leaving the cluster as it was built."""
-        self.flipped_rows = 0
-        self.owned_cols = 0
-        self.version = 0
+        # _non_destructive: the live branches destructive growth may dismantle
+        self.flipped_rows = self.owned_cols = self.version = self._non_destructive = 0
         self._by_id: dict[int, ClosedBranch] = {}
         self._rows: dict[int, int] = {}
         self.row_owner: list[int | None] = [None] * self.m.rows
@@ -171,9 +181,9 @@ class Cluster:
         eff, owned = self.eff, self.owned_cols
         found = self._seed_table.get((eff, owned))
         if found is None:
-            masks = self.m.col_masks()
+            masks, support = self.m.col_masks(), self.m.row_support
             found = self._seed_table[eff, owned] = {}
-            for c in _candidate_columns(eff, self.m):
+            for c in sorted({c for r in _bits(eff) for c in support[r]}):
                 if not owned >> c & 1:
                     trivial = masks[c] & ~eff
                     count = trivial.bit_count()
@@ -198,6 +208,7 @@ class Cluster:
             rows |= 1 << r
         self._rows[bid] = rows
         self.flipped_rows ^= rows
+        self._non_destructive += not branch.destructive
         for c in branch.mechanisms:
             self.col_owner[c] = bid
             self.owned_cols |= 1 << c
@@ -208,6 +219,7 @@ class Cluster:
         if branch.destructive:
             raise ValueError("only non-destructively obtained branches can be dismantled")
         self.version += 1
+        self._non_destructive -= 1
         del self._by_id[branch_id]
         self.flipped_rows ^= self._rows.pop(branch_id)
         for r in branch.checks_flipped:
@@ -219,7 +231,7 @@ class Cluster:
 
     def dismantlable(self) -> bool:
         """Whether a live branch is non-destructive, so destructive growth may dismantle it."""
-        return any(not branch.destructive for branch in self._by_id.values())
+        return self._non_destructive > 0
 
     def branches(self) -> list[ClosedBranch]:
         """The live branches in id order (ids rise as branches are added)."""
@@ -248,21 +260,43 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _candidate_columns(eff: int, m: BinaryMatrix) -> list[int]:
-    return sorted({c for r in _bits(eff) for c in m.row_support[r]})
+def _sweep(m: BinaryMatrix, eff: int, owned: int) -> tuple[list[int], int]:
+    """The weight-1 sweep on bitmasks: mark every column outside owned whose
+    rows all lie in eff (each column is visited once, from its lowest row,
+    through a table kept in m.derived), then close the marked ones in column
+    order while their rows all lie in what is left of eff, which only loses
+    rows.  Returns the closed columns, ascending, and what is left of eff."""
+    by_lowest = m.derived.get("cb.sweep_columns")
+    if by_lowest is None:
+        by_lowest = m.derived["cb.sweep_columns"] = [[] for _ in range(m.rows)]
+        for c, rows in enumerate(m.col_masks()):
+            if rows:  # a column with no rows is never closed
+                by_lowest[(rows & -rows).bit_length() - 1].append((c, rows))
+    marked = []
+    rest = eff
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        for c, rows in by_lowest[low.bit_length() - 1]:
+            if rows & eff == rows and not owned >> c & 1:
+                marked.append((c, rows))
+    marked.sort()
+    closed = []
+    for c, rows in marked:
+        if rows & eff == rows:
+            closed.append(c)
+            eff ^= rows
+    return closed, eff
 
 
 def weight_1_errors(cluster: Cluster, *, stats: DecodeStats | None = None) -> Cluster:
     """Close every mechanism whose adjacent checks are all effectively violated."""
-    m, eff = cluster.m, cluster.eff
-    stats = stats or DecodeStats()
-    masks = m.col_masks()
-    for c in _candidate_columns(eff, m):
-        rows = masks[c]
-        if cluster.col_owner[c] is None and rows and rows & eff == rows:
-            cluster.add(ClosedBranch(frozenset((c,)), m.col_support[c], False))
-            eff ^= rows
-            stats.branches_closed += 1
+    m = cluster.m
+    closed, _ = _sweep(m, cluster.eff, cluster.owned_cols)
+    for c in closed:
+        cluster.add(ClosedBranch(frozenset((c,)), m.col_support[c], False))
+    if stats is not None:
+        stats.branches_closed += len(closed)
     return cluster
 
 
@@ -575,11 +609,7 @@ def _branch_growth_pass(
 
 
 def non_dest_branch_growth(
-    tcts: int,
-    cluster: Cluster,
-    weight: float,
-    params: CBParams,
-    *,
+    tcts: int, cluster: Cluster, weight: float, params: CBParams, *,
     stats: DecodeStats | None = None,
 ) -> Cluster:
     """Grow every seed with tcts trivial checks into a closed branch, without
@@ -595,11 +625,7 @@ def non_dest_branch_growth(
 
 
 def dest_branch_growth(
-    tcts: int,
-    cluster: Cluster,
-    weight: float,
-    params: CBParams,
-    *,
+    tcts: int, cluster: Cluster, weight: float, params: CBParams, *,
     stats: DecodeStats | None = None,
 ) -> Cluster:
     """non_dest_branch_growth, except that a path may dismantle up to
@@ -612,51 +638,60 @@ def dest_branch_growth(
 
 @cache
 def _passes(max_tcts: int) -> tuple[tuple[bool, int], ...]:
-    """A step's passes as (destructive, tcts) pairs, tcts 0 standing for a
-    weight-1 sweep: a sweep, non-destructive passes for tcts = 1..max_tcts,
-    then a destructive pass per tcts, each followed by a sweep and tcts=1.
-    Kept per max_tcts: building them costs about 1 µs a call."""
+    """A step's passes after its first sweep as (destructive, tcts), tcts 0 a
+    weight-1 sweep: tcts = 1..max_tcts, then a destructive pass per tcts, each
+    followed by a sweep and tcts=1.  Kept per max_tcts (about 1 µs to build)."""
     cleanups = [((True, tcts), (False, 0), (False, 1)) for tcts in range(1, max_tcts + 1)]
-    return tuple((False, tcts) for tcts in range(max_tcts + 1)) + sum(cleanups, ())
+    return tuple((False, tcts) for tcts in range(1, max_tcts + 1)) + sum(cleanups, ())
 
 
 def run_schedule(
-    syndrome: np.ndarray,
-    params: CBParams,
-    m: BinaryMatrix,
-    steps: range,
-    budget_for_step,
-    *,
-    event_weights: np.ndarray | None = None,
-    stats: DecodeStats | None = None,
+    syndrome: np.ndarray, params: CBParams, m: BinaryMatrix, steps: range, budget_for_step, *,
+    event_weights: np.ndarray | None = None, stats: DecodeStats | None = None,
 ) -> np.ndarray:
     """The decoding schedule shared by the plain and reweighted decoders.
 
-    Each step runs `_passes(max_tcts)` in order on one cluster with no
-    branches (cleared between steps).  Returns the cluster error as soon as
-    its flipped checks reproduce the syndrome (every later pass would be a
-    no-op), the zero vector after the last step otherwise.  The cluster
-    checks the syndrome and weights against m (ValueError) before any step;
-    a zero syndrome returns zeros.
+    The syndrome and weights are checked against m (ValueError) and packed
+    before any step.  The weight-1 sweep of a cluster with no branches runs
+    once per call, before any cluster is built: when it explains the
+    syndrome (a zero one included), the first step returns its mechanisms.
+    Otherwise each step adds the sweep's branches to one cluster (cleared
+    between steps), runs `_passes(max_tcts)` in order and returns the
+    cluster error once it explains the syndrome; zeros after the last step.
 
-    One exact rule skips passes.  A search is named by its tcts and by
-    whether it may dismantle, so a destructive pass with nothing to
-    dismantle is the non-destructive search of its tcts.  Within a step, a
-    pass is skipped, and the rejections its search counted are added to
-    stats again, when the same search closed nothing at the cluster's
-    current version.  A sweep is recorded at the version where it ends,
-    even when it closed branches: a second sweep closes nothing.
+    Two exact rules skip passes.  A pass with no seed of its tcts searches
+    nothing.  A search is named by its tcts and whether it may dismantle, so
+    a destructive pass with nothing to dismantle is the non-destructive
+    search of its tcts; within a step, a pass is skipped, and the rejections
+    its search counted are added to stats again, when the same search closed
+    nothing at the cluster's current version.  A sweep is recorded at the
+    version where it ends: a second sweep closes nothing.
     """
-    cluster = Cluster(m, syndrome, event_weights)
+    syndrome_rows, weights = _checked(m, syndrome, event_weights)
     stats = stats if stats is not None else DecodeStats()
+    swept, left = _sweep(m, syndrome_rows, 0)
+    if left:
+        cluster = Cluster.__new__(Cluster)
+        cluster._start(m, syndrome_rows, weights)
+        branches = [ClosedBranch(frozenset((c,)), m.col_support[c], False) for c in swept]
     for budget in map(budget_for_step, steps):
-        if cluster.version:  # each step starts from a cluster with no branches
+        stats.branches_closed += len(swept)
+        if not left:
+            out = np.zeros(m.cols, dtype=np.uint8)
+            out[swept] = 1
+            return out
+        if cluster.version:
             cluster.clear()
-        idle: dict[tuple[int, bool, int], int] = {}  # (tcts, dismantles, version): rejections
+        for branch in branches:
+            cluster.add(branch)
+        # (tcts, dismantles, version): rejections, the first sweep's included
+        idle: dict[tuple[int, bool, int], int] = {(0, False, cluster.version): 0}
         for destructive, tcts in _passes(params.max_tcts):
             dismantles, version = destructive and cluster.dismantlable(), cluster.version
             if (tcts, dismantles, version) in idle:
                 stats.instances_rejected += idle[tcts, dismantles, version]
+                continue
+            if tcts and tcts not in cluster._seeds():
                 continue
             rejected = stats.instances_rejected
             if tcts:
@@ -672,11 +707,7 @@ def run_schedule(
 
 
 def cb_decode(
-    syndrome: np.ndarray,
-    params: CBParams,
-    m: BinaryMatrix,
-    *,
-    stats: DecodeStats | None = None,
+    syndrome: np.ndarray, params: CBParams, m: BinaryMatrix, *, stats: DecodeStats | None = None
 ) -> np.ndarray:
     """Recover an error matching the syndrome, or the zero vector on failure.
 
@@ -686,6 +717,4 @@ def cb_decode(
     """
     if params.max_gr < 2:
         raise ValueError("cb_decode needs max_gr >= 2: its schedule starts at step 2")
-    return run_schedule(
-        syndrome, params, m, range(2, params.max_gr + 1), lambda step: float(step), stats=stats
-    )
+    return run_schedule(syndrome, params, m, range(2, params.max_gr + 1), float, stats=stats)

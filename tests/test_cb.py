@@ -17,6 +17,7 @@ from cbdecode.cb import (
     weight_1_errors,
 )
 from cbdecode.gf2 import BinaryMatrix, mat_vec_mod2, vec_from_support
+from test_cb_fuzz_corpus import CASES as FUZZ_CASES, random_case as fuzz_case
 
 
 def syndrome_of(m, cols):
@@ -104,6 +105,41 @@ def test_weight1_disjoint_columns_order_independent():
         assert cluster.error.tolist() == [1, 1]
         assert cluster.eff == 0
         assert len(cluster.branches()) == 2
+
+
+def sweep_oracle(m, eff, owned):
+    """Mark every unowned column with rows, all of them in eff, then close
+    the marked columns in column order while their rows lie in eff."""
+    marked = [
+        c for c in range(m.cols)
+        if m.col_support[c] and not owned >> c & 1 and all(eff >> r & 1 for r in m.col_support[c])
+    ]
+    closed = []
+    for c in marked:
+        if all(eff >> r & 1 for r in m.col_support[c]):
+            closed.append(c)
+            for r in m.col_support[c]:
+                eff ^= 1 << r
+    return closed, eff
+
+
+def test_sweep_matches_a_brute_force_oracle_on_the_fuzz_corpus_matrices():
+    # the matrices of tests/test_cb_fuzz_corpus.py, drawn as its corpus draws
+    # them, each swept under its syndrome, every row and a random row set,
+    # with no column owned and with a random set owned; and one matrix with
+    # an empty column and overlapping ones
+    corpus, masks = np.random.default_rng(2024), np.random.default_rng(7)
+    problems = []
+    for _ in range(FUZZ_CASES):
+        m, syndrome, _ = fuzz_case(corpus)
+        corpus.uniform(1.0, 4.0, m.cols)
+        corpus.uniform(0.3, 1.0)
+        for eff in (cb._vec_to_int(syndrome), (1 << m.rows) - 1, int(masks.integers(1 << m.rows))):
+            problems += [(m, eff, 0), (m, eff, int(masks.integers(1 << m.cols)))]
+    odd = BinaryMatrix(4, 5, [(1, 0), (2, 0), (0, 1), (1, 1), (2, 2), (3, 2), (3, 4)])
+    problems += [(odd, eff, owned) for eff in range(16) for owned in (0, 0b10, 0b11111)]
+    for m, eff, owned in problems:
+        assert cb._sweep(m, eff, owned) == sweep_oracle(m, eff, owned)
 
 
 # --- seeds, observed through a growth pass -----------------------------------
@@ -473,11 +509,12 @@ def test_schedule_invariants(problem):
     oddly-touched checks violated and its evenly-touched ones trivial under
     the effective syndrome of that moment), and after every add and every
     dismantling the cluster's vector views agree with its row mask and with
-    each other."""
+    each other, and dismantlable() with a scan of the live branches (also
+    after every clear)."""
     m, syndrome, params, weights = problem
     unclosed = []
     inconsistent = []
-    add, dismantle = Cluster.add, Cluster.dismantle
+    add, dismantle, clear = Cluster.add, Cluster.dismantle, Cluster.clear
 
     def check_views(cluster):
         # the owned columns come from col_owner: error is read off owned_cols
@@ -490,6 +527,7 @@ def test_schedule_invariants(problem):
             or sum(1 << c for c in owned) != cluster.owned_cols
             or not np.array_equal(cluster.error, error)
             or not np.array_equal(mat_vec_mod2(m, error), flipped)
+            or cluster.dismantlable() != any(not b.destructive for b in cluster.branches())
         ):
             inconsistent.append(cluster.version)
 
@@ -506,10 +544,15 @@ def test_schedule_invariants(problem):
         check_views(cluster)
         return branch
 
+    def checked_clear(cluster):
+        clear(cluster)
+        check_views(cluster)
+
     stats = DecodeStats()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Cluster, "add", checked_add)
         mp.setattr(Cluster, "dismantle", checked_dismantle)
+        mp.setattr(Cluster, "clear", checked_clear)
         if weights is None:
             out = cb_decode(syndrome, params, m, stats=stats)
         else:
@@ -590,21 +633,28 @@ def count_destructive_passes(monkeypatch):
     return calls
 
 
-def count_searching_passes(monkeypatch):
-    """The weight-1 sweeps and non-destructive passes run on a cluster that
-    does not yet explain its syndrome: with eff 0 a pass searches nothing."""
-    counts = {"sweeps": 0, "non_dest": 0}
-    sweep, grow = cb.weight_1_errors, cb.non_dest_branch_growth
+def count_sweeps(monkeypatch):
+    """The (eff, owned) of every weight-1 sweep: the schedule's one sweep per
+    call and the sweeps that weight_1_errors runs."""
+    calls = []
+    sweep = cb._sweep
+    monkeypatch.setattr(
+        cb, "_sweep", lambda m, eff, owned: calls.append((eff, owned)) or sweep(m, eff, owned)
+    )
+    return calls
 
-    def counted_sweep(cluster, **kwargs):
-        counts["sweeps"] += bool(cluster.eff)
-        return sweep(cluster, **kwargs)
+
+def count_searching_passes(monkeypatch):
+    """The weight-1 sweeps and the non-destructive passes that search: the
+    schedule calls a pass only on a cluster that does not yet explain its
+    syndrome and has a seed of the pass's tcts."""
+    counts = {"sweeps": count_sweeps(monkeypatch), "non_dest": 0}
+    grow = cb.non_dest_branch_growth
 
     def counted_grow(tcts, cluster, *args, **kwargs):
-        counts["non_dest"] += bool(cluster.eff)
+        counts["non_dest"] += 1
         return grow(tcts, cluster, *args, **kwargs)
 
-    monkeypatch.setattr(cb, "weight_1_errors", counted_sweep)
     monkeypatch.setattr(cb, "non_dest_branch_growth", counted_grow)
     return counts
 
@@ -621,10 +671,13 @@ def test_a_destructive_pass_is_skipped_only_with_nothing_to_dismantle(monkeypatc
     # the budget.  With rows 0 and 3 alone the cluster keeps no branch, so
     # each destructive pass repeats its tcts's idle search and is skipped.
     # With row 4 too, the weight-1 sweep closes c3, which a destructive pass
-    # may dismantle, so every one runs.  Step 3 closes c0 c1 c2 before any.
-    # Either way every cleanup of step 2 (a sweep, then tcts=1) repeats the
-    # step's idle sweep and tcts=1 search and is skipped: each step runs one
-    # sweep, and the non-destructive passes of step 2 and tcts=1 of step 3.
+    # may dismantle, so tcts=1's runs.  Step 3 closes c0 c1 c2 before any.
+    # The only seeds, c0 and c2, have one trivial check each, so no pass of
+    # tcts 2 or 3 is called: a destructive one runs only for tcts=1.  Every
+    # cleanup of step 2 (a sweep, then tcts=1) repeats the step's first
+    # sweep and idle tcts=1 search and is skipped.  So the call sweeps once,
+    # before step 2, and the non-destructive passes that search are tcts=1
+    # at step 2 and at step 3: 1 sweep and 2 passes.
     m = chain_with_isolated_column()
     params = CBParams(3, 10, 3)
     syndrome = syndrome_of(m, [0, 1, 2, 3] if isolated else [0, 1, 2])
@@ -632,8 +685,8 @@ def test_a_destructive_pass_is_skipped_only_with_nothing_to_dismantle(monkeypatc
     searches = count_searching_passes(monkeypatch)
     stats = DecodeStats()
     out = cb_decode(syndrome, params, m, stats=stats)
-    assert calls == ([1, 2, 3] if isolated else [])
-    assert searches == {"sweeps": 2, "non_dest": 4}
+    assert calls == ([1] if isolated else [])
+    assert len(searches["sweeps"]) == 1 and searches["non_dest"] == 2
     assert np.array_equal(out, vec_from_support(4, [0, 1, 2, 3] if isolated else [0, 1, 2]))
     want = DecodeStats()
     reference_schedule(syndrome, params, m, range(2, 4), float, stats=want)
@@ -710,24 +763,38 @@ def test_decode_soundness_random_shots(bb72):
 
 
 def test_a_first_step_win_packs_the_syndrome_once(bb72, monkeypatch):
-    # the cluster packs its syndrome when built; no stage pass packs it again
-    packs, sweeps = [], []
-    pack, sweep = cb._vec_to_int, cb.weight_1_errors
+    # the schedule packs the syndrome once, before its sweep; nothing packs it again
+    packs = []
+    pack = cb._vec_to_int
     monkeypatch.setattr(cb, "_vec_to_int", lambda v: packs.append(1) or pack(v))
-    monkeypatch.setattr(cb, "weight_1_errors", lambda *a, **k: sweeps.append(1) or sweep(*a, **k))
+    sweeps = count_sweeps(monkeypatch)
     e = vec_from_support(72, [0, 17])
     out = cb_decode(mat_vec_mod2(bb72.hz, e), CBParams(6, 10, 3), bb72.hz)
     assert np.array_equal(out, e)
-    assert len(sweeps) == 1  # won at the first step, before any destructive pass
+    assert len(sweeps) == 1  # the call's one sweep explains the syndrome: won at step 2
     assert len(packs) == 1
+
+
+def counted_clusters(monkeypatch, refuse=False):
+    """Patch cb.Cluster to record each construction, or to refuse any."""
+    built = []
+
+    class Counted(Cluster):
+        def __new__(cls, *args, **kwargs):
+            assert not refuse, "a cluster was built"
+            built.append(1)
+            return super().__new__(cls)
+
+    monkeypatch.setattr(cb, "Cluster", Counted)
+    return built
 
 
 def test_a_schedule_builds_one_cluster_for_all_its_steps(bb72, monkeypatch):
     # later steps clear the first step's cluster instead of building another
-    packs, sweeps, steps = [], [], []
-    pack, sweep = cb._vec_to_int, cb.weight_1_errors
+    packs, steps = [], []
+    pack = cb._vec_to_int
     monkeypatch.setattr(cb, "_vec_to_int", lambda v: packs.append(1) or pack(v))
-    monkeypatch.setattr(cb, "weight_1_errors", lambda *a, **k: sweeps.append(a[0]) or sweep(*a, **k))
+    built = counted_clusters(monkeypatch)
     s = mat_vec_mod2(bb72.hz, vec_from_support(72, [3, 40, 41, 60, 61, 62, 70]))
     out = run_schedule(
         s, CBParams(6, 10, 3), bb72.hz, range(2, 7), lambda step: steps.append(step) or float(step)
@@ -735,7 +802,46 @@ def test_a_schedule_builds_one_cluster_for_all_its_steps(bb72, monkeypatch):
     assert np.array_equal(mat_vec_mod2(bb72.hz, out), s)
     assert steps == [2, 3]
     assert len(packs) == 1
-    assert len(set(map(id, sweeps))) == 1
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_a_syndrome_the_sweep_explains_builds_no_cluster(bb72, monkeypatch, weighted):
+    # c0 and c17 share no check, and their checks hold no other whole column,
+    # so the call's one sweep closes both and explains the syndrome
+    m, params = bb72.hz, CBParams(6, 10, 3)
+    s = mat_vec_mod2(m, vec_from_support(72, [0, 17]))
+    weights = np.linspace(1.0, 2.0, m.cols) if weighted else None
+    steps, budget_for_step = range(1, 7), lambda step: 2.0 * step
+    want = DecodeStats()
+    expected = reference_schedule(s, params, m, steps, budget_for_step, weights, want)
+    counted_clusters(monkeypatch, refuse=True)
+    got = DecodeStats()
+    out = run_schedule(s, params, m, steps, budget_for_step, event_weights=weights, stats=got)
+    assert np.array_equal(out, expected) and np.array_equal(out, vec_from_support(72, [0, 17]))
+    assert got == want == DecodeStats(branches_closed=2)
+
+
+def test_a_multi_step_call_sweeps_once(bb72, monkeypatch):
+    # every step starts from the call's one sweep: no other sweep sees the
+    # whole syndrome with no column owned
+    m, params = bb72.hz, CBParams(6, 10, 3)
+    rng = np.random.default_rng(21)
+    sweeps = count_sweeps(monkeypatch)
+    multi_step = 0
+    for _ in range(60):
+        s = mat_vec_mod2(m, (rng.random(m.cols) < 0.06).astype(np.uint8))
+        steps, got, want = [], DecodeStats(), DecodeStats()
+        sweeps.clear()
+        out = run_schedule(
+            s, params, m, range(2, 7), lambda step: steps.append(step) or float(step), stats=got
+        )
+        first = [call for call in sweeps if call == (cb._vec_to_int(s), 0)]
+        assert len(first) == 1 and sweeps[0] == first[0]
+        multi_step += len(steps) > 1
+        expected = reference_schedule(s, params, m, range(2, 7), float, stats=want)
+        assert np.array_equal(out, expected) and got == want
+    assert multi_step >= 5
 
 
 def test_cb_decode_rejects_a_schedule_with_no_step(bb72):
