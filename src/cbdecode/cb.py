@@ -338,8 +338,10 @@ def _seed(rows: int, tcts: int, eff: int) -> int:
 # or no column fits the budget) is left out when taking up its frontier would
 # leave it as it is: popped, it would expand to nothing.  The instance is
 # rejected, and counted, when the kept moves take its spawned branches past
-# max_br.  _plain_growth and _destructive_growth run this one search, written
-# out once per growth mode so that non-destructive growth, most of the work,
+# max_br.  At a dead end, where every child that is not closed is left out,
+# _plain_growth only counts the moves and commits the first closed one.
+# _plain_growth and _destructive_growth run this one search, written out
+# once per growth mode so that non-destructive growth, most of the work,
 # carries none of the destructive bookkeeping.  A destructive pass over a
 # cluster with no non-destructive branch runs _plain_growth: none appears.
 
@@ -382,8 +384,10 @@ def _plain_growth(
         if weights[c] > budget:
             continue
         low = trivial & -trivial
+        more = trivial ^ low
         stack = [(
-            1 << c, masks[c] & eff, low.bit_length() - 1, _bits(trivial ^ low), trivial ^ low,
+            1 << c, masks[c] & eff, low.bit_length() - 1,
+            _bits(more) if more & (more - 1) else (more.bit_length() - 1,) if more else (), more,
             weights[c], 0,
         )]
         pop, push = stack.pop, stack.append
@@ -396,40 +400,64 @@ def _plain_growth(
                     break
                 frontier, fcts = fcts[0], fcts[1:]
                 fmask ^= 1 << frontier
-            growths += 1  # <= max_gr: a path at max_gr is pushed only closed
+            growths += 1  # <= max_gr: an expansion at max_gr is a dead end, pushing nothing
             blocked = satisfied | fmask
             fresh = ~(eff | fmask)  # no deferred check is violated
             taken = mechanisms | owned_cols
-            moves: list[tuple] = []
-            fewest = many  # more new checks than any candidate opens
-            for _, weight, rows, cbit in table.get(frontier) or candidates(frontier):
-                if taken & cbit:
-                    continue
-                if base + weight > budget:
-                    break  # and so is every later, heavier candidate
-                explains = rows & eff
-                if explains & blocked:
-                    continue  # second touch on an explained check
-                new_opens = rows & fresh
-                opens = new_opens.bit_count()
-                if opens <= fewest:  # only the moves opening the fewest checks are kept
-                    if opens < fewest:
-                        fewest, moves = opens, []
-                    moves.append((weight, cbit, explains, rows & fmask, new_opens))
-            if not moves:
+            fewest, kept, closing, moves = many, 0, None, ()  # no move opens many checks
+            if growths == max_gr or base + min_weight + min_weight > budget:  # a dead end
+                for _, weight, rows, cbit in table.get(frontier) or candidates(frontier):
+                    if taken & cbit:
+                        continue
+                    if base + weight > budget:
+                        break
+                    explains = rows & eff
+                    if explains & blocked:
+                        continue
+                    opens = (rows & fresh).bit_count()
+                    if opens <= fewest:
+                        if opens < fewest:
+                            fewest, kept = opens, 0
+                        kept += 1
+                        if not opens and closing is None and rows & fmask == fmask:
+                            closing = mechanisms | cbit, satisfied | explains
+            else:
+                moves = []
+                for _, weight, rows, cbit in table.get(frontier) or candidates(frontier):
+                    if taken & cbit:
+                        continue
+                    if base + weight > budget:
+                        break  # and so is every later, heavier candidate
+                    explains = rows & eff
+                    if explains & blocked:
+                        continue  # second touch on an explained check
+                    new_opens = rows & fresh
+                    opens = new_opens.bit_count()
+                    if opens <= fewest:  # only the moves opening the fewest checks are kept
+                        if opens < fewest:
+                            fewest, moves = opens, []
+                        moves.append((weight, cbit, explains, rows & fmask, new_opens))
+                kept = len(moves)
+            if not kept:
                 continue
-            if len(moves) > 1:
-                spawned += len(moves) - 1
+            if kept > 1:
+                spawned += kept - 1
                 if spawned > max_br:
                     stats.instances_rejected += 1
                     break
                 if spawned > stats.max_spawned:
                     stats.max_spawned = spawned
-            last = growths == max_gr
+            if growths > stats.max_growths:  # every path's growths pass through here
+                stats.max_growths = growths
+            if closing:
+                _commit(cluster, stats, *closing, frozenset(), destructive)
+                break
+            if not moves:
+                continue  # a dead end with no closed move
             # moves are cheapest first, as their candidates: push the last first
             for weight, cbit, explains, loop_closed, new_opens in reversed(moves):
                 used = base + weight
-                if (new_opens or loop_closed != fmask) and (last or used + min_weight > budget):
+                if (new_opens or loop_closed != fmask) and used + min_weight > budget:
                     continue  # a dead leaf
                 rest = tuple([r for r in fcts if not loop_closed >> r & 1]) if loop_closed else fcts
                 child_fmask = fmask ^ loop_closed
@@ -445,8 +473,6 @@ def _plain_growth(
                     mechanisms | cbit, satisfied | explains, child_frontier, rest, child_fmask,
                     used, growths,
                 ))
-            if growths > stats.max_growths:  # every path's growths pass through here
-                stats.max_growths = growths
 
 
 def _destructive_growth(
@@ -470,8 +496,10 @@ def _destructive_growth(
         if weights[c] > budget:
             continue
         low = trivial & -trivial
+        more = trivial ^ low
         stack = [(
-            1 << c, masks[c] & eff, 0, low.bit_length() - 1, _bits(trivial ^ low), trivial ^ low,
+            1 << c, masks[c] & eff, 0, low.bit_length() - 1,
+            _bits(more) if more & (more - 1) else (more.bit_length() - 1,) if more else (), more,
             weights[c], 0, frozenset(), 0,
         )]
         pop, push = stack.pop, stack.append
@@ -528,8 +556,10 @@ def _destructive_growth(
                 destroy: set[int] | tuple = ()
                 path_dmask, auto = dmask, 0  # auto: deferred checks a dismantling re-exposes
                 owned = rows & ownable
-                if owned:
+                if owned & (owned - 1):
                     destroy = {b for r in _bits(owned) if not by_id[b := row_owner[r]].destructive}
+                elif owned and not by_id[b := row_owner[owned.bit_length() - 1]].destructive:
+                    destroy = {b}  # one owned row, the common collision
                 if destroy:
                     if len(destroyed) + len(destroy) > max_br:
                         continue

@@ -83,9 +83,10 @@ class ExperimentConfig:
 
     Each value is checked here, its type before its range: noise, decoder,
     sector and name are strings, and so is dem_path (the file key dem) or
-    None; p and q (or None) real numbers, kept as floats; rounds, max_shots,
-    max_failures (or None), seed and bp_iters integers; a bool is neither.
-    rounds None is the code's distance for phenomenological noise, else 1."""
+    None; params a CBParams and code_spec a BBCodeSpec or None; p and q (or
+    None) real numbers, kept as floats; rounds, max_shots, max_failures (or
+    None), seed and bp_iters integers; a bool is neither.  rounds None is
+    the code's distance for phenomenological noise, else 1."""
 
     noise: str = DATA_QUBIT
     p: float = 0.0
@@ -108,6 +109,10 @@ class ExperimentConfig:
                 raise _bad_value(key, getattr(self, key), "a string")
         if self.dem_path is not None and not isinstance(self.dem_path, str):
             raise _bad_value("dem", self.dem_path, "a string")  # 0 would open stdin
+        if not isinstance(self.params, CBParams):
+            raise _bad_value("params", self.params, "a CBParams")
+        if self.code_spec is not None and not isinstance(self.code_spec, BBCodeSpec):
+            raise _bad_value("code_spec", self.code_spec, "a BBCodeSpec or None")
         for key in ("p", "q") if self.q is not None else ("p",):
             value = getattr(self, key)
             if not _is_real(value):

@@ -624,6 +624,58 @@ def test_a_path_grows_at_most_max_gr_times(max_gr):
     assert out.tolist() == ([0, 0, 0, 0] if max_gr == 1 else [1, 1, 1, 0])
 
 
+# A dead end is an expansion at which every child that does not close would
+# be dropped as a dead leaf (max_gr growths, or no two more columns fit the
+# budget).  Each case below is one.
+
+
+def test_a_dead_end_past_max_br_is_rejected_even_with_a_closed_move():
+    # The tcts=2 seed c0 {0,1,2} expands at row 1 with deferred row 2 and
+    # weight 1 of budget 2: a dead end.  c1 {1,2} closes the loop on row 2;
+    # c2 {1,3} explains row 3 but leaves row 2 open.  Both open no check, so
+    # both are kept: two branches, past max_br=1, and the instance is
+    # rejected although c1 would close it.
+    m = BinaryMatrix(4, 3, [(0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (1, 2), (3, 2)])
+    s = np.array([1, 0, 0, 1], dtype=np.uint8)
+    cluster, stats = Cluster(m, s), DecodeStats()
+    non_dest_branch_growth(2, cluster, 2.0, CBParams(6, 1, 3), stats=stats)
+    assert cluster.branches() == []
+    assert (stats.instances_rejected, stats.branches_closed, stats.max_growths) == (1, 0, 0)
+    stats = DecodeStats()
+    non_dest_branch_growth(2, cluster, 2.0, CBParams(6, 2, 3), stats=stats)
+    assert [b.mechanisms for b in cluster.branches()] == [frozenset({0, 1})]
+    assert (stats.instances_rejected, stats.max_spawned, stats.max_growths) == (0, 2, 1)
+
+
+def test_a_dead_end_commits_its_first_closed_move_in_candidate_order():
+    # The seed c0 {0,1} expands at row 1 with weight 1 of budget 2.5, below
+    # three columns of weight >= 1: a dead end.  c1 {1,2}, c2 {1,3} and
+    # c3 {1,4} all close; by weight, then column, c2 (1.0) comes before c3
+    # (1.0) and c1 (1.5), so the first branch is {c0, c2}.
+    m = BinaryMatrix(5, 4, [(0, 0), (1, 0), (1, 1), (2, 1), (1, 2), (3, 2), (1, 3), (4, 3)])
+    s = np.array([1, 0, 1, 1, 1], dtype=np.uint8)
+    cluster, stats = Cluster(m, s, np.array([1.0, 1.5, 1.0, 1.0])), DecodeStats()
+    non_dest_branch_growth(1, cluster, 2.5, CBParams(6, 3, 3), stats=stats)
+    assert cluster.branches()[0].mechanisms == frozenset({0, 2})
+    assert (stats.max_spawned, stats.max_growths, stats.instances_rejected) == (3, 1, 0)
+
+
+def test_a_weighted_path_dead_ends_at_max_gr_below_its_root():
+    # A chain c0 {0,1}, c1 {1,2}, c2 {2,3}, c3 {3,4} between the violated
+    # rows 0 and 4 takes three growths from either end, and the budget of 10
+    # fits all four columns.  Under max_gr=2 the second expansion, a child
+    # of the root, is a dead end with no closed move: nothing closes, and no
+    # path grows past max_gr.
+    m = BinaryMatrix(5, 4, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3)])
+    s = np.array([1, 0, 0, 0, 1], dtype=np.uint8)
+    weights = np.array([1.0, 1.5, 1.5, 1.0])
+    for max_gr, closed in ((2, []), (3, [frozenset({0, 1, 2, 3})])):
+        cluster, stats = Cluster(m, s, weights), DecodeStats()
+        non_dest_branch_growth(1, cluster, 10.0, CBParams(max_gr, 10, 3), stats=stats)
+        assert [b.mechanisms for b in cluster.branches()] == closed
+        assert stats.max_growths == max_gr
+
+
 def count_destructive_passes(monkeypatch):
     calls = []
     grow = cb.dest_branch_growth

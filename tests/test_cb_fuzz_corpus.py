@@ -8,8 +8,11 @@ random matrices (3-11 rows, 4-19 columns, column weight 1-4) with max_br
 and once in weighted mode (`run_schedule` with random mechanism weights and
 a step budget that may lie below the heaviest seed).  The sha256 of the
 outputs and every `DecodeStats` field are pinned per mode; deleting any one
-of those rules, or the one that drops a dead path, changes them.  A
-declared change of decoder behaviour regenerates the constants.
+of those rules, or the one that drops a dead path, changes them.  A sha256
+over each case's own five fields (a fresh `DecodeStats` per case) is pinned
+too, since a change that lowers one case's maxima can leave the corpus-wide
+ones as they are.  A declared change of decoder behaviour regenerates the
+constants.
 """
 
 import hashlib
@@ -45,6 +48,15 @@ GOLDEN = {
     },
 }
 
+# sha256 over every case's max_spawned, max_growths, branches_closed,
+# instances_rejected and dismantled, as int64, case by case
+GOLDEN_PER_CASE = {
+    "plain": "4287ace3cb9391c525c7c5454e1fe0b83ae97d2ed67d3d28e9489419363a53e6",
+    "weighted": "59f9e2b4e25174777cf29b106411626ac2459522b702cd58c730d75c015b1b2b",
+}
+
+FIELDS = ("max_spawned", "max_growths", "branches_closed", "instances_rejected", "dismantled")
+
 
 def random_case(rng: np.random.Generator):
     """A small matrix, a syndrome of a random error on it, and budgets."""
@@ -61,13 +73,15 @@ def random_case(rng: np.random.Generator):
 
 
 def decode_corpus(mode: str, cases: int = CASES):
+    """The outputs' sha256, the corpus-wide stats and the per-case stats' sha256."""
     rng = np.random.default_rng(2024)
-    stats = DecodeStats()
-    digest = hashlib.sha256()
+    fields = dict.fromkeys(FIELDS, 0)
+    digest, per_case = hashlib.sha256(), hashlib.sha256()
     for _ in range(cases):
         m, syndrome, params = random_case(rng)
         weights = rng.uniform(1.0, 4.0, m.cols)
         scale = float(rng.uniform(0.3, 1.0)) * float(weights.max())
+        stats = DecodeStats()
         if mode == "plain":
             out = cb_decode(syndrome, params, m, stats=stats)
         else:
@@ -76,18 +90,16 @@ def decode_corpus(mode: str, cases: int = CASES):
                 lambda step: step * scale, event_weights=weights, stats=stats,
             )
         digest.update(out.tobytes())
-    fields = {
-        "max_spawned": stats.max_spawned,
-        "max_growths": stats.max_growths,
-        "branches_closed": stats.branches_closed,
-        "instances_rejected": stats.instances_rejected,
-        "dismantled": stats.dismantled,
-    }
-    return digest.hexdigest(), fields
+        case = [getattr(stats, key) for key in FIELDS]
+        per_case.update(np.array(case, dtype=np.int64).tobytes())
+        for key, value in zip(FIELDS, case):  # maxima for the max_ fields, else sums
+            fields[key] = max(fields[key], value) if key.startswith("max_") else fields[key] + value
+    return digest.hexdigest(), fields, per_case.hexdigest()
 
 
 @pytest.mark.parametrize("mode", ["plain", "weighted"])
 def test_golden_fuzz_corpus(mode):
-    sha, stats = decode_corpus(mode)
+    sha, stats, per_case = decode_corpus(mode)
     assert stats == GOLDEN[mode]["stats"]
     assert sha == GOLDEN[mode]["sha256"]
+    assert per_case == GOLDEN_PER_CASE[mode]

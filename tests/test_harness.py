@@ -238,6 +238,22 @@ def test_every_experiment_value_has_its_type_checked(monkeypatch, key, value):
             _config(**{key: value})
 
 
+@pytest.mark.parametrize("noise", ["data-qubit", "phenomenological"])
+@pytest.mark.parametrize("key, value, kind", [
+    ("params", (6, 10, 3), "a CBParams"),
+    ("params", None, "a CBParams"),
+    ("code_spec", "bb72", "a BBCodeSpec or None"),
+    ("code_spec", {"l": 6, "m": 6}, "a BBCodeSpec or None"),
+])
+def test_config_checks_the_types_of_params_and_code_spec(monkeypatch, noise, key, value, kind):
+    # each was accepted and raised AttributeError later: in run_experiment,
+    # or, for a phenomenological code_spec, in the constructor itself
+    monkeypatch.setattr(harness, "_span_outcomes", None)  # no shot may run
+    message = f"config key '{key}' cannot take the value {value!r}: {key} must be {kind}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_experiment(_config(noise=noise, **{key: value}))
+
+
 def test_config_keeps_p_and_q_as_floats():
     config = _config(noise="phenomenological", p=np.float32(0.25), q=0, rounds=2)
     assert (type(config.p), type(config.q), config.p, config.q) == (float, float, 0.25, 0.0)
