@@ -38,7 +38,7 @@ from functools import cache
 
 import numpy as np
 
-from .gf2 import BinaryMatrix, _vec_to_int
+from .gf2 import BinaryMatrix
 
 
 def _bad_value(key: str, value, kind: str) -> ValueError:
@@ -99,7 +99,7 @@ def _checked(m: BinaryMatrix, syndrome, event_weights) -> tuple[int, np.ndarray 
             raise ValueError("event weights length must equal the matrix column count")
         if np.isnan(weights).any():  # base + nan > budget is False: never pruned
             raise ValueError("event weights must not be NaN")
-    return _vec_to_int(syndrome), weights
+    return int.from_bytes(np.packbits(syndrome, bitorder="little").tobytes(), "little"), weights
 
 
 class Cluster:
@@ -260,30 +260,48 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _sweep_counters(m: BinaryMatrix) -> tuple[list[int], int, int, int]:
+    """The weight-1 sweep's packed counters for m, built on first use and
+    kept in m.derived: one field per column, column c's at bit c * width,
+    where width is the bit length of the largest column weight plus a carry
+    bit.  Returns (per row, a one in the field of each of its columns; the
+    start, 2**(width - 1) - w in the field of each column of weight w > 0;
+    the carry bits of those fields; width).  A field never overflows: it
+    counts from 2**(width - 1) - w up to 2**(width - 1), its carry bit."""
+    found = m.derived.get("cb.sweep_counters")
+    if found is None:
+        masks = m.col_masks()
+        carry = max(map(int.bit_count, masks), default=0).bit_length()
+        width = carry + 1
+        adds = [sum(1 << c * width for c in cols) for cols in m.row_support]
+        start = sum((1 << carry) - rows.bit_count() << c * width for c, rows in enumerate(masks) if rows)
+        carries = sum(1 << c * width + carry for c, rows in enumerate(masks) if rows)
+        found = m.derived["cb.sweep_counters"] = adds, start, carries, width
+    return found
+
+
 def _sweep(m: BinaryMatrix, eff: int, owned: int) -> tuple[list[int], int]:
     """The weight-1 sweep on bitmasks: mark every column outside owned whose
-    rows all lie in eff (each column is visited once, from its lowest row,
-    through a table kept in m.derived), then close the marked ones in column
-    order while their rows all lie in what is left of eff, which only loses
-    rows.  Returns the closed columns, ascending, and what is left of eff."""
-    by_lowest = m.derived.get("cb.sweep_columns")
-    if by_lowest is None:
-        by_lowest = m.derived["cb.sweep_columns"] = [[] for _ in range(m.rows)]
-        for c, rows in enumerate(m.col_masks()):
-            if rows:  # a column with no rows is never closed
-                by_lowest[(rows & -rows).bit_length() - 1].append((c, rows))
-    marked = []
+    rows all lie in eff, then close the marked ones in column order while
+    their rows all lie in what is left of eff, which only loses rows.  A
+    column is marked when the counters of _sweep_counters, one add per row
+    of eff, carry out of its field: its count of rows in eff reached its
+    weight.  Returns the closed columns, ascending, and what is left of eff."""
+    adds, total, carries, width = _sweep_counters(m)
     rest = eff
     while rest:
         low = rest & -rest
         rest ^= low
-        for c, rows in by_lowest[low.bit_length() - 1]:
-            if rows & eff == rows and not owned >> c & 1:
-                marked.append((c, rows))
-    marked.sort()
+        total += adds[low.bit_length() - 1]
+    marked = total & carries
+    masks = m.col_masks()
     closed = []
-    for c, rows in marked:
-        if rows & eff == rows:
+    while marked:
+        low = marked & -marked
+        marked ^= low
+        c = (low.bit_length() - 1) // width
+        rows = masks[c]
+        if rows & eff == rows and not owned >> c & 1:
             closed.append(c)
             eff ^= rows
     return closed, eff
@@ -338,8 +356,13 @@ def _seed(rows: int, tcts: int, eff: int) -> int:
 # or no column fits the budget) is left out when taking up its frontier would
 # leave it as it is: popped, it would expand to nothing.  The instance is
 # rejected, and counted, when the kept moves take its spawned branches past
-# max_br.  At a dead end, where every child that is not closed is left out,
-# _plain_growth only counts the moves and commits the first closed one.
+# max_br.  At a dead end (max_gr growths, or no second column fits the
+# budget: every weight is at least min_weight), every child that is not closed
+# is left out.  There _plain_growth only counts the moves and commits the
+# first closed one, and _destructive_growth counts them and builds only the
+# closed ones and those whose frontier a dismantling clears.  _plain_growth
+# settles a seed whose first expansion is a dead end (every plain seed of
+# step 2) before it builds a stack, a path or a deferred-check tuple.
 # _plain_growth and _destructive_growth run this one search, written out
 # once per growth mode so that non-destructive growth, most of the work,
 # carries none of the destructive bookkeeping.  A destructive pass over a
@@ -385,6 +408,41 @@ def _plain_growth(
             continue
         low = trivial & -trivial
         more = trivial ^ low
+        if max_gr == 1 or weights[c] + min_weight + min_weight > budget:
+            # the seed's first expansion is a dead end: it runs here, as the
+            # dead end below at growths 1 does, with no stack and no tuple
+            frontier, base = low.bit_length() - 1, weights[c]
+            satisfied = masks[c] & eff
+            blocked, fresh, taken = satisfied | more, ~(eff | more), (1 << c) | owned_cols
+            fewest, kept, closing = many, 0, None
+            for _, weight, rows, cbit in table.get(frontier) or candidates(frontier):
+                if taken & cbit:
+                    continue
+                if base + weight > budget:
+                    break
+                explains = rows & eff
+                if explains & blocked:
+                    continue
+                opens = (rows & fresh).bit_count()
+                if opens <= fewest:
+                    if opens < fewest:
+                        fewest, kept = opens, 0
+                    kept += 1
+                    if not opens and closing is None and rows & more == more:
+                        closing = (1 << c) | cbit, satisfied | explains
+            if not kept:
+                continue
+            if kept > 1:
+                if kept > max_br:
+                    stats.instances_rejected += 1
+                    continue
+                if kept > stats.max_spawned:
+                    stats.max_spawned = kept
+            if stats.max_growths < 1:
+                stats.max_growths = 1
+            if closing:
+                _commit(cluster, stats, *closing, frozenset(), destructive)
+            continue
         stack = [(
             1 << c, masks[c] & eff, low.bit_length() - 1,
             _bits(more) if more & (more - 1) else (more.bit_length() - 1,) if more else (), more,
@@ -544,7 +602,13 @@ def _destructive_growth(
             ownable = syndrome & ~(eff | fmask | dmask)  # explained by a live branch
             taken = mechanisms | owned_cols
             moves: list[tuple] = []
-            fewest = many
+            fewest, kept = many, 0
+            # at a dead end every child that does not close is a dead leaf
+            # unless taking up its frontier dismantles: only those and the
+            # closed ones become moves, the rest are only counted.  A newly
+            # opened check is never dismantlable: a check of a live branch is
+            # violated under eff, in dmask, or ownable, and so explained here
+            dead_end = growths == max_gr or base + min_weight + min_weight > budget
             for col, weight, rows, cbit in table.get(frontier) or candidates(frontier):
                 # a column in this path, or owned by a branch it does not destroy, is out
                 if taken & cbit and (
@@ -580,33 +644,36 @@ def _destructive_growth(
                 opens = new_opens.bit_count()
                 if opens <= fewest:
                     if opens < fewest:
-                        fewest, moves = opens, []
+                        fewest, kept, moves = opens, 0, []
+                    kept += 1
+                    if dead_end and (new_opens or loop_closed | auto != fmask and not _dismantlable(
+                        cluster, next(r for r in fcts if not (loop_closed | auto) >> r & 1),
+                        destroyed | destroy if destroy else destroyed,
+                    )):
+                        continue
                     moves.append(
                         (weight, cbit, explains, loop_closed, new_opens, destroy, auto, path_dmask)
                     )
-            if not moves:
+            if not kept:
                 continue
-            if len(moves) > 1:
-                spawned += len(moves) - 1
+            if kept > 1:
+                spawned += kept - 1
                 if spawned > max_br:
                     stats.instances_rejected += 1
                     break
                 if spawned > stats.max_spawned:
                     stats.max_spawned = spawned
             touched = touched_even | fbit
-            last = growths == max_gr
             for weight, cbit, explains, loop_closed, new_opens, destroy, auto, path_dmask in (
                 reversed(moves)
             ):
                 gone = loop_closed | auto  # deferred checks this move resolves
                 used = base + weight
                 child_destroyed = destroyed | destroy if destroy else destroyed
-                if (new_opens or gone != fmask) and (last or used + min_weight > budget):
-                    # a dead leaf, unless taking up its frontier dismantles
-                    nxt = new_opens & -new_opens
-                    nxt = nxt.bit_length() - 1 if nxt else next(r for r in fcts if not gone >> r & 1)
-                    if not _dismantlable(cluster, nxt, child_destroyed):
-                        continue
+                if not dead_end and used + min_weight > budget and (new_opens or gone != fmask and (
+                        not _dismantlable(cluster, next(r for r in fcts if not gone >> r & 1),
+                                          child_destroyed))):
+                    continue  # a dead leaf
                 rest = tuple([r for r in fcts if not gone >> r & 1]) if gone else fcts
                 child_fmask = fmask ^ gone
                 child_frontier = None
@@ -698,18 +765,22 @@ def run_schedule(
     version where it ends: a second sweep closes nothing.
     """
     syndrome_rows, weights = _checked(m, syndrome, event_weights)
-    stats = stats if stats is not None else DecodeStats()
     swept, left = _sweep(m, syndrome_rows, 0)
-    if left:
-        cluster = Cluster.__new__(Cluster)
-        cluster._start(m, syndrome_rows, weights)
-        branches = [ClosedBranch(frozenset((c,)), m.col_support[c], False) for c in swept]
+    if not left:  # the first step returns the swept columns; with no step, zeros
+        out = np.zeros(m.cols, dtype=np.uint8)
+        for _ in map(budget_for_step, steps):
+            for c in swept:
+                out[c] = 1  # item by item: a fancy index costs about 1 µs more
+            if stats is not None:
+                stats.branches_closed += len(swept)
+            break
+        return out
+    stats = stats if stats is not None else DecodeStats()
+    cluster = Cluster.__new__(Cluster)
+    cluster._start(m, syndrome_rows, weights)
+    branches = [ClosedBranch(frozenset((c,)), m.col_support[c], False) for c in swept]
     for budget in map(budget_for_step, steps):
         stats.branches_closed += len(swept)
-        if not left:
-            out = np.zeros(m.cols, dtype=np.uint8)
-            out[swept] = 1
-            return out
         if cluster.version:
             cluster.clear()
         for branch in branches:

@@ -16,7 +16,7 @@ from cbdecode.cb import (
     run_schedule,
     weight_1_errors,
 )
-from cbdecode.gf2 import BinaryMatrix, mat_vec_mod2, vec_from_support
+from cbdecode.gf2 import BinaryMatrix, _vec_to_int, mat_vec_mod2, vec_from_support
 from test_cb_fuzz_corpus import CASES as FUZZ_CASES, random_case as fuzz_case
 
 
@@ -134,12 +134,36 @@ def test_sweep_matches_a_brute_force_oracle_on_the_fuzz_corpus_matrices():
         m, syndrome, _ = fuzz_case(corpus)
         corpus.uniform(1.0, 4.0, m.cols)
         corpus.uniform(0.3, 1.0)
-        for eff in (cb._vec_to_int(syndrome), (1 << m.rows) - 1, int(masks.integers(1 << m.rows))):
+        for eff in (_vec_to_int(syndrome), (1 << m.rows) - 1, int(masks.integers(1 << m.rows))):
             problems += [(m, eff, 0), (m, eff, int(masks.integers(1 << m.cols)))]
     odd = BinaryMatrix(4, 5, [(1, 0), (2, 0), (0, 1), (1, 1), (2, 2), (3, 2), (3, 4)])
     problems += [(odd, eff, owned) for eff in range(16) for owned in (0, 0b10, 0b11111)]
+    # the packed counters' field boundaries: for each largest column weight
+    # on either side of a power of two, a 70 x 80 matrix with an empty column
+    # and column weights from 1 to it, swept under unions of whole columns
+    # (so that many counters reach their column's weight), with and without
+    # stray rows, and under every row, each with no column and a random set owned
+    for top in (1, 2, 3, 4, 7, 8, 15, 16):
+        weights = [0, top, *masks.integers(1, top + 1, 78).tolist()]
+        m = BinaryMatrix(70, 80, [
+            (int(r), c) for c, w in enumerate(weights) for r in masks.choice(70, w, replace=False)
+        ])
+        for k in range(13):
+            eff = (1 << 70) - 1
+            if k:
+                eff = 0
+                for c in masks.choice(80, 6, replace=False):
+                    eff |= m.col_masks()[c]
+                if k % 2:
+                    eff |= int.from_bytes(masks.bytes(9), "little") % (1 << 70)
+            owned = int.from_bytes(masks.bytes(10), "little")
+            problems += [(m, eff, 0), (m, eff, owned)]
+    tables = {}
     for m, eff, owned in problems:
         assert cb._sweep(m, eff, owned) == sweep_oracle(m, eff, owned)
+        # built on the first sweep of a matrix and kept for the matrix's life
+        table = m.derived["cb.sweep_counters"]
+        assert tables.setdefault(id(m), table) is table
 
 
 # --- seeds, observed through a growth pass -----------------------------------
@@ -815,10 +839,11 @@ def test_decode_soundness_random_shots(bb72):
 
 
 def test_a_first_step_win_packs_the_syndrome_once(bb72, monkeypatch):
-    # the schedule packs the syndrome once, before its sweep; nothing packs it again
+    # the schedule checks and packs the syndrome once (_checked), before its
+    # sweep; nothing checks or packs it again
     packs = []
-    pack = cb._vec_to_int
-    monkeypatch.setattr(cb, "_vec_to_int", lambda v: packs.append(1) or pack(v))
+    check = cb._checked
+    monkeypatch.setattr(cb, "_checked", lambda *problem: packs.append(1) or check(*problem))
     sweeps = count_sweeps(monkeypatch)
     e = vec_from_support(72, [0, 17])
     out = cb_decode(mat_vec_mod2(bb72.hz, e), CBParams(6, 10, 3), bb72.hz)
@@ -844,8 +869,8 @@ def counted_clusters(monkeypatch, refuse=False):
 def test_a_schedule_builds_one_cluster_for_all_its_steps(bb72, monkeypatch):
     # later steps clear the first step's cluster instead of building another
     packs, steps = [], []
-    pack = cb._vec_to_int
-    monkeypatch.setattr(cb, "_vec_to_int", lambda v: packs.append(1) or pack(v))
+    check = cb._checked
+    monkeypatch.setattr(cb, "_checked", lambda *problem: packs.append(1) or check(*problem))
     built = counted_clusters(monkeypatch)
     s = mat_vec_mod2(bb72.hz, vec_from_support(72, [3, 40, 41, 60, 61, 62, 70]))
     out = run_schedule(
@@ -874,6 +899,20 @@ def test_a_syndrome_the_sweep_explains_builds_no_cluster(bb72, monkeypatch, weig
     assert got == want == DecodeStats(branches_closed=2)
 
 
+def test_calls_the_sweep_settles_return_fresh_arrays(bb72):
+    # each call writes its own output: writing into one leaves the next as it was
+    m, params = bb72.hz, CBParams(6, 10, 3)
+    s = mat_vec_mod2(m, vec_from_support(72, [0, 17]))
+    assert cb._sweep(m, _vec_to_int(s), 0) == ([0, 17], 0)
+    first, second = cb_decode(s, params, m), cb_decode(s, params, m)
+    for out in (first, second):
+        assert out.dtype == np.uint8 and out.flags.writeable
+        assert np.flatnonzero(out).tolist() == [0, 17]
+    assert not np.shares_memory(first, second)
+    first[:] = 1
+    assert np.flatnonzero(second).tolist() == [0, 17]
+
+
 def test_a_multi_step_call_sweeps_once(bb72, monkeypatch):
     # every step starts from the call's one sweep: no other sweep sees the
     # whole syndrome with no column owned
@@ -888,7 +927,7 @@ def test_a_multi_step_call_sweeps_once(bb72, monkeypatch):
         out = run_schedule(
             s, params, m, range(2, 7), lambda step: steps.append(step) or float(step), stats=got
         )
-        first = [call for call in sweeps if call == (cb._vec_to_int(s), 0)]
+        first = [call for call in sweeps if call == (_vec_to_int(s), 0)]
         assert len(first) == 1 and sweeps[0] == first[0]
         multi_step += len(steps) > 1
         expected = reference_schedule(s, params, m, range(2, 7), float, stats=want)
